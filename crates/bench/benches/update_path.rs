@@ -1,11 +1,10 @@
-//! Micro-benchmarks of the hot protocol paths: wire codec, protocol
-//! stack traversal, and end-to-end virtual-time simulation throughput.
+//! Micro-benchmarks of the hot protocol paths: wire codec and end-to-end
+//! virtual-time simulation throughput.
 
 use rtpb_bench::harness::{BenchmarkId, Criterion, Throughput};
 use rtpb_bench::{criterion_group, criterion_main};
 use rtpb_core::harness::{ClusterConfig, SimCluster};
 use rtpb_core::wire::WireMessage;
-use rtpb_net::{Message, ProtocolGraph, UdpLike};
 use rtpb_types::{Epoch, ObjectId, ObjectSpec, Time, TimeDelta, Version};
 
 fn update_msg(payload_len: usize) -> WireMessage {
@@ -35,21 +34,6 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_stack(c: &mut Criterion) {
-    let mut group = c.benchmark_group("protocol_stack");
-    let payload = update_msg(64).encode();
-    group.bench_function("udp_push_pop", |b| {
-        let mut graph = ProtocolGraph::builder().layer(UdpLike::new()).build();
-        b.iter(|| {
-            let wire = graph
-                .send(Message::from_payload(payload.clone()))
-                .expect("send");
-            graph.receive(wire).expect("receive").expect("delivered")
-        });
-    });
-    group.finish();
-}
-
 fn bench_simulation(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation");
     group.sample_size(10);
@@ -70,5 +54,5 @@ fn bench_simulation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_codec, bench_stack, bench_simulation);
+criterion_group!(benches, bench_codec, bench_simulation);
 criterion_main!(benches);

@@ -24,9 +24,7 @@ use crate::monitor::MonitorEvent;
 use crate::name_service::NameService;
 use crate::primary::{CatchUpDecision, Primary};
 use crate::wire::{WireFrame, WireMessage};
-use rtpb_net::{
-    FaultKind, FaultWindow, LinkConfig, LinkOutcome, LossyLink, Message, ProtocolGraph, UdpLike,
-};
+use rtpb_net::{FaultKind, FaultWindow, LinkConfig, LinkOutcome, LossyLink};
 use rtpb_obs::{Counter, EventBus, EventKind, Histogram, MetricsRegistry, Role};
 use rtpb_sim::{ClockModel, Context, Simulation, World};
 use rtpb_types::{
@@ -34,6 +32,13 @@ use rtpb_types::{
     ReadError, ReadOutcome, StalenessCertificate, Time, TimeDelta, Version, WriteError,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// The largest frame the simulated network carries, in bytes: the 16-bit
+/// length limit of the paper's UDP datagrams (§4.1). A larger frame is
+/// refused at the sender with an [`EventKind::SendRejected`] and never
+/// reaches a link.
+pub const MAX_DATAGRAM_BYTES: usize = 65_535;
 
 /// Per-object `(write_epoch, version)` freshness tags of a replica's
 /// store, used to rank failover candidates.
@@ -65,19 +70,11 @@ pub struct ClusterConfig {
     /// to `true`: the paper assumes link failures are masked by physical
     /// redundancy (§4.1), and its loss sweeps are about *update* messages
     /// from the primary to the backup (§5.2). Set to `false` to subject
-    /// every message to loss.
+    /// every message to loss. Catch-up traffic (join and resync requests
+    /// and their replies) is never exempt: a recovering replica's
+    /// exchange crosses the same network as the updates, and the
+    /// bounded-retry join cycle exists to survive its loss.
     pub control_loss_exempt: bool,
-    /// Whether re-integration traffic (join/resync requests and the
-    /// state-transfer / resync-diff / log-suffix replies) rides the lossy
-    /// data path even when [`control_loss_exempt`] holds. Defaults to
-    /// `true`: a recovering replica's catch-up exchange crosses the same
-    /// network as everything else, and the bounded-retry join cycle
-    /// exists precisely to survive its loss — exempting it silently
-    /// overstated recovery robustness. Set to `false` to restore the old
-    /// always-reliable behavior.
-    ///
-    /// [`control_loss_exempt`]: ClusterConfig::control_loss_exempt
-    pub recovery_frames_lossy: bool,
     /// Deterministic fault schedule executed during the run (crashes,
     /// partitions, loss bursts, delay spikes, recoveries).
     pub fault_plan: FaultPlan,
@@ -104,7 +101,6 @@ impl Default for ClusterConfig {
             recruit_backup_after: None,
             trace_capacity: 0,
             control_loss_exempt: true,
-            recovery_frames_lossy: true,
             fault_plan: FaultPlan::new(),
             bus: EventBus::disabled(),
             registry: MetricsRegistry::disabled(),
@@ -136,6 +132,7 @@ struct Instruments {
     updates_sent: Counter,
     updates_lost: Counter,
     frames_sent: Counter,
+    send_rejected: Counter,
     retransmit_requests: Counter,
     client_writes: Counter,
     reads_served: Counter,
@@ -160,6 +157,7 @@ impl Instruments {
             updates_sent: registry.counter("cluster.updates_sent"),
             updates_lost: registry.counter("cluster.updates_lost"),
             frames_sent: registry.counter("cluster.frames_sent"),
+            send_rejected: registry.counter("cluster.send_rejected"),
             retransmit_requests: registry.counter("cluster.retransmit_requests"),
             client_writes: registry.counter("cluster.client_writes"),
             reads_served: registry.counter("cluster.reads_served"),
@@ -202,12 +200,30 @@ fn fault_name(fault: InjectedFault) -> &'static str {
     }
 }
 
+/// One end of a simulated link. Every link joins a backup host to the
+/// primary role: the serving primary or, during a split-brain window,
+/// the deposed one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Peer {
+    /// The serving primary: whichever node the name service binds.
+    Primary,
+    /// The primary deposed behind a split-brain partition.
+    Deposed,
+    /// Backup host `i`.
+    Backup(usize),
+}
+
 #[derive(Debug)]
 enum Event {
     ClientWrite {
         object: ObjectId,
     },
-    CpuFinished,
+    /// The primary CPU finished its item in service, if the queue has not
+    /// been cleared since the completion was scheduled (see
+    /// [`CpuQueue::generation`]).
+    CpuFinished {
+        generation: u64,
+    },
     SendTimer {
         object: ObjectId,
         epoch: u32,
@@ -222,19 +238,12 @@ enum Event {
     /// Probe cadence of a deposed primary stranded on the minority side
     /// of a split-brain partition.
     DeposedTick,
-    DeliverToBackup {
-        host: usize,
-        wire: Message,
-        /// Whether the frame originated at the deposed primary (replies
-        /// must route back to it, not to the serving primary).
-        from_deposed: bool,
-    },
-    DeliverToPrimary {
-        host: usize,
-        wire: Message,
-    },
-    DeliverToDeposed {
-        wire: Message,
+    /// A frame [`ClusterWorld::route`] put on a link arrives at `to`;
+    /// replies go back to `from`.
+    Deliver {
+        from: Peer,
+        to: Peer,
+        frame: Arc<[u8]>,
     },
     Inject {
         fault: FaultEvent,
@@ -257,21 +266,39 @@ enum Event {
     },
 }
 
-/// Collects the `(object, version)` pairs of every update carried by a
-/// frame — one pair for a bare [`WireMessage::Update`], one per contained
-/// update for a [`WireMessage::Batch`].
-fn collect_updates(msg: &WireMessage, out: &mut Vec<(ObjectId, Version)>) {
+/// The updates a frame carries: the frame itself for a bare
+/// [`WireMessage::Update`], its members for a [`WireMessage::Batch`],
+/// none for anything else.
+fn carried_updates(msg: &WireMessage) -> &[WireMessage] {
     match msg {
-        WireMessage::Update {
-            object, version, ..
-        } => out.push((*object, *version)),
-        WireMessage::Batch { messages, .. } => {
-            for m in messages {
-                collect_updates(m, out);
-            }
-        }
-        _ => {}
+        WireMessage::Update { .. } => std::slice::from_ref(msg),
+        WireMessage::Batch { messages, .. } => messages,
+        _ => &[],
     }
+}
+
+/// The link-class rule: a frame rides the lossy data link when it
+/// carries updates or is catch-up traffic; any other frame is control
+/// traffic, exempt from loss while
+/// [`ClusterConfig::control_loss_exempt`] holds.
+fn rides_data_link(msg: &WireMessage) -> bool {
+    matches!(
+        msg,
+        WireMessage::Update { .. }
+            | WireMessage::Batch { .. }
+            | WireMessage::JoinRequest { .. }
+            | WireMessage::ResyncRequest { .. }
+            | WireMessage::StateTransfer { .. }
+            | WireMessage::ResyncDiff { .. }
+            | WireMessage::LogSuffix { .. }
+    )
+}
+
+/// A message encoded once for every destination [`ClusterWorld::route`]
+/// sends it to: every link and every arrival shares `bytes`.
+struct Encoded<'m> {
+    msg: &'m WireMessage,
+    bytes: Arc<[u8]>,
 }
 
 /// One backup replica's host: the state machine plus its four link
@@ -352,10 +379,6 @@ struct ClusterWorld {
     /// See [`DeposedPrimary`]; `Some` only during a split-brain window.
     deposed: Option<DeposedPrimary>,
     hosts: Vec<BackupHost>,
-    p2b_tx: ProtocolGraph,
-    p2b_rx: ProtocolGraph,
-    b2p_tx: ProtocolGraph,
-    b2p_rx: ProtocolGraph,
     cpu: CpuQueue,
     metrics: ClusterMetrics,
     instruments: Instruments,
@@ -401,8 +424,8 @@ struct ClusterWorld {
     /// high-rate runs that evict old events.
     catch_up_plans: Vec<CatchUpDecision>,
     /// Pooled send buffers: every outbound frame is encoded into a
-    /// leased buffer ([`ClusterWorld::pooled_frame`]) so steady-state
-    /// framing reuses capacity instead of allocating per message.
+    /// leased buffer ([`ClusterWorld::encode`]) so steady-state framing
+    /// reuses capacity instead of allocating per message.
     send_pool: BufPool,
     /// Per-role-slot clock models (DESIGN.md §14): slot 0 is the primary
     /// role, slot `1 + i` is backup host `i`. The event queue stays on
@@ -432,37 +455,20 @@ struct ClusterWorld {
     scrub_repair: BTreeSet<usize>,
 }
 
-/// Applies a link-reported bit flip to a copy of the frame's bytes. The
-/// link is payload-oblivious — it picks a bit position within the wire
-/// image ([`LinkOutcome::Corrupted`]) and the harness, which owns the
-/// bytes, lands the flip in the application payload (the header stack is
-/// framing bookkeeping, not simulated octets). Receivers then see a
-/// frame whose CRC trailer no longer matches.
-fn corrupt_wire(wire: &Message, bit: u64) -> Message {
-    let mut stripped = wire.clone();
-    let mut headers = Vec::new();
-    while let Some(h) = stripped.pop_header() {
-        headers.push(h);
-    }
-    let mut payload = stripped.into_payload().to_vec();
-    if payload.is_empty() {
-        return wire.clone();
-    }
-    let at = (bit / 8) as usize % payload.len();
-    payload[at] ^= 1 << (bit % 8);
-    let mut out = Message::from_payload(payload);
-    for h in headers.iter().rev() {
-        out.push_header(h);
-    }
-    out
-}
-
-/// The bytes to deliver for one arrival of `outcome`: the frame as sent,
-/// or a copy with the in-transit bit flip applied.
-fn delivered_wire(wire: &Message, outcome: LinkOutcome) -> Message {
+/// The bytes one arrival of `outcome` delivers: the shared frame as sent,
+/// or a copy with the link's in-transit bit flip applied. The link is
+/// payload-oblivious — it picks a bit within the frame
+/// ([`LinkOutcome::Corrupted`]) and the harness, which owns the bytes,
+/// flips it; the receiver then sees a frame whose CRC trailer no longer
+/// matches.
+fn arrival_bytes(frame: &Arc<[u8]>, outcome: LinkOutcome) -> Arc<[u8]> {
     match outcome.corrupted_bit() {
-        Some(bit) => corrupt_wire(wire, bit),
-        None => wire.clone(),
+        Some(bit) => {
+            let mut copy = frame.to_vec();
+            copy[(bit / 8) as usize] ^= 1 << (bit % 8);
+            copy.into()
+        }
+        None => Arc::clone(frame),
     }
 }
 
@@ -645,258 +651,162 @@ impl ClusterWorld {
         }
     }
 
-    /// Encodes `msg` into a pooled send buffer and wraps the bytes for
-    /// the wire. The lease returns its buffer to the pool on drop, so
-    /// steady-state framing reuses one recycled buffer plus the single
-    /// copy into the shared wire payload — no per-frame encode vector.
-    fn pooled_frame(&self, msg: &WireMessage) -> Message {
+    /// Encodes `msg` once: into a pooled send buffer, whose capacity
+    /// steady-state framing reuses, then into the shared bytes every
+    /// destination and arrival of the frame reads.
+    fn encode<'m>(&self, msg: &'m WireMessage) -> Encoded<'m> {
         let mut buf = self.send_pool.lease();
         msg.encode_into(&mut buf);
-        Message::from_payload(buf.as_slice())
+        Encoded {
+            msg,
+            bytes: Arc::from(buf.as_slice()),
+        }
     }
 
-    /// Broadcasts a message to every backup the primary currently tracks.
-    ///
-    /// A [`WireMessage::Batch`] is one wire unit: the link makes a single
-    /// loss/delay decision per frame per host, so a dropped batch drops
-    /// every contained update together (correlated loss).
-    fn transmit_to_backups(&mut self, ctx: &mut Context<'_, Event>, msg: &WireMessage) {
-        if self.primary_cut(ctx.now()) {
-            ctx.trace("primary partitioned: broadcast dropped");
-            return;
-        }
+    /// Encodes `msg` and routes it from `from` to `to`.
+    fn send(&mut self, ctx: &mut Context<'_, Event>, from: Peer, to: Peer, msg: &WireMessage) {
+        let frame = self.encode(msg);
+        self.route(ctx, from, to, &frame);
+    }
+
+    /// Sends an update-carrying frame to every backup the primary tracks,
+    /// encoded once for all of them. Each host's link decides loss and
+    /// delay for the whole frame, so a dropped batch drops every update
+    /// it carries together (correlated loss).
+    fn broadcast(&mut self, ctx: &mut Context<'_, Event>, msg: &WireMessage) {
         let tracked: Vec<NodeId> = self
             .primary
             .as_ref()
             .map(Primary::backups)
             .unwrap_or_default();
-        let mut updates = Vec::new();
-        collect_updates(msg, &mut updates);
-        let batch_size = match msg {
-            WireMessage::Batch { messages, .. } => Some(messages.len() as u64),
-            _ => None,
-        };
-        let is_update = !updates.is_empty() || batch_size.is_some();
-        let metrics_host = self.metrics_host();
-        let framed = self.pooled_frame(msg);
-        let Ok(wire) = self.p2b_tx.send(framed) else {
-            ctx.trace("p2b send rejected by protocol stack");
-            return;
-        };
-        let exempt = self.config.control_loss_exempt;
-        for (i, host) in self.hosts.iter_mut().enumerate() {
-            if host.backup.is_none() || !tracked.contains(&host.node) {
-                continue;
+        let frame = self.encode(msg);
+        for host in 0..self.hosts.len() {
+            if tracked.contains(&self.hosts[host].node) {
+                self.route(ctx, Peer::Primary, Peer::Backup(host), &frame);
             }
-            let link = if is_update || !exempt {
-                &mut host.data_link
-            } else {
-                &mut host.ctrl_link
-            };
-            // One loss/delay decision per frame, batched or not.
-            let outcome = link.transmit(ctx.now(), wire.wire_size());
+        }
+    }
+
+    /// Puts one frame on the link between `from` and `to`: the only way a
+    /// frame enters the simulated network. Every link joins a backup host
+    /// to the primary role, and the frame takes that link's data or
+    /// control lane by [`rides_data_link`], after three gates:
+    ///
+    /// - a partition: frames to or from the serving primary die inside a
+    ///   [`FaultEvent::PartitionPrimary`] cut, and frames to or from the
+    ///   deposed primary die until its side heals;
+    /// - the datagram cap: a frame over [`MAX_DATAGRAM_BYTES`] is refused
+    ///   with an [`EventKind::SendRejected`] and a `cluster.send_rejected`
+    ///   count;
+    /// - a crashed destination: a frame to a crashed backup host is never
+    ///   put on a link, so it draws no randomness. Heartbeat probes are
+    ///   the exception.
+    ///
+    /// Update-carrying frames are counted as they leave: frames, batch
+    /// occupancy, updates sent and lost, and the per-object ledger when
+    /// the destination feeds the metrics.
+    fn route(&mut self, ctx: &mut Context<'_, Event>, from: Peer, to: Peer, frame: &Encoded<'_>) {
+        let now = ctx.now();
+        let (host, outbound, end) = match (from, to) {
+            (end, Peer::Backup(host)) => (host, true, end),
+            (Peer::Backup(host), end) => (host, false, end),
+            _ => unreachable!("every link has a backup host at one end"),
+        };
+        let end_node = match end {
+            Peer::Primary if self.primary_cut(now) => return,
+            Peer::Primary => self.names.resolve(),
+            Peer::Deposed => match self.deposed.as_ref() {
+                Some(dep) if now >= dep.cut_until => dep.primary.node(),
+                _ => return,
+            },
+            Peer::Backup(_) => unreachable!("backups never address each other"),
+        };
+        let host_node = self.hosts[host].node;
+        let (from_node, to_node) = if outbound {
+            (end_node, host_node)
+        } else {
+            (host_node, end_node)
+        };
+        let bytes = frame.bytes.len();
+        if bytes > MAX_DATAGRAM_BYTES {
+            self.instruments.send_rejected.inc();
+            ctx.emit(EventKind::SendRejected {
+                from: from_node,
+                to: to_node,
+                bytes: bytes as u64,
+            });
+            return;
+        }
+        // A heartbeat probe goes out even to a crashed host: the detector
+        // sends it because it cannot see the crash, and the probe dies at
+        // the dead host.
+        let probe = matches!(frame.msg, WireMessage::Ping { .. });
+        if outbound && !probe && self.hosts[host].backup.is_none() {
+            return;
+        }
+        let data = rides_data_link(frame.msg) || !self.config.control_loss_exempt;
+        let h = &mut self.hosts[host];
+        let link = match (outbound, data) {
+            (true, true) => &mut h.data_link,
+            (true, false) => &mut h.ctrl_link,
+            (false, true) => &mut h.rev_data_link,
+            (false, false) => &mut h.rev_ctrl_link,
+        };
+        let outcome = link.transmit(now, bytes);
+        let updates = carried_updates(frame.msg);
+        if !updates.is_empty() {
             let lost = outcome.is_lost();
             self.instruments.frames_sent.inc();
-            if let Some(size) = batch_size {
+            if let WireMessage::Batch { messages, .. } = frame.msg {
+                let size = messages.len() as u64;
                 self.instruments.batch_occupancy.record_nanos(size);
                 ctx.emit(EventKind::BatchSent {
-                    to: host.node,
+                    to: to_node,
                     size,
                     lost,
                 });
             }
-            for &(object, version) in &updates {
-                self.instruments.updates_sent.inc();
-                if lost {
-                    self.instruments.updates_lost.inc();
+            for update in updates {
+                if let WireMessage::Update {
+                    object, version, ..
+                } = update
+                {
+                    self.instruments.updates_sent.inc();
+                    if lost {
+                        self.instruments.updates_lost.inc();
+                    }
+                    ctx.emit(EventKind::UpdateSent {
+                        object: *object,
+                        version: *version,
+                        to: to_node,
+                        lost,
+                    });
                 }
-                ctx.emit(EventKind::UpdateSent {
-                    object,
-                    version,
-                    to: host.node,
-                    lost,
-                });
             }
-            if Some(i) == metrics_host {
-                for _ in &updates {
+            if self.metrics_host() == Some(host) {
+                for _ in updates {
                     self.metrics.record_update_sent(lost);
                 }
             }
-            for at in outcome.arrivals() {
-                ctx.schedule_at(
-                    at,
-                    Event::DeliverToBackup {
-                        host: i,
-                        wire: delivered_wire(&wire, outcome),
-                        from_deposed: false,
-                    },
-                );
-            }
         }
-    }
-
-    /// Sends a message from the primary to one specific backup host
-    /// (ping-acks and other replies addressed to a single peer).
-    fn transmit_to_one_backup(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        host: usize,
-        msg: &WireMessage,
-    ) {
-        if self.primary_cut(ctx.now()) {
-            return;
-        }
-        let is_update = matches!(msg, WireMessage::Update { .. } | WireMessage::Batch { .. });
-        // Catch-up replies cross the same network as updates; exempting
-        // them from loss hid their failure mode behind an implicitly
-        // reliable channel (the bounded-retry join cycle re-requests a
-        // dropped one).
-        let is_recovery = matches!(
-            msg,
-            WireMessage::StateTransfer { .. }
-                | WireMessage::ResyncDiff { .. }
-                | WireMessage::LogSuffix { .. }
-        );
-        let framed = self.pooled_frame(msg);
-        let Ok(wire) = self.p2b_tx.send(framed) else {
-            return;
-        };
-        let exempt = self.config.control_loss_exempt;
-        let recovery_lossy = self.config.recovery_frames_lossy;
-        let Some(h) = self.hosts.get_mut(host) else {
-            return;
-        };
-        if h.backup.is_none() {
-            return;
-        }
-        let link = if is_update || !exempt || (is_recovery && recovery_lossy) {
-            &mut h.data_link
-        } else {
-            &mut h.ctrl_link
-        };
-        let outcome = link.transmit(ctx.now(), wire.wire_size());
         for at in outcome.arrivals() {
             ctx.schedule_at(
                 at,
-                Event::DeliverToBackup {
-                    host,
-                    wire: delivered_wire(&wire, outcome),
-                    from_deposed: false,
+                Event::Deliver {
+                    from,
+                    to,
+                    frame: arrival_bytes(&frame.bytes, outcome),
                 },
             );
         }
     }
 
-    /// Sends a message from backup host `host` to the primary.
-    fn transmit_to_primary(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        host: usize,
-        msg: &WireMessage,
-    ) {
-        if self.primary_cut(ctx.now()) {
-            return;
-        }
-        let framed = self.pooled_frame(msg);
-        let Ok(wire) = self.b2p_tx.send(framed) else {
-            ctx.trace("b2p send rejected by protocol stack");
-            return;
-        };
-        // Join and resync requests ride the lossy path like the catch-up
-        // replies they solicit (see transmit_to_one_backup).
-        let is_recovery = matches!(
-            msg,
-            WireMessage::JoinRequest { .. } | WireMessage::ResyncRequest { .. }
-        );
-        let exempt = self.config.control_loss_exempt;
-        let recovery_lossy = self.config.recovery_frames_lossy;
-        let Some(h) = self.hosts.get_mut(host) else {
-            return;
-        };
-        let link = if exempt && !(is_recovery && recovery_lossy) {
-            &mut h.rev_ctrl_link
-        } else {
-            &mut h.rev_data_link
-        };
-        let outcome = link.transmit(ctx.now(), wire.wire_size());
-        for at in outcome.arrivals() {
-            ctx.schedule_at(
-                at,
-                Event::DeliverToPrimary {
-                    host,
-                    wire: delivered_wire(&wire, outcome),
-                },
-            );
-        }
-    }
-
-    /// Sends a frame from the deposed primary toward backup host `host`.
-    /// Dropped while the deposed side of the partition is still cut.
-    fn transmit_from_deposed(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        host: usize,
-        msg: &WireMessage,
-    ) {
-        let Some(dep) = self.deposed.as_ref() else {
-            return;
-        };
-        if ctx.now() < dep.cut_until {
-            return;
-        }
-        let framed = self.pooled_frame(msg);
-        let Ok(wire) = self.p2b_tx.send(framed) else {
-            return;
-        };
-        let Some(h) = self.hosts.get_mut(host) else {
-            return;
-        };
-        if h.backup.is_none() {
-            return;
-        }
-        // Probes are control traffic; they ride the control path.
-        let outcome = h.ctrl_link.transmit(ctx.now(), wire.wire_size());
-        for at in outcome.arrivals() {
-            ctx.schedule_at(
-                at,
-                Event::DeliverToBackup {
-                    host,
-                    wire: delivered_wire(&wire, outcome),
-                    from_deposed: true,
-                },
-            );
-        }
-    }
-
-    /// Routes a backup's reply back to the deposed primary (the frame it
-    /// answers came from there, not from the serving primary).
-    fn transmit_to_deposed(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        host: usize,
-        msg: &WireMessage,
-    ) {
-        let Some(dep) = self.deposed.as_ref() else {
-            return;
-        };
-        if ctx.now() < dep.cut_until {
-            return;
-        }
-        let framed = self.pooled_frame(msg);
-        let Ok(wire) = self.b2p_tx.send(framed) else {
-            return;
-        };
-        let Some(h) = self.hosts.get_mut(host) else {
-            return;
-        };
-        let outcome = h.rev_ctrl_link.transmit(ctx.now(), wire.wire_size());
-        for at in outcome.arrivals() {
-            ctx.schedule_at(
-                at,
-                Event::DeliverToDeposed {
-                    wire: delivered_wire(&wire, outcome),
-                },
-            );
+    /// Offers work to the primary's CPU, scheduling its completion if the
+    /// CPU was idle.
+    fn submit(&mut self, ctx: &mut Context<'_, Event>, work: Work, cost: TimeDelta) {
+        if let Some(service) = self.cpu.submit(work, cost) {
+            let generation = self.cpu.generation();
+            ctx.schedule_in(service, Event::CpuFinished { generation });
         }
     }
 
@@ -1078,7 +988,7 @@ impl ClusterWorld {
             });
             if let Some(join) = join {
                 ctx.trace(format!("{node} re-joining the new primary"));
-                self.transmit_to_primary(ctx, i, &join);
+                self.send(ctx, Peer::Backup(i), Peer::Primary, &join);
             }
         }
         if self.live_backup_count() == 0 {
@@ -1152,41 +1062,63 @@ impl ClusterWorld {
         host.backup = Some(backup);
         self.hosts.push(host);
         self.pending_resync.insert(index, dep.record);
-        self.transmit_to_primary(ctx, index, &resync);
+        self.send(ctx, Peer::Backup(index), Peer::Primary, &resync);
     }
 
-    fn handle_delivery_to_backup(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        host: usize,
-        wire: Message,
-        from_deposed: bool,
-    ) {
-        let report_metrics = self.metrics_host() == Some(host);
-        let local_now = self.backup_local(host, ctx.now());
-        let Some(h) = self.hosts.get_mut(host) else {
+    /// The node at `peer` while it is up: `None` for a crashed backup
+    /// host, a crashed primary, or an empty deposed slot.
+    fn live_node(&self, peer: Peer) -> Option<NodeId> {
+        match peer {
+            Peer::Primary => self.primary.as_ref().map(Primary::node),
+            Peer::Deposed => self.deposed.as_ref().map(|d| d.primary.node()),
+            Peer::Backup(i) => self
+                .hosts
+                .get(i)
+                .filter(|h| h.backup.is_some())
+                .map(|h| h.node),
+        }
+    }
+
+    /// A frame arrives at `to`. A crashed destination loses it; otherwise
+    /// the bytes go straight to [`WireFrame::parse`], which checks the
+    /// CRC trailer before reading any field, and a frame that fails is
+    /// counted and dropped.
+    fn deliver(&mut self, ctx: &mut Context<'_, Event>, from: Peer, to: Peer, bytes: &[u8]) {
+        let Some(node) = self.live_node(to) else {
             return;
         };
-        let node = h.node;
-        let Some(backup) = h.backup.as_mut() else {
-            return;
-        };
-        let up = match self.p2b_rx.receive(wire) {
-            Ok(Some(m)) => m,
-            Ok(None) => return,
-            Err(_) => {
-                self.note_corrupt_frame(ctx, node);
-                return;
-            }
-        };
-        // The receive hot path stays on the borrowed decode view: the
-        // frame's payload slices point into the delivered wire bytes and
-        // flow straight into the backup's store — no owned WireMessage
-        // is materialised for updates or batches.
-        let Ok(frame) = WireFrame::parse(up.payload()) else {
+        let Ok(frame) = WireFrame::parse(bytes) else {
             self.note_corrupt_frame(ctx, node);
             return;
         };
+        match (from, to) {
+            (_, Peer::Backup(host)) => self.backup_receives(ctx, from, host, node, &frame),
+            (Peer::Backup(host), Peer::Primary) => {
+                self.primary_receives(ctx, host, node, &frame.to_owned());
+            }
+            (_, Peer::Deposed) => self.deposed_receives(ctx, &frame.to_owned()),
+            _ => unreachable!("every link has a backup host at one end"),
+        }
+    }
+
+    /// Backup host `host` handles a frame from `from`. The receive hot
+    /// path stays on the borrowed decode view: the frame's payload slices
+    /// point into the delivered bytes and flow straight into the backup's
+    /// store, with no owned [`WireMessage`] for updates or batches.
+    fn backup_receives(
+        &mut self,
+        ctx: &mut Context<'_, Event>,
+        from: Peer,
+        host: usize,
+        node: NodeId,
+        frame: &WireFrame<'_>,
+    ) {
+        let report_metrics = self.metrics_host() == Some(host);
+        let local_now = self.backup_local(host, ctx.now());
+        let backup = self.hosts[host]
+            .backup
+            .as_mut()
+            .expect("deliver hands frames to live hosts only");
         if report_metrics {
             // Fresh or duplicate, an arrival resets the §5.3 refresh
             // clock — even a duplicate proves currency at snapshot
@@ -1194,7 +1126,7 @@ impl ClusterWorld {
             let now = ctx.now();
             frame.for_each_update(|object, _| self.metrics.on_backup_refresh(object, now));
         }
-        let out = backup.handle_frame(&frame, local_now);
+        let out = backup.handle_frame(frame, local_now);
         let local_epoch = backup.epoch();
         let monitor_events = backup.drain_monitor_events();
         let integrity_events = backup.drain_integrity_events();
@@ -1257,7 +1189,7 @@ impl ClusterWorld {
             // demoted ex-primary nor already mid-repair is the scrub
             // check kicking off anti-entropy (DESIGN.md §15).
             if let WireMessage::ResyncRequest { versions, .. } = &reply {
-                if !from_deposed
+                if from != Peer::Deposed
                     && !self.pending_resync.contains_key(&host)
                     && self.scrub_repair.insert(host)
                 {
@@ -1267,44 +1199,26 @@ impl ClusterWorld {
                     });
                 }
             }
-            if from_deposed {
-                // The answered frame came from the deposed primary; the
-                // reply (carrying this replica's newer epoch) goes back
-                // to it, not to the serving primary.
-                self.transmit_to_deposed(ctx, host, &reply);
-            } else {
-                self.transmit_to_primary(ctx, host, &reply);
-            }
+            // Replies go back to the sender: a frame from the deposed
+            // primary is answered there (the reply carries this replica's
+            // newer epoch), not at the serving primary.
+            self.send(ctx, Peer::Backup(host), from, &reply);
         }
     }
 
-    /// Delivers a frame to the deposed primary. A ping ack bearing the
+    /// The deposed primary handles a frame. A ping ack bearing the
     /// successor's higher epoch is what deposes it for good: it demotes
     /// itself and starts resync.
-    fn handle_delivery_to_deposed(&mut self, ctx: &mut Context<'_, Event>, wire: Message) {
-        let Some(d_node) = self.deposed.as_ref().map(|d| d.primary.node()) else {
-            return;
-        };
-        let up = match self.b2p_rx.receive(wire) {
-            Ok(Some(m)) => m,
-            Ok(None) => return,
-            Err(_) => {
-                self.note_corrupt_frame(ctx, d_node);
-                return;
-            }
-        };
-        let Ok(msg) = WireMessage::decode(up.payload()) else {
-            self.note_corrupt_frame(ctx, d_node);
-            return;
-        };
-        let Some(dep) = self.deposed.as_mut() else {
-            return;
-        };
+    fn deposed_receives(&mut self, ctx: &mut Context<'_, Event>, msg: &WireMessage) {
+        let dep = self
+            .deposed
+            .as_mut()
+            .expect("deliver hands frames to a present deposed primary only");
         // The deposed primary reads the undisturbed global clock: clock
         // faults address role slots (primary, backup host i), and a
         // deposed ex-primary holds neither until it demotes into a new
         // backup host.
-        let out = dep.primary.handle_message(&msg, ctx.now());
+        let out = dep.primary.handle_message(msg, ctx.now());
         let node = dep.primary.node();
         let local_epoch = dep.primary.epoch();
         let superseded = dep.primary.is_deposed();
@@ -1314,28 +1228,16 @@ impl ClusterWorld {
         }
     }
 
-    fn handle_delivery_to_primary(
+    /// The serving primary, node `p_node`, handles a frame from backup
+    /// host `host`.
+    fn primary_receives(
         &mut self,
         ctx: &mut Context<'_, Event>,
         host: usize,
-        wire: Message,
+        p_node: NodeId,
+        msg: &WireMessage,
     ) {
-        let Some(p_node) = self.primary.as_ref().map(Primary::node) else {
-            return;
-        };
-        let up = match self.b2p_rx.receive(wire) {
-            Ok(Some(m)) => m,
-            Ok(None) => return,
-            Err(_) => {
-                self.note_corrupt_frame(ctx, p_node);
-                return;
-            }
-        };
-        let Ok(msg) = WireMessage::decode(up.payload()) else {
-            self.note_corrupt_frame(ctx, p_node);
-            return;
-        };
-        if let WireMessage::RetransmitRequest { object, .. } = &msg {
+        if let WireMessage::RetransmitRequest { object, .. } = msg {
             self.metrics.record_retransmit_request();
             self.instruments.retransmit_requests.inc();
             if let Some(h) = self.hosts.get(host) {
@@ -1370,7 +1272,7 @@ impl ClusterWorld {
         let local_now = self.primary_local(ctx.now());
         let (out, p_epoch, monitor_events, integrity_events) = {
             let primary = self.serving_mut();
-            let out = primary.handle_message(&msg, local_now);
+            let out = primary.handle_message(msg, local_now);
             let events = primary.drain_monitor_events();
             let integrity = primary.drain_integrity_events();
             (out, primary.epoch(), events, integrity)
@@ -1397,12 +1299,10 @@ impl ClusterWorld {
             // free path to the backup); control replies go out directly.
             if matches!(reply, WireMessage::Update { .. }) {
                 let cost = self.config.protocol.send_cost(reply.encoded_len());
-                if let Some(service) = self.cpu.submit(Work::SendUpdate { message: reply }, cost) {
-                    ctx.schedule_in(service, Event::CpuFinished);
-                }
+                self.submit(ctx, Work::SendUpdate { message: reply }, cost);
             } else {
                 // Acks and state transfers are addressed to the sender.
-                self.transmit_to_one_backup(ctx, host, &reply);
+                self.send(ctx, Peer::Primary, Peer::Backup(host), &reply);
             }
         }
         if out.backup_joined {
@@ -1551,7 +1451,7 @@ impl ClusterWorld {
             to: Role::Joining,
         });
         self.pending_recovery.insert(host, record);
-        self.transmit_to_primary(ctx, host, &join);
+        self.send(ctx, Peer::Backup(host), Peer::Primary, &join);
     }
 
     /// Restarts a crashed backup host with its pre-crash state intact
@@ -1634,7 +1534,7 @@ impl ClusterWorld {
             to: Role::Joining,
         });
         self.pending_recovery.insert(host, record);
-        self.transmit_to_primary(ctx, host, &join);
+        self.send(ctx, Peer::Backup(host), Peer::Primary, &join);
     }
 
     /// Pushes a time-windowed fault onto the primary→backup data path of
@@ -1901,11 +1801,7 @@ impl ClusterWorld {
                             .as_mut()
                             .and_then(|p| p.make_update(object, local));
                         if let Some(message) = update {
-                            if let Some(service) =
-                                self.cpu.submit(Work::SendUpdate { message }, cost)
-                            {
-                                ctx.schedule_in(service, Event::CpuFinished);
-                            }
+                            self.submit(ctx, Work::SendUpdate { message }, cost);
                         }
                     }
                 }
@@ -1914,7 +1810,7 @@ impl ClusterWorld {
                 // The snapshot was taken when the send task ran; by now it
                 // may be stale if the CPU was backlogged — transmit as-is.
                 if self.primary.is_some() {
-                    self.transmit_to_backups(ctx, &message);
+                    self.broadcast(ctx, &message);
                 }
             }
         }
@@ -1978,14 +1874,17 @@ impl World for ClusterWorld {
                     arrival: ctx.now(),
                     payload,
                 };
-                if let Some(service) = self.cpu.submit(work, exec) {
-                    ctx.schedule_in(service, Event::CpuFinished);
-                }
+                self.submit(ctx, work, exec);
             }
-            Event::CpuFinished => {
+            Event::CpuFinished { generation } => {
+                // A crash cleared the queue after this completion was
+                // scheduled: the item it would complete is gone.
+                if generation != self.cpu.generation() {
+                    return;
+                }
                 let (work, next) = self.cpu.complete();
                 if let Some(service) = next {
-                    ctx.schedule_in(service, Event::CpuFinished);
+                    ctx.schedule_in(service, Event::CpuFinished { generation });
                 }
                 self.finish_work(ctx, work);
             }
@@ -2028,9 +1927,7 @@ impl World for ClusterWorld {
                     .as_mut()
                     .and_then(|p| p.make_update(object, local));
                 if let Some(message) = update {
-                    if let Some(service) = self.cpu.submit(Work::SendUpdate { message }, cost) {
-                        ctx.schedule_in(service, Event::CpuFinished);
-                    }
+                    self.submit(ctx, Work::SendUpdate { message }, cost);
                 }
             }
             Event::FlushBatch => {
@@ -2052,9 +1949,7 @@ impl World for ClusterWorld {
                 // The frame costs one base overhead for the whole batch —
                 // the amortization that buys the throughput win.
                 let cost = self.config.protocol.send_cost(message.encoded_len());
-                if let Some(service) = self.cpu.submit(Work::SendUpdate { message }, cost) {
-                    ctx.schedule_in(service, Event::CpuFinished);
-                }
+                self.submit(ctx, Work::SendUpdate { message }, cost);
             }
             Event::WatchdogTimer { object, epoch } => {
                 if epoch != self.epoch {
@@ -2070,7 +1965,7 @@ impl World for ClusterWorld {
                         .and_then(|b| b.tick_watchdog(object, local));
                     if let Some(request) = request {
                         ctx.trace(format!("watchdog retransmit request for {object}"));
-                        self.transmit_to_primary(ctx, i, &request);
+                        self.send(ctx, Peer::Backup(i), Peer::Primary, &request);
                     }
                 }
             }
@@ -2094,38 +1989,9 @@ impl World for ClusterWorld {
                         from: primary_node,
                         to: dest,
                     });
-                    if self.primary_cut(ctx.now()) {
-                        // The probe left the primary but dies in the cut.
-                        continue;
-                    }
                     // Route each probe to its peer only.
-                    let exempt = self.config.control_loss_exempt;
-                    let framed = self.pooled_frame(&ping);
-                    let Ok(wire) = self.p2b_tx.send(framed) else {
-                        continue;
-                    };
-                    if let Some((i, host)) = self
-                        .hosts
-                        .iter_mut()
-                        .enumerate()
-                        .find(|(_, h)| h.node == dest)
-                    {
-                        let link = if exempt {
-                            &mut host.ctrl_link
-                        } else {
-                            &mut host.data_link
-                        };
-                        let outcome = link.transmit(ctx.now(), wire.wire_size());
-                        for at in outcome.arrivals() {
-                            ctx.schedule_at(
-                                at,
-                                Event::DeliverToBackup {
-                                    host: i,
-                                    wire: delivered_wire(&wire, outcome),
-                                    from_deposed: false,
-                                },
-                            );
-                        }
+                    if let Some(i) = self.hosts.iter().position(|h| h.node == dest) {
+                        self.send(ctx, Peer::Primary, Peer::Backup(i), &ping);
                     }
                 }
                 for dead in round.died {
@@ -2178,7 +2044,7 @@ impl World for ClusterWorld {
                             from: self.hosts[i].node,
                             to: primary_node,
                         });
-                        self.transmit_to_primary(ctx, i, &ping);
+                        self.send(ctx, Peer::Backup(i), Peer::Primary, &ping);
                     }
                     if primary_died {
                         let now = ctx.now();
@@ -2227,7 +2093,7 @@ impl World for ClusterWorld {
                                 b.begin_join(local)
                             });
                             if let Some(join) = join {
-                                self.transmit_to_primary(ctx, i, &join);
+                                self.send(ctx, Peer::Backup(i), Peer::Primary, &join);
                             }
                         }
                     }
@@ -2248,7 +2114,7 @@ impl World for ClusterWorld {
                             self.metrics.add_fault_retry(record);
                         }
                         ctx.trace(format!("{} retrying join", self.hosts[i].node));
-                        self.transmit_to_primary(ctx, i, &join);
+                        self.send(ctx, Peer::Backup(i), Peer::Primary, &join);
                     }
                 }
             }
@@ -2274,22 +2140,10 @@ impl World for ClusterWorld {
                     let ping = dep.primary.probe_ping();
                     let to = self.hosts[i].node;
                     ctx.emit(EventKind::HeartbeatSent { from, to });
-                    self.transmit_from_deposed(ctx, i, &ping);
+                    self.send(ctx, Peer::Deposed, Peer::Backup(i), &ping);
                 }
             }
-            Event::DeliverToBackup {
-                host,
-                wire,
-                from_deposed,
-            } => {
-                self.handle_delivery_to_backup(ctx, host, wire, from_deposed);
-            }
-            Event::DeliverToPrimary { host, wire } => {
-                self.handle_delivery_to_primary(ctx, host, wire);
-            }
-            Event::DeliverToDeposed { wire } => {
-                self.handle_delivery_to_deposed(ctx, wire);
-            }
+            Event::Deliver { from, to, frame } => self.deliver(ctx, from, to, &frame),
             Event::Inject { fault } => self.apply_fault(ctx, fault),
             Event::FaultAt { index } => {
                 let (_, fault) = self.plan[index];
@@ -2397,7 +2251,7 @@ impl World for ClusterWorld {
                 }
                 self.hosts.push(host);
                 if let Some(join) = join {
-                    self.transmit_to_primary(ctx, index, &join);
+                    self.send(ctx, Peer::Backup(index), Peer::Primary, &join);
                 }
             }
         }
@@ -2485,10 +2339,6 @@ impl SimCluster {
             primary: Some(primary),
             deposed: None,
             hosts,
-            p2b_tx: ProtocolGraph::builder().layer(UdpLike::new()).build(),
-            p2b_rx: ProtocolGraph::builder().layer(UdpLike::new()).build(),
-            b2p_tx: ProtocolGraph::builder().layer(UdpLike::new()).build(),
-            b2p_rx: ProtocolGraph::builder().layer(UdpLike::new()).build(),
             cpu: CpuQueue::new(),
             metrics: ClusterMetrics::new(),
             instruments,
@@ -3089,7 +2939,9 @@ impl SimCluster {
             .collect()
     }
 
-    /// Messages that failed protocol-stack validation.
+    /// Frames dropped on arrival because they failed to parse: in
+    /// practice an in-transit bit flip, caught by the CRC32C trailer
+    /// before any field is read.
     #[must_use]
     pub fn corrupt_messages(&self) -> u64 {
         self.sim.world().corrupt_messages
@@ -3449,8 +3301,8 @@ mod tests {
     #[test]
     fn recovery_frames_ride_the_lossy_path_and_retries_survive_it() {
         use crate::harness::faults::{FaultEvent, FaultPlan};
-        // Heavy update loss + lossy recovery frames: the bounded-retry
-        // join cycle must still land a catch-up reply eventually.
+        // Heavy loss on the path catch-up frames share with updates: the
+        // bounded-retry join cycle must still land a catch-up reply.
         let mut config = ClusterConfig {
             auto_failover: false,
             fault_plan: FaultPlan::new()
@@ -3472,27 +3324,6 @@ mod tests {
         let backup = cluster.backup().expect("backup");
         assert!(!backup.join_in_progress(), "join must complete");
         assert!(!backup.join_abandoned(), "budget must survive 50% loss");
-        // Opting out restores the old always-reliable catch-up channel.
-        let mut exempt = ClusterConfig {
-            auto_failover: false,
-            recovery_frames_lossy: false,
-            fault_plan: FaultPlan::new()
-                .at(
-                    Time::from_millis(1_000),
-                    FaultEvent::CrashBackup { host: 0 },
-                )
-                .at(
-                    Time::from_millis(1_500),
-                    FaultEvent::RestartBackup { host: 0 },
-                ),
-            ..ClusterConfig::default()
-        };
-        exempt.link.loss_probability = 0.5;
-        exempt.seed = 42;
-        let mut cluster = SimCluster::new(exempt);
-        cluster.register(spec(100, 150, 550)).unwrap();
-        cluster.run_for(TimeDelta::from_secs(10));
-        assert!(!cluster.backup().unwrap().join_in_progress());
     }
 
     #[test]

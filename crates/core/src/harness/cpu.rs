@@ -35,7 +35,9 @@ pub enum Work {
 ///
 /// The queue is pure bookkeeping — the caller schedules a completion event
 /// whenever [`CpuQueue::submit`] or [`CpuQueue::complete`] returns a
-/// service time.
+/// service time, tagged with the queue's [`CpuQueue::generation`]. A
+/// completion whose tag is older than the current generation belongs to
+/// work a [`CpuQueue::clear`] discarded, and the caller must drop it.
 ///
 /// # Examples
 ///
@@ -67,6 +69,7 @@ pub struct CpuQueue {
     pending: VecDeque<(Work, TimeDelta)>,
     items_completed: u64,
     busy_time: TimeDelta,
+    generation: u64,
 }
 
 impl CpuQueue {
@@ -133,10 +136,20 @@ impl CpuQueue {
         self.busy_time
     }
 
-    /// Drops all queued and in-service work (host crash).
+    /// How many times the queue was cleared: the tag for completions
+    /// scheduled now.
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Drops all queued and in-service work (host crash) and starts a new
+    /// generation, so the completion already scheduled for the discarded
+    /// in-service item is recognisably stale.
     pub fn clear(&mut self) {
         self.current = None;
         self.pending.clear();
+        self.generation += 1;
     }
 }
 
@@ -210,9 +223,11 @@ mod tests {
         let mut cpu = CpuQueue::new();
         cpu.submit(send(0), us(100));
         cpu.submit(send(1), us(100));
+        assert_eq!(cpu.generation(), 0);
         cpu.clear();
         assert!(cpu.is_idle());
         assert_eq!(cpu.backlog(), 0);
+        assert_eq!(cpu.generation(), 1, "clearing starts a new generation");
         // A fresh submit starts immediately again.
         assert_eq!(cpu.submit(send(2), us(10)), Some(us(10)));
     }

@@ -1,7 +1,7 @@
 //! The RTPB wire protocol: message types and binary codec.
 //!
-//! These are the messages the primary and backup exchange through the
-//! x-kernel stack (paper §4.1): object updates, heartbeat pings/acks,
+//! This codec is RTPB's anchor protocol (paper §4.1): the messages the
+//! primary and backup exchange are object updates, heartbeat pings/acks,
 //! backup-initiated retransmission requests (§4.3), the state-transfer
 //! messages used to integrate a new backup after a failure (§4.4), and the
 //! anti-entropy resync exchange a deposed primary runs after a partition
@@ -14,7 +14,7 @@
 //! owned by its successor (see `DESIGN.md` §10).
 //!
 //! The codec is a hand-rolled length-prefixed binary format so that the
-//! protocol stack carries real bytes (and so corruption tests are
+//! simulated network carries real bytes (and so corruption tests are
 //! meaningful), not in-process object references.
 //!
 //! Every **outermost** frame ends in a 4-byte CRC32C trailer computed over

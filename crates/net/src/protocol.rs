@@ -159,15 +159,6 @@ impl ProtocolGraphBuilder {
         self
     }
 
-    /// Adds an already-boxed layer (used by the
-    /// [`ProtocolRegistry`](crate::ProtocolRegistry), whose factories
-    /// produce trait objects).
-    #[must_use]
-    pub fn layer_boxed(mut self, layer: Box<dyn Protocol + Send>) -> Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// Finalizes the graph.
     #[must_use]
     pub fn build(self) -> ProtocolGraph {

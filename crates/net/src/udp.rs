@@ -1,5 +1,4 @@
-//! Concrete protocol layers: an unreliable datagram layer and a
-//! sequence-numbering layer.
+//! The unreliable datagram layer.
 
 use crate::message::Message;
 use crate::protocol::{Protocol, ProtocolError};
@@ -131,113 +130,6 @@ impl Protocol for UdpLike {
     }
 }
 
-/// A sequence-numbering layer: stamps outbound messages with a 64-bit
-/// sequence number; inbound, it suppresses duplicates and stale reorders
-/// and counts gaps.
-///
-/// This is how the RTPB backup detects update loss (§4.3: retransmission
-/// is "triggered by a request from the backup" — the request fires when
-/// this layer reports a gap).
-///
-/// # Examples
-///
-/// ```
-/// use rtpb_net::{Message, Protocol, SequencedLayer};
-///
-/// # fn main() -> Result<(), rtpb_net::ProtocolError> {
-/// let mut tx = SequencedLayer::new();
-/// let mut rx = SequencedLayer::new();
-/// let w0 = tx.push(Message::from_payload(b"a".to_vec()))?;
-/// let w1 = tx.push(Message::from_payload(b"b".to_vec()))?;
-/// // w0 is lost; w1 arrives: delivered, and the gap is recorded.
-/// assert!(rx.pop(w1)?.is_some());
-/// assert_eq!(rx.gaps_detected(), 1);
-/// // A duplicate of w0 arriving late is consumed, not delivered.
-/// assert!(rx.pop(w0)?.is_none());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SequencedLayer {
-    next_tx: u64,
-    highest_rx: Option<u64>,
-    gaps_detected: u64,
-    duplicates_dropped: u64,
-}
-
-impl SequencedLayer {
-    /// Creates the layer with sequence numbers starting at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        SequencedLayer::default()
-    }
-
-    /// Cumulative count of sequence gaps seen inbound.
-    #[must_use]
-    pub fn gaps_detected(&self) -> u64 {
-        self.gaps_detected
-    }
-
-    /// Cumulative count of duplicate/stale messages suppressed.
-    #[must_use]
-    pub fn duplicates_dropped(&self) -> u64 {
-        self.duplicates_dropped
-    }
-
-    /// The highest sequence number accepted so far.
-    #[must_use]
-    pub fn highest_received(&self) -> Option<u64> {
-        self.highest_rx
-    }
-}
-
-impl Protocol for SequencedLayer {
-    fn name(&self) -> &'static str {
-        "seq"
-    }
-
-    fn push(&mut self, mut msg: Message) -> Result<Message, ProtocolError> {
-        msg.push_header(&self.next_tx.to_be_bytes());
-        self.next_tx += 1;
-        Ok(msg)
-    }
-
-    fn pop(&mut self, mut msg: Message) -> Result<Option<Message>, ProtocolError> {
-        let header = msg
-            .pop_header()
-            .ok_or(ProtocolError::MissingHeader { layer: "seq" })?;
-        let bytes: [u8; 8] =
-            header
-                .as_ref()
-                .try_into()
-                .map_err(|_| ProtocolError::CorruptHeader {
-                    layer: "seq",
-                    reason: format!("sequence header is {} bytes, expected 8", header.len()),
-                })?;
-        let seq = u64::from_be_bytes(bytes);
-        match self.highest_rx {
-            Some(high) if seq <= high => {
-                self.duplicates_dropped += 1;
-                Ok(None)
-            }
-            Some(high) => {
-                if seq > high + 1 {
-                    self.gaps_detected += seq - high - 1;
-                }
-                self.highest_rx = Some(seq);
-                Ok(Some(msg))
-            }
-            None => {
-                if seq > 0 {
-                    self.gaps_detected += seq;
-                }
-                self.highest_rx = Some(seq);
-                Ok(Some(msg))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,98 +198,5 @@ mod tests {
         let mut udp = UdpLike::new();
         let wire = udp.push(Message::from_payload(vec![7])).unwrap();
         assert!(udp.pop(wire).unwrap().is_some());
-    }
-
-    #[test]
-    fn seq_in_order_delivery() {
-        let mut tx = SequencedLayer::new();
-        let mut rx = SequencedLayer::new();
-        for i in 0..5u8 {
-            let w = tx.push(Message::from_payload(vec![i])).unwrap();
-            let up = rx.pop(w).unwrap().unwrap();
-            assert_eq!(up.payload(), &[i]);
-        }
-        assert_eq!(rx.gaps_detected(), 0);
-        assert_eq!(rx.duplicates_dropped(), 0);
-        assert_eq!(rx.highest_received(), Some(4));
-    }
-
-    #[test]
-    fn seq_counts_gaps_per_missing_message() {
-        let mut tx = SequencedLayer::new();
-        let mut rx = SequencedLayer::new();
-        let w0 = tx.push(Message::from_payload(vec![0])).unwrap();
-        let _w1 = tx.push(Message::from_payload(vec![1])).unwrap();
-        let _w2 = tx.push(Message::from_payload(vec![2])).unwrap();
-        let w3 = tx.push(Message::from_payload(vec![3])).unwrap();
-        assert!(rx.pop(w0).unwrap().is_some());
-        // w1, w2 lost.
-        assert!(rx.pop(w3).unwrap().is_some());
-        assert_eq!(rx.gaps_detected(), 2);
-    }
-
-    #[test]
-    fn seq_suppresses_duplicates_and_reorders() {
-        let mut tx = SequencedLayer::new();
-        let mut rx = SequencedLayer::new();
-        let w0 = tx.push(Message::from_payload(vec![0])).unwrap();
-        let w1 = tx.push(Message::from_payload(vec![1])).unwrap();
-        assert!(rx.pop(w1).unwrap().is_some());
-        assert!(rx.pop(w0.clone()).unwrap().is_none()); // stale reorder
-        assert!(rx.pop(w0).unwrap().is_none()); // duplicate
-        assert_eq!(rx.duplicates_dropped(), 2);
-    }
-
-    #[test]
-    fn seq_loss_of_first_message_counts() {
-        let mut tx = SequencedLayer::new();
-        let mut rx = SequencedLayer::new();
-        let _w0 = tx.push(Message::from_payload(vec![0])).unwrap();
-        let w1 = tx.push(Message::from_payload(vec![1])).unwrap();
-        assert!(rx.pop(w1).unwrap().is_some());
-        assert_eq!(rx.gaps_detected(), 1);
-    }
-
-    #[test]
-    fn link_duplication_is_absorbed_by_the_sequence_layer() {
-        use crate::link::{LinkConfig, LossyLink};
-        use rtpb_types::Time;
-        // A duplicating link (the paper's UDP transport can deliver the
-        // same datagram twice); the sequence layer must suppress exactly
-        // the copies the link minted.
-        let config = LinkConfig {
-            duplicate_probability: 0.3,
-            ..LinkConfig::default()
-        };
-        let mut link = LossyLink::new(config, 42);
-        let mut tx = SequencedLayer::new();
-        let mut rx = SequencedLayer::new();
-        let mut delivered = 0u64;
-        for i in 0..200u64 {
-            let wire = tx.push(Message::from_payload(vec![i as u8])).unwrap();
-            let outcome = link.transmit(Time::from_millis(i * 20), wire.wire_size());
-            for _at in outcome.arrivals() {
-                if rx.pop(wire.clone()).unwrap().is_some() {
-                    delivered += 1;
-                }
-            }
-        }
-        assert!(link.duplicated() > 0, "the knob must mint duplicates");
-        assert_eq!(
-            rx.duplicates_dropped(),
-            link.duplicated(),
-            "every minted copy is suppressed, nothing else"
-        );
-        assert_eq!(delivered, 200, "each original delivered exactly once");
-        assert_eq!(rx.gaps_detected(), 0);
-    }
-
-    #[test]
-    fn seq_rejects_malformed_header() {
-        let mut rx = SequencedLayer::new();
-        let mut msg = Message::from_payload(Vec::new());
-        msg.push_header(&[1, 2, 3]);
-        assert!(rx.pop(msg).is_err());
-        assert!(rx.pop(Message::from_payload(Vec::new())).is_err());
     }
 }

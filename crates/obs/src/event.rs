@@ -206,6 +206,16 @@ pub enum EventKind {
         /// Link label (e.g. `"p2b[0]"`).
         link: String,
     },
+    /// A sender refused a frame larger than the network's datagram
+    /// limit; the frame never reached a link.
+    SendRejected {
+        /// The sending node.
+        from: NodeId,
+        /// The intended destination.
+        to: NodeId,
+        /// Encoded size of the refused frame.
+        bytes: u64,
+    },
     /// The link duplicated or reordered a delivery.
     LinkPerturbed {
         /// `"duplicate"` or `"reorder"`.
@@ -354,6 +364,7 @@ impl EventKind {
             EventKind::FaultDetected { .. } => "fault_detected",
             EventKind::FaultRecovered { .. } => "fault_recovered",
             EventKind::LinkDropped { .. } => "link_dropped",
+            EventKind::SendRejected { .. } => "send_rejected",
             EventKind::LinkPerturbed { .. } => "link_perturbed",
             EventKind::ObjectShed { .. } => "object_shed",
             EventKind::StaleEpochRejected { .. } => "stale_epoch_rejected",
@@ -500,6 +511,11 @@ impl ObsEvent {
             }
             EventKind::LinkDropped { bytes, link } => {
                 o.uint_field("bytes", *bytes).str_field("link", link);
+            }
+            EventKind::SendRejected { from, to, bytes } => {
+                o.uint_field("from", u64::from(from.index()))
+                    .uint_field("to", u64::from(to.index()))
+                    .uint_field("bytes", *bytes);
             }
             EventKind::LinkPerturbed { effect, link } => {
                 o.str_field("effect", effect).str_field("link", link);
@@ -731,6 +747,11 @@ pub fn validate_line(line: &str) -> Result<(u64, u64, String), SchemaError> {
             require_u64(&map, "bytes")?;
             require_str(&map, "link")?;
         }
+        "send_rejected" => {
+            require_u64(&map, "from")?;
+            require_u64(&map, "to")?;
+            require_u64(&map, "bytes")?;
+        }
         "link_perturbed" => {
             require_str(&map, "effect")?;
             require_str(&map, "link")?;
@@ -879,6 +900,11 @@ mod tests {
                 bytes: 96,
                 link: "p2b[0]".into(),
             },
+            EventKind::SendRejected {
+                from: NodeId::new(0),
+                to: NodeId::new(1),
+                bytes: 78_361,
+            },
             EventKind::LinkPerturbed {
                 effect: "duplicate",
                 link: "p2b[0]".into(),
@@ -968,6 +994,31 @@ mod tests {
         assert!(matches!(
             validate_line("not json"),
             Err(SchemaError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn send_rejected_round_trips_through_jsonl() {
+        let line = ev(EventKind::SendRejected {
+            from: NodeId::new(0),
+            to: NodeId::new(2),
+            bytes: 78_361,
+        })
+        .to_jsonl();
+        assert_eq!(
+            validate_line(&line).unwrap(),
+            (1, 5_000_000, "send_rejected".to_string())
+        );
+        let map = crate::json::parse_flat(&line).unwrap();
+        let field = |k: &str| map.get(k).and_then(JsonValue::as_u64);
+        assert_eq!(field("from"), Some(0));
+        assert_eq!(field("to"), Some(2));
+        assert_eq!(field("bytes"), Some(78_361));
+        assert!(matches!(
+            validate_line(
+                r#"{"seq":1,"t_ns":0,"clock":"virtual","kind":"send_rejected","from":0,"to":1}"#
+            ),
+            Err(SchemaError::MissingField("bytes"))
         ));
     }
 }

@@ -12,7 +12,7 @@
 //! - [`sched`] — real-time scheduling theory and executors: Rate Monotonic,
 //!   EDF, Distance-Constrained (pinwheel) scheduling, phase-variance bounds,
 //!   and the paper's consistency conditions (Lemmas 1–3, Theorems 1–6).
-//! - [`net`] — x-kernel-style protocol stack with a lossy bounded-delay link.
+//! - [`net`] — the lossy bounded-delay link model.
 //! - [`obs`] — structured observability: typed protocol events, a ring-buffer
 //!   event bus, a metrics registry, profiling hooks, and JSONL export.
 //! - [`core`] — the RTPB protocol itself: admission control, primary/backup

@@ -72,6 +72,11 @@ fn batched_cluster_meets_bounds_and_compresses_frames() {
         frames * 2 < updates,
         "coalescing must share frames ({frames} frames for {updates} updates)"
     );
+    assert_eq!(
+        snapshot.counter("cluster.send_rejected"),
+        Some(0),
+        "steady-state frames stay under the datagram cap"
+    );
     let occupancy = snapshot.histogram("cluster.batch_occupancy").unwrap();
     assert!(occupancy.count > 0, "batches must be recorded");
     assert!(

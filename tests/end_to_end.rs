@@ -197,8 +197,8 @@ fn deregistration_frees_capacity() {
 
 #[test]
 fn the_wire_protocol_is_actually_exercised() {
-    // Corrupt-message counters stay zero in healthy runs, proving the
-    // x-kernel stack round-trips every message.
+    // Corrupt-message counters stay zero in healthy runs, proving every
+    // encoded frame parses back at its receiver.
     let mut config = ClusterConfig::default();
     config.link.loss_probability = 0.1;
     let mut cluster = RtpbClient::new(config);

@@ -1,8 +1,8 @@
 //! Failure-injection integration tests: crashes, takeover, and
 //! re-integration (paper §4.4).
 
-use rtpb::core::harness::{ClusterConfig, FaultEvent};
-use rtpb::types::{NodeId, ObjectSpec, TimeDelta};
+use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
+use rtpb::types::{NodeId, ObjectSpec, Time, TimeDelta};
 use rtpb::RtpbClient;
 
 fn ms(v: u64) -> TimeDelta {
@@ -173,4 +173,41 @@ fn shared_fate_when_control_traffic_is_also_lossy() {
             || !cluster.primary().unwrap().is_backup_alive(),
         "at 90% loss on everything, some detector must have fired"
     );
+}
+
+/// A primary crash while a client write is in service on its CPU. The
+/// completion already scheduled for that write belongs to the dead
+/// primary: it must neither panic on the cleared queue nor complete the
+/// successor's work early. Each write holds the CPU for 3 ms from
+/// 0.997 ms past every 10 ms, so every crash instant below lands
+/// mid-service.
+#[test]
+fn primary_crash_mid_service_fails_over_and_keeps_writing() {
+    for crash_us in (1_001_000..=1_003_500).step_by(500) {
+        let mut cluster = RtpbClient::new(ClusterConfig {
+            num_backups: 2,
+            fault_plan: FaultPlan::new().at(Time::from_micros(crash_us), FaultEvent::CrashPrimary),
+            ..ClusterConfig::default()
+        });
+        let spec = ObjectSpec::builder("busy")
+            .update_period(ms(10))
+            .exec_time(ms(3))
+            .primary_bound(ms(60))
+            .backup_bound(ms(460))
+            .build()
+            .unwrap();
+        let id = cluster.register(spec).unwrap();
+        cluster.run_for(TimeDelta::from_secs(2));
+        assert!(cluster.has_failed_over(), "crash at {crash_us} µs");
+        let before = cluster.report().object_report(id).unwrap().writes;
+        cluster.run_for(TimeDelta::from_secs(1));
+        let after = cluster.report().object_report(id).unwrap().writes;
+        assert!(
+            after > before,
+            "crash at {crash_us} µs: the successor must keep accepting writes"
+        );
+        cluster
+            .write(id, vec![1])
+            .unwrap_or_else(|e| panic!("crash at {crash_us} µs: {e}"));
+    }
 }

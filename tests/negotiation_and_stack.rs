@@ -1,7 +1,7 @@
-//! QoS renegotiation (§4.2 feedback) and x-kernel stack composition.
+//! QoS renegotiation (§4.2 feedback) and seeded determinism across the
+//! full feature set.
 
 use rtpb::core::harness::ClusterConfig;
-use rtpb::net::{Message, ProtocolGraph, SequencedLayer, UdpLike};
 use rtpb::types::{AdmissionError, ObjectSpec, TimeDelta};
 use rtpb::RtpbClient;
 
@@ -92,55 +92,6 @@ fn unschedulable_hint_reports_the_bound() {
     };
     assert!(utilization > bound);
     assert_eq!(negotiation.max_admissible_utilization, Some(bound));
-}
-
-#[test]
-fn full_stack_with_sequencing_layer_round_trips_and_detects_gaps() {
-    // Compose the deeper stack the x-kernel architecture allows:
-    // seq (gap detection) over udp (integrity).
-    let build = || {
-        ProtocolGraph::builder()
-            .layer(SequencedLayer::new())
-            .layer(UdpLike::new())
-            .build()
-    };
-    let mut tx = build();
-    let mut rx = build();
-    assert_eq!(tx.describe(), "seq/udp");
-
-    let mut wires = Vec::new();
-    for i in 0..10u8 {
-        wires.push(tx.send(Message::from_payload(vec![i; 32])).unwrap());
-    }
-    // Drop wires 3 and 4; deliver the rest in order.
-    let mut delivered = 0;
-    for (i, wire) in wires.into_iter().enumerate() {
-        if i == 3 || i == 4 {
-            continue;
-        }
-        if rx.receive(wire).unwrap().is_some() {
-            delivered += 1;
-        }
-    }
-    assert_eq!(delivered, 8);
-}
-
-#[test]
-fn corrupted_wire_bytes_are_rejected_not_misdelivered() {
-    let mut tx = ProtocolGraph::builder().layer(UdpLike::new()).build();
-    let mut rx = ProtocolGraph::builder().layer(UdpLike::new()).build();
-    let wire = tx.send(Message::from_payload(vec![7; 64])).unwrap();
-    // Flip a payload byte by rebuilding the message with the same header.
-    let mut tampered_payload = vec![7; 64];
-    tampered_payload[10] = 8;
-    let mut tampered = Message::from_payload(tampered_payload);
-    let mut original = wire;
-    let header = original.pop_header().unwrap();
-    tampered.push_header(&header);
-    assert!(
-        rx.receive(tampered).is_err(),
-        "checksum must catch the flip"
-    );
 }
 
 #[test]

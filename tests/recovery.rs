@@ -8,9 +8,9 @@
 //! with crashes in the plan.
 
 use rtpb::core::config::ProtocolConfig;
-use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
+use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan, MAX_DATAGRAM_BYTES};
 use rtpb::core::log::CatchUpPath;
-use rtpb::obs::EventBus;
+use rtpb::obs::{EventBus, EventKind, MetricsRegistry};
 use rtpb::types::{ObjectSpec, Time, TimeDelta};
 use rtpb::{ReadConsistency, RtpbClient};
 
@@ -298,32 +298,83 @@ fn seeded_kill_restart_replays_byte_identical() {
     assert_eq!(trace_a, trace_b, "traces must be byte-identical");
 }
 
-/// A frame lost on the recovery path is not fatal: with recovery frames
-/// subject to the configured loss (the default), the bounded-retry join
-/// cycle still lands a catch-up reply; with the exemption restored, the
-/// same schedule completes too.
+/// A frame lost on the recovery path is not fatal: catch-up frames ride
+/// the lossy data path, and the bounded-retry join cycle still lands a
+/// catch-up reply.
 #[test]
 fn lossy_recovery_path_still_reintegrates() {
-    for recovery_frames_lossy in [true, false] {
-        let mut config = ClusterConfig {
+    let mut config = ClusterConfig {
+        auto_failover: false,
+        fault_plan: kill_restart(0, 1_000, 1_500),
+        ..ClusterConfig::default()
+    };
+    config.seed = 99;
+    config.link.loss_probability = 0.5;
+    let mut cluster = RtpbClient::new(config);
+    cluster.register(spec(50)).unwrap();
+    cluster.run_for(TimeDelta::from_secs(10));
+    let backup = cluster.backup().expect("backup host");
+    assert!(
+        !backup.join_in_progress() && !backup.join_abandoned(),
+        "rejoin must complete"
+    );
+    assert!(
+        cluster.fault_report()[1].recovery_time().is_some(),
+        "recovery must be recorded"
+    );
+}
+
+/// A catch-up reply over the datagram cap is refused at the sender, and
+/// the refusal is a typed, counted event instead of a silent drop. With
+/// 64 objects of 1,200 B the full transfer to a cold-recovered backup
+/// exceeds 65,535 bytes; with 40 it fits and nothing is refused.
+#[test]
+fn oversized_catch_up_frames_are_refused_and_counted() {
+    let run = |objects: usize| {
+        let config = ClusterConfig {
             auto_failover: false,
-            recovery_frames_lossy,
-            fault_plan: kill_restart(0, 1_000, 1_500),
+            bus: EventBus::with_capacity(1 << 17),
+            registry: MetricsRegistry::new(),
+            fault_plan: FaultPlan::new()
+                .at(at_ms(1_000), FaultEvent::CrashBackup { host: 0 })
+                .at(at_ms(1_500), FaultEvent::RecoverBackup { host: 0 }),
             ..ClusterConfig::default()
         };
-        config.seed = 99;
-        config.link.loss_probability = 0.5;
         let mut cluster = RtpbClient::new(config);
-        cluster.register(spec(50)).unwrap();
-        cluster.run_for(TimeDelta::from_secs(10));
-        let backup = cluster.backup().expect("backup host");
-        assert!(
-            !backup.join_in_progress() && !backup.join_abandoned(),
-            "lossy={recovery_frames_lossy}: rejoin must complete"
-        );
-        assert!(
-            cluster.fault_report()[1].recovery_time().is_some(),
-            "lossy={recovery_frames_lossy}: recovery must be recorded"
-        );
-    }
+        for i in 0..objects {
+            let spec = ObjectSpec::builder(format!("big-{i}"))
+                .update_period(ms(100))
+                .primary_bound(ms(150))
+                .backup_bound(ms(550))
+                .size_bytes(1_200)
+                .build()
+                .unwrap();
+            cluster.register(spec).unwrap();
+        }
+        cluster.run_for(TimeDelta::from_secs(4));
+        let rejected = cluster
+            .registry()
+            .snapshot()
+            .counter("cluster.send_rejected")
+            .unwrap();
+        let sizes: Vec<u64> = cluster
+            .bus()
+            .collect()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::SendRejected { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        (rejected, sizes)
+    };
+    let (rejected, sizes) = run(64);
+    assert!(rejected >= 1, "the oversized full transfer must be refused");
+    assert_eq!(sizes.len() as u64, rejected, "one event per refusal");
+    assert!(
+        sizes.iter().all(|&b| b > MAX_DATAGRAM_BYTES as u64),
+        "only frames over the cap are refused: {sizes:?}"
+    );
+    let (rejected, sizes) = run(40);
+    assert_eq!(rejected, 0, "a transfer under the cap is sent: {sizes:?}");
 }
