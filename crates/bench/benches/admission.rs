@@ -1,11 +1,17 @@
 //! Micro-benchmarks of the admission-control pipeline (§4.2).
+//!
+//! Each iteration evaluates one more object against a schedule already
+//! holding `n`. The utilization tests decide from cached aggregates, so
+//! their cost stays flat as `n` grows; the exact response-time test
+//! builds the whole task set and grows with it.
 
 use rtpb_bench::harness::{BenchmarkId, Criterion};
 use rtpb_bench::{criterion_group, criterion_main};
 use rtpb_core::admission::evaluate;
 use rtpb_core::config::{ProtocolConfig, SchedulabilityTest};
 use rtpb_core::store::ObjectStore;
-use rtpb_types::{ObjectId, ObjectSpec, Time, TimeDelta};
+use rtpb_core::update_sched::UpdateSchedule;
+use rtpb_types::{ObjectSpec, Time, TimeDelta};
 
 fn spec() -> ObjectSpec {
     ObjectSpec::builder("bench")
@@ -16,38 +22,48 @@ fn spec() -> ObjectSpec {
         .expect("valid spec")
 }
 
-fn store_with(n: usize) -> ObjectStore {
+/// A cheap send keeps 10k objects well inside every bound, so each
+/// iteration measures an admission rather than a rejection.
+fn config(test: SchedulabilityTest) -> ProtocolConfig {
+    ProtocolConfig {
+        schedulability_test: test,
+        send_cost_base: TimeDelta::from_micros(1),
+        send_cost_per_byte: TimeDelta::ZERO,
+        ..ProtocolConfig::default()
+    }
+}
+
+fn admitted(n: usize, config: &ProtocolConfig) -> (ObjectStore, UpdateSchedule) {
     let mut store = ObjectStore::new();
     for _ in 0..n {
         store.register(spec(), Time::ZERO);
     }
-    store
+    let schedule = UpdateSchedule::from_store(&store, &[], config);
+    (store, schedule)
 }
 
 fn bench_admission(c: &mut Criterion) {
     let mut group = c.benchmark_group("admission_evaluate");
-    for &n in &[1usize, 16, 64, 256] {
-        let store = store_with(n);
-        let config = ProtocolConfig::default();
-        group.bench_with_input(BenchmarkId::new("liu_layland", n), &n, |b, _| {
-            b.iter(|| evaluate(&store, &[], ObjectId::new(n as u32), &spec(), &[], &config));
-        });
-    }
-    // Compare schedulability tests at a fixed size.
-    let store = store_with(64);
+    let sizes = [1usize, 16, 64, 256, 1_000, 10_000];
     for test in [
         SchedulabilityTest::LiuLayland,
         SchedulabilityTest::Hyperbolic,
-        SchedulabilityTest::ResponseTime,
         SchedulabilityTest::EdfUtilization,
+        SchedulabilityTest::ResponseTime,
     ] {
-        let config = ProtocolConfig {
-            schedulability_test: test,
-            ..ProtocolConfig::default()
-        };
-        group.bench_function(BenchmarkId::new("test", format!("{test:?}")), |b| {
-            b.iter(|| evaluate(&store, &[], ObjectId::new(64), &spec(), &[], &config));
-        });
+        let config = config(test);
+        for &n in &sizes {
+            // The exact test is O(n²) per admission at these periods.
+            if test == SchedulabilityTest::ResponseTime && n > 1_000 {
+                continue;
+            }
+            let (store, schedule) = admitted(n, &config);
+            let new_id = store.peek_next_id();
+            let period_of = |id| store.get(id).map(|e| e.spec().update_period());
+            group.bench_with_input(BenchmarkId::new(format!("{test:?}"), n), &n, |b, _| {
+                b.iter(|| evaluate(&schedule, &[], new_id, &spec(), &[], period_of, &config));
+            });
+        }
     }
     group.finish();
 }

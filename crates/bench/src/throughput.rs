@@ -167,10 +167,8 @@ pub struct ThroughputReport {
 
 fn run_mode(config: &ThroughputConfig, objects: usize, coalesce_window: TimeDelta) -> ModeOutcome {
     let mut cluster = config.cluster(coalesce_window);
-    let mut ids = Vec::with_capacity(objects);
-    for _ in 0..objects {
-        ids.push(cluster.register(config.spec()).expect("admission disabled"));
-    }
+    let specs = (0..objects).map(|_| config.spec()).collect();
+    let ids = cluster.register_many(specs).expect("admission disabled");
     cluster.run_for(config.run_time);
 
     let report = cluster.report();

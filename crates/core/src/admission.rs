@@ -18,103 +18,92 @@
 //! On rejection the error carries [`QosNegotiation`] hints so the client
 //! can renegotiate (§4.2: "The primary can provide feedback so that the
 //! client can negotiate for an alternative quality of service").
+//!
+//! The task set is the primary's [`UpdateSchedule`], kept one admission
+//! at a time, so a decision touches only the newcomer and the partners its
+//! constraints tighten. One admission costs O(log n) under the
+//! utilization tests (Liu & Layland, EDF, hyperbolic), which decide from
+//! the cached aggregates, plus a scan of the constraints in force for any
+//! naming the newcomer. It costs O(n) when a constraint retimes a partner
+//! (the aggregates are re-summed in id order), and O(n) or more under
+//! [`SchedulabilityTest::ResponseTime`], whose exact test needs every task.
 
 use crate::config::{ProtocolConfig, SchedulabilityTest};
-use crate::store::ObjectStore;
-use crate::update_sched::{build_schedule, UpdateSchedule};
+use crate::update_sched::{tightest_bounds, ScheduleChange, UpdateSchedule, UpdateTask};
 use rtpb_sched::analysis::response_time::rta_schedulable;
 use rtpb_sched::analysis::utilization::{
-    edf_schedulable, hyperbolic_schedulable, liu_layland_bound, rm_schedulable,
+    edf_utilization_schedulable, exceeds_unit_utilization, hyperbolic_product_schedulable,
+    liu_layland_bound, rm_utilization_schedulable,
 };
 use rtpb_sched::task::{PeriodicTask, TaskSet};
 use rtpb_types::{
     AdmissionError, InterObjectConstraint, ObjectId, ObjectSpec, QosNegotiation, TimeDelta,
 };
 
-/// A positive admission decision: the schedule the primary should run
-/// after installing the new object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdmissionOutcome {
-    /// The send schedule covering every object including the newcomer.
-    pub schedule: UpdateSchedule,
-    /// Update-task utilization under *normal* periods (what the
-    /// schedulability test saw).
-    pub utilization_millis: u32,
-}
-
 /// Evaluates an admission request.
 ///
-/// `store` holds the already-admitted objects, `constraints` the
-/// inter-object constraints already in force, `new_id` the id the object
-/// will receive, and `new_constraints` any constraints between the
-/// newcomer and existing objects.
+/// `schedule` holds the already-admitted objects and must not be
+/// [stale](UpdateSchedule::is_stale); `constraints` are the inter-object
+/// constraints already in force, `new_id` the id the object will receive,
+/// and `new_constraints` any constraints between the newcomer and existing
+/// objects. `update_period_of` gives a registered object's client update
+/// period, `None` for an unknown id (gate 3).
 ///
-/// With `config.admission_enabled == false`, all gates are skipped and a
-/// schedule is computed unconditionally (the paper's Figures 7 and 10).
+/// With `config.admission_enabled == false`, all gates are skipped and the
+/// change is computed unconditionally (the paper's Figures 7 and 10).
+///
+/// On success, returns the change for [`UpdateSchedule::apply`].
 ///
 /// # Errors
 ///
 /// Returns the first failing gate as an [`AdmissionError`].
 pub fn evaluate(
-    store: &ObjectStore,
+    schedule: &UpdateSchedule,
     constraints: &[InterObjectConstraint],
     new_id: ObjectId,
     new_spec: &ObjectSpec,
     new_constraints: &[InterObjectConstraint],
+    update_period_of: impl Fn(ObjectId) -> Option<TimeDelta>,
     config: &ProtocolConfig,
-) -> Result<AdmissionOutcome, AdmissionError> {
+) -> Result<ScheduleChange, AdmissionError> {
     if config.admission_enabled {
         check_primary_bound(new_spec)?;
         check_window(new_spec, config)?;
-        check_inter_object(store, new_id, new_spec, new_constraints)?;
+        check_inter_object(update_period_of, new_id, new_spec, new_constraints)?;
     }
 
-    // Assemble (id, effective window, send cost) for everything.
-    let mut all_constraints: Vec<InterObjectConstraint> = constraints.to_vec();
-    all_constraints.extend_from_slice(new_constraints);
-
-    let mut objects: Vec<(ObjectId, TimeDelta, TimeDelta)> = store
+    // The newcomer's effective window honours every constraint naming it:
+    // with admission off, an earlier registration may have named this id
+    // before it existed.
+    let window = constraints
         .iter()
-        .map(|(id, e)| {
-            (
-                id,
-                effective_window(id, e.spec().window(), &all_constraints),
-                config.send_cost(e.spec().size_bytes()),
-            )
-        })
-        .collect();
-    objects.push((
-        new_id,
-        effective_window(new_id, new_spec.window(), &all_constraints),
-        config.send_cost(new_spec.size_bytes()),
-    ));
+        .chain(new_constraints)
+        .filter(|c| c.involves(new_id))
+        .map(InterObjectConstraint::bound)
+        .fold(new_spec.window(), TimeDelta::min);
+    let newcomer = UpdateTask::new(window, config.send_cost(new_spec.size_bytes()), config);
 
-    // The schedulability gate always judges the guarantee-bearing
-    // *normal* periods (Theorem 5 + loss slack); compressed scheduling
-    // only packs extra sends into admitted capacity afterwards.
-    let normal_config = ProtocolConfig {
-        scheduling_mode: crate::config::SchedulingMode::Normal,
-        ..config.clone()
-    };
-    let test_schedule = build_schedule(&objects, &normal_config);
-    let utilization: f64 = objects
-        .iter()
-        .map(|&(id, _, cost)| {
-            let period = test_schedule.period(id).expect("scheduled above");
-            cost.as_nanos() as f64 / period.as_nanos() as f64
-        })
-        .sum();
+    // The only existing tasks an admission can change: scheduled partners
+    // whose window a new constraint tightens. A partner not registered yet
+    // (admission off) picks the constraint up when it registers.
+    let partners = tightest_bounds(
+        new_constraints
+            .iter()
+            .filter_map(|c| Some((c.partner_of(new_id)?, c.bound()))),
+    )
+    .into_iter()
+    .filter_map(|(id, bound)| {
+        let task = schedule.task(id)?;
+        (bound < task.window()).then(|| (id, UpdateTask::new(bound, task.cost(), config)))
+    })
+    .collect();
+    let change = schedule.propose(new_id, newcomer, partners);
 
     if config.admission_enabled {
-        check_coalescing_window(&objects, &test_schedule, config)?;
-        check_schedulability(&objects, &test_schedule, utilization, config)?;
+        check_coalescing_window(&change, config)?;
+        check_schedulability(schedule, &change, config)?;
     }
-    let schedule = build_schedule(&objects, config);
-
-    Ok(AdmissionOutcome {
-        schedule,
-        utilization_millis: (utilization * 1000.0).round() as u32,
-    })
+    Ok(change)
 }
 
 /// Gate 1: `p_i ≤ δ_i^P`.
@@ -150,7 +139,7 @@ fn check_window(spec: &ObjectSpec, config: &ProtocolConfig) -> Result<(), Admiss
 
 /// Gate 3: Theorem 6 (zero-variance form) for every new constraint.
 fn check_inter_object(
-    store: &ObjectStore,
+    update_period_of: impl Fn(ObjectId) -> Option<TimeDelta>,
     new_id: ObjectId,
     new_spec: &ObjectSpec,
     new_constraints: &[InterObjectConstraint],
@@ -159,9 +148,8 @@ fn check_inter_object(
         let partner = c
             .partner_of(new_id)
             .ok_or(AdmissionError::UnknownObject(new_id))?;
-        let partner_entry = store
-            .get(partner)
-            .ok_or(AdmissionError::UnknownObject(partner))?;
+        let partner_period =
+            update_period_of(partner).ok_or(AdmissionError::UnknownObject(partner))?;
         if new_spec.update_period() > c.bound() {
             return Err(AdmissionError::InterObjectTooTight {
                 bound: c.bound(),
@@ -169,10 +157,10 @@ fn check_inter_object(
                 object: new_id,
             });
         }
-        if partner_entry.spec().update_period() > c.bound() {
+        if partner_period > c.bound() {
             return Err(AdmissionError::InterObjectTooTight {
                 bound: c.bound(),
-                period: partner_entry.spec().update_period(),
+                period: partner_period,
                 object: partner,
             });
         }
@@ -184,17 +172,24 @@ fn check_inter_object(
 /// start of a send period can sit in the coalescing buffer for up to `W`
 /// before its frame leaves, so Theorem 5 tightens to `r_i + W + ℓ ≤ δ_i`
 /// for every admitted object (each judged against its *effective* window).
+///
+/// Only the changed tasks are checked, in id order: the partners, then
+/// the newcomer. Every other scheduled task passed this gate when it was
+/// admitted or last tightened, and since then its window can only have
+/// widened (a deregistration drops constraints). A wider window never
+/// fails: `r = (δ - ℓ)/k` grows by at most the widening, and the floors
+/// do not grow at all.
 fn check_coalescing_window(
-    objects: &[(ObjectId, TimeDelta, TimeDelta)],
-    schedule: &UpdateSchedule,
+    change: &ScheduleChange,
     config: &ProtocolConfig,
 ) -> Result<(), AdmissionError> {
     let w = config.coalesce_window;
     if w.is_zero() {
         return Ok(());
     }
-    for &(id, window, _) in objects {
-        let period = schedule.period(id).expect("scheduled above");
+    for (id, task) in change.tasks() {
+        let period = task.normal_period();
+        let window = task.window();
         if period + w + config.link_delay_bound > window {
             // The smallest window that fits: r = (δ - ℓ)/k, so the
             // condition (δ - ℓ)/k + W + ℓ ≤ δ solves to
@@ -219,14 +214,17 @@ fn check_coalescing_window(
     Ok(())
 }
 
-/// Gate 4: the update-task set is schedulable under the configured test.
+/// Gate 4: the update-task set after `change` is schedulable under the
+/// configured test. The schedulability gate always judges the
+/// guarantee-bearing *normal* periods (Theorem 5 + loss slack); compressed
+/// scheduling only packs extra sends into admitted capacity afterwards.
 fn check_schedulability(
-    objects: &[(ObjectId, TimeDelta, TimeDelta)],
     schedule: &UpdateSchedule,
-    utilization: f64,
+    change: &ScheduleChange,
     config: &ProtocolConfig,
 ) -> Result<(), AdmissionError> {
-    let n = objects.len();
+    let utilization = change.utilization();
+    let n = schedule.len() + 1;
     let reject = |bound: f64| AdmissionError::Unschedulable {
         utilization,
         bound,
@@ -235,54 +233,40 @@ fn check_schedulability(
             ..QosNegotiation::default()
         },
     };
-
-    let tasks: Result<TaskSet, _> =
-        TaskSet::try_from_iter(objects.iter().map(|&(id, _, cost)| {
-            PeriodicTask::new(schedule.period(id).expect("scheduled"), cost)
-        }));
-    let Ok(tasks) = tasks else {
-        // Utilization above 1: unschedulable under every test.
+    if exceeds_unit_utilization(utilization) {
+        // Unschedulable under every test.
         return Err(reject(1.0));
-    };
-
+    }
     let ok = match config.schedulability_test {
-        SchedulabilityTest::LiuLayland => rm_schedulable(&tasks),
-        SchedulabilityTest::Hyperbolic => hyperbolic_schedulable(&tasks),
-        SchedulabilityTest::ResponseTime => rta_schedulable(&tasks),
-        SchedulabilityTest::EdfUtilization => edf_schedulable(&tasks),
+        SchedulabilityTest::LiuLayland => rm_utilization_schedulable(utilization, n),
+        SchedulabilityTest::Hyperbolic => {
+            hyperbolic_product_schedulable(change.hyperbolic_product())
+        }
+        SchedulabilityTest::EdfUtilization => edf_utilization_schedulable(utilization),
+        SchedulabilityTest::ResponseTime => TaskSet::try_from_iter(
+            schedule
+                .tasks_after(change)
+                .map(|t| PeriodicTask::new(t.normal_period(), t.cost())),
+        )
+        .is_ok_and(|tasks| rta_schedulable(&tasks)),
     };
     if ok {
         Ok(())
     } else {
         let bound = match config.schedulability_test {
-            SchedulabilityTest::LiuLayland => liu_layland_bound(n),
-            SchedulabilityTest::Hyperbolic | SchedulabilityTest::ResponseTime => {
-                liu_layland_bound(n)
-            }
             SchedulabilityTest::EdfUtilization => 1.0,
+            SchedulabilityTest::LiuLayland
+            | SchedulabilityTest::Hyperbolic
+            | SchedulabilityTest::ResponseTime => liu_layland_bound(n),
         };
         Err(reject(bound))
     }
 }
 
-/// The effective window of `id`: its own window tightened by every
-/// inter-object constraint involving it (the §4.2 conversion of
-/// inter-object constraints into external ones).
-fn effective_window(
-    id: ObjectId,
-    own_window: TimeDelta,
-    constraints: &[InterObjectConstraint],
-) -> TimeDelta {
-    constraints
-        .iter()
-        .filter(|c| c.involves(id))
-        .map(InterObjectConstraint::bound)
-        .fold(own_window, TimeDelta::min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ObjectStore;
     use rtpb_types::Time;
 
     fn ms(v: u64) -> TimeDelta {
@@ -298,46 +282,66 @@ mod tests {
             .unwrap()
     }
 
-    fn admit_one(
-        store: &mut ObjectStore,
-        spec: &ObjectSpec,
-        config: &ProtocolConfig,
-    ) -> Result<ObjectId, AdmissionError> {
-        let id = ObjectId::new(store.len() as u32);
-        evaluate(store, &[], id, spec, &[], config)?;
-        Ok(store.register(spec.clone(), Time::ZERO))
+    /// The admitted objects and their schedule, as a primary keeps them.
+    #[derive(Default)]
+    struct Admitted {
+        store: ObjectStore,
+        schedule: UpdateSchedule,
+    }
+
+    impl Admitted {
+        fn evaluate(
+            &self,
+            spec: &ObjectSpec,
+            new_constraints: &[InterObjectConstraint],
+            config: &ProtocolConfig,
+        ) -> Result<ScheduleChange, AdmissionError> {
+            evaluate(
+                &self.schedule,
+                &[],
+                self.store.peek_next_id(),
+                spec,
+                new_constraints,
+                |id| self.store.get(id).map(|e| e.spec().update_period()),
+                config,
+            )
+        }
+
+        /// The schedule `change` would leave behind.
+        fn after(&self, change: ScheduleChange, config: &ProtocolConfig) -> UpdateSchedule {
+            let mut schedule = self.schedule.clone();
+            schedule.apply(change, config);
+            schedule
+        }
+
+        fn admit(
+            &mut self,
+            spec: &ObjectSpec,
+            config: &ProtocolConfig,
+        ) -> Result<ObjectId, AdmissionError> {
+            let change = self.evaluate(spec, &[], config)?;
+            self.schedule.apply(change, config);
+            Ok(self.store.register(spec.clone(), Time::ZERO))
+        }
     }
 
     #[test]
     fn admits_a_reasonable_object() {
-        let store = ObjectStore::new();
-        let s = spec(100, 150, 550);
-        let out = evaluate(
-            &store,
-            &[],
-            ObjectId::new(0),
-            &s,
-            &[],
-            &ProtocolConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(out.schedule.period(ObjectId::new(0)), Some(ms(195)));
-        assert!(out.utilization_millis < 100);
+        let admitted = Admitted::default();
+        let config = ProtocolConfig::default();
+        let change = admitted
+            .evaluate(&spec(100, 150, 550), &[], &config)
+            .unwrap();
+        assert!(change.utilization() < 0.1);
+        let schedule = admitted.after(change, &config);
+        assert_eq!(schedule.period(ObjectId::new(0)), Some(ms(195)));
     }
 
     #[test]
     fn gate1_period_exceeding_primary_bound() {
-        let store = ObjectStore::new();
-        let s = spec(200, 150, 550);
-        let err = evaluate(
-            &store,
-            &[],
-            ObjectId::new(0),
-            &s,
-            &[],
-            &ProtocolConfig::default(),
-        )
-        .unwrap_err();
+        let err = Admitted::default()
+            .evaluate(&spec(200, 150, 550), &[], &ProtocolConfig::default())
+            .unwrap_err();
         match err {
             AdmissionError::PeriodExceedsPrimaryBound { negotiation, .. } => {
                 assert_eq!(negotiation.min_primary_bound, Some(ms(200)));
@@ -348,18 +352,10 @@ mod tests {
 
     #[test]
     fn gate2_window_not_exceeding_delay_bound() {
-        let store = ObjectStore::new();
         // Window = 8 ms ≤ ℓ = 10 ms.
-        let s = spec(100, 150, 158);
-        let err = evaluate(
-            &store,
-            &[],
-            ObjectId::new(0),
-            &s,
-            &[],
-            &ProtocolConfig::default(),
-        )
-        .unwrap_err();
+        let err = Admitted::default()
+            .evaluate(&spec(100, 150, 158), &[], &ProtocolConfig::default())
+            .unwrap_err();
         match err {
             AdmissionError::WindowTooSmall {
                 window,
@@ -376,42 +372,28 @@ mod tests {
 
     #[test]
     fn gate3_inter_object_constraint_too_tight() {
-        let mut store = ObjectStore::new();
-        let existing =
-            admit_one(&mut store, &spec(100, 150, 550), &ProtocolConfig::default()).unwrap();
-        let new_id = ObjectId::new(1);
+        let config = ProtocolConfig::default();
+        let mut admitted = Admitted::default();
+        let existing = admitted.admit(&spec(100, 150, 550), &config).unwrap();
         // δ_ij = 80 ms < the newcomer's 100 ms period.
-        let c = InterObjectConstraint::new(new_id, existing, ms(80));
-        let err = evaluate(
-            &store,
-            &[],
-            new_id,
-            &spec(100, 150, 550),
-            &[c],
-            &ProtocolConfig::default(),
-        )
-        .unwrap_err();
+        let c = InterObjectConstraint::new(ObjectId::new(1), existing, ms(80));
+        let err = admitted
+            .evaluate(&spec(100, 150, 550), &[c], &config)
+            .unwrap_err();
         assert!(matches!(err, AdmissionError::InterObjectTooTight { .. }));
     }
 
     #[test]
     fn gate3_partner_period_checked_too() {
-        let mut store = ObjectStore::new();
+        let config = ProtocolConfig::default();
+        let mut admitted = Admitted::default();
         // Existing object writes every 300 ms.
-        let existing =
-            admit_one(&mut store, &spec(300, 400, 900), &ProtocolConfig::default()).unwrap();
-        let new_id = ObjectId::new(1);
+        let existing = admitted.admit(&spec(300, 400, 900), &config).unwrap();
         // Constraint 250 ms: newcomer (100 ms) fine, partner (300 ms) violates.
-        let c = InterObjectConstraint::new(new_id, existing, ms(250));
-        let err = evaluate(
-            &store,
-            &[],
-            new_id,
-            &spec(100, 150, 550),
-            &[c],
-            &ProtocolConfig::default(),
-        )
-        .unwrap_err();
+        let c = InterObjectConstraint::new(ObjectId::new(1), existing, ms(250));
+        let err = admitted
+            .evaluate(&spec(100, 150, 550), &[c], &config)
+            .unwrap_err();
         match err {
             AdmissionError::InterObjectTooTight { object, period, .. } => {
                 assert_eq!(object, existing);
@@ -423,19 +405,11 @@ mod tests {
 
     #[test]
     fn gate3_unknown_partner() {
-        let store = ObjectStore::new();
-        let new_id = ObjectId::new(0);
         let ghost = ObjectId::new(77);
-        let c = InterObjectConstraint::new(new_id, ghost, ms(500));
-        let err = evaluate(
-            &store,
-            &[],
-            new_id,
-            &spec(100, 150, 550),
-            &[c],
-            &ProtocolConfig::default(),
-        )
-        .unwrap_err();
+        let c = InterObjectConstraint::new(ObjectId::new(0), ghost, ms(500));
+        let err = Admitted::default()
+            .evaluate(&spec(100, 150, 550), &[c], &ProtocolConfig::default())
+            .unwrap_err();
         assert_eq!(err, AdmissionError::UnknownObject(ghost));
     }
 
@@ -448,7 +422,7 @@ mod tests {
             send_cost_base: TimeDelta::from_micros(200),
             ..ProtocolConfig::default()
         };
-        let mut store = ObjectStore::new();
+        let mut admitted = Admitted::default();
         let s = ObjectSpec::builder("t")
             .update_period(ms(15))
             .primary_bound(ms(20))
@@ -456,11 +430,11 @@ mod tests {
             .exec_time(TimeDelta::from_micros(50))
             .build()
             .unwrap();
-        let mut admitted = 0;
+        let mut count = 0;
         let mut rejected = None;
         for _ in 0..64 {
-            match admit_one(&mut store, &s, &config) {
-                Ok(_) => admitted += 1,
+            match admitted.admit(&s, &config) {
+                Ok(_) => count += 1,
                 Err(e) => {
                     rejected = Some(e);
                     break;
@@ -469,7 +443,7 @@ mod tests {
         }
         let err = rejected.expect("admission must eventually reject");
         assert!(matches!(err, AdmissionError::Unschedulable { .. }));
-        assert!(admitted > 2, "admitted only {admitted}");
+        assert!(count > 2, "admitted only {count}");
         if let AdmissionError::Unschedulable {
             utilization, bound, ..
         } = err
@@ -480,17 +454,15 @@ mod tests {
 
     #[test]
     fn capacity_grows_with_window_size() {
-        // Expensive sends keep the admitted counts small so this test
-        // stays fast (the evaluation is O(n) per registration).
         let config = ProtocolConfig {
             send_cost_base: TimeDelta::from_millis(4),
             ..ProtocolConfig::default()
         };
         let capacity = |window_ms: u64| {
-            let mut store = ObjectStore::new();
+            let mut admitted = Admitted::default();
             let s = spec(100, 150, 150 + window_ms);
             let mut n = 0;
-            while admit_one(&mut store, &s, &config).is_ok() {
+            while admitted.admit(&s, &config).is_ok() {
                 n += 1;
                 if n > 512 {
                     break;
@@ -513,17 +485,12 @@ mod tests {
             coalesce_window: ms(150),
             ..ProtocolConfig::default()
         };
-        let store = ObjectStore::new();
-        let out = evaluate(
-            &store,
-            &[],
-            ObjectId::new(0),
-            &spec(100, 150, 550),
-            &[],
-            &config,
-        )
-        .unwrap();
-        assert_eq!(out.schedule.period(ObjectId::new(0)), Some(ms(195)));
+        let admitted = Admitted::default();
+        let change = admitted
+            .evaluate(&spec(100, 150, 550), &[], &config)
+            .unwrap();
+        let schedule = admitted.after(change, &config);
+        assert_eq!(schedule.period(ObjectId::new(0)), Some(ms(195)));
     }
 
     #[test]
@@ -533,16 +500,9 @@ mod tests {
             coalesce_window: ms(200),
             ..ProtocolConfig::default()
         };
-        let store = ObjectStore::new();
-        let err = evaluate(
-            &store,
-            &[],
-            ObjectId::new(0),
-            &spec(100, 150, 550),
-            &[],
-            &config,
-        )
-        .unwrap_err();
+        let err = Admitted::default()
+            .evaluate(&spec(100, 150, 550), &[], &config)
+            .unwrap_err();
         match err {
             AdmissionError::CoalescingWindowTooWide {
                 period,
@@ -569,38 +529,29 @@ mod tests {
             coalesce_window: ms(60),
             ..ProtocolConfig::default()
         };
-        let mut store = ObjectStore::new();
+        let mut admitted = Admitted::default();
         // Window 150 ms → period 70 ms; 70 + 60 + 10 ≤ 150 (just fits).
-        let tight = admit_one(&mut store, &spec(100, 150, 300), &config).unwrap();
+        let tight = admitted.admit(&spec(100, 150, 300), &config).unwrap();
         // A roomy newcomer is fine and must not dislodge the tight object.
-        let out = evaluate(
-            &store,
-            &[],
-            ObjectId::new(1),
-            &spec(100, 150, 550),
-            &[],
-            &config,
-        )
-        .unwrap();
-        assert_eq!(out.schedule.period(tight), Some(ms(70)));
+        let change = admitted
+            .evaluate(&spec(100, 150, 550), &[], &config)
+            .unwrap();
+        assert_eq!(admitted.after(change, &config).period(tight), Some(ms(70)));
 
         // But an inter-object constraint that tightens the pair below the
-        // coalescing headroom is rejected.
+        // coalescing headroom is rejected, naming the partner first.
         // Effective window 120 ms → period 55 ms; 55 + 60 + 10 > 120.
         let c = InterObjectConstraint::new(ObjectId::new(1), tight, ms(120));
-        let err = evaluate(
-            &store,
-            &[],
-            ObjectId::new(1),
-            &spec(100, 150, 550),
-            &[c],
-            &config,
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            AdmissionError::CoalescingWindowTooWide { .. }
-        ));
+        let err = admitted
+            .evaluate(&spec(100, 150, 550), &[c], &config)
+            .unwrap_err();
+        match err {
+            AdmissionError::CoalescingWindowTooWide { object, window, .. } => {
+                assert_eq!(object, tight);
+                assert_eq!(window, ms(120));
+            }
+            other => panic!("wrong gate: {other}"),
+        }
     }
 
     #[test]
@@ -609,38 +560,79 @@ mod tests {
             admission_enabled: false,
             ..ProtocolConfig::default()
         };
-        let store = ObjectStore::new();
+        let admitted = Admitted::default();
         // Violates gates 1 and 2; admitted anyway.
-        let s = spec(200, 150, 155);
-        let out = evaluate(&store, &[], ObjectId::new(0), &s, &[], &config).unwrap();
-        assert!(out.schedule.period(ObjectId::new(0)).is_some());
+        let change = admitted
+            .evaluate(&spec(200, 150, 155), &[], &config)
+            .unwrap();
+        assert!(admitted
+            .after(change, &config)
+            .period(ObjectId::new(0))
+            .is_some());
     }
 
     #[test]
     fn inter_object_constraint_tightens_send_periods() {
-        let mut store = ObjectStore::new();
-        let a = admit_one(&mut store, &spec(100, 150, 550), &ProtocolConfig::default()).unwrap();
+        let config = ProtocolConfig::default();
+        let mut admitted = Admitted::default();
+        let a = admitted.admit(&spec(100, 150, 550), &config).unwrap();
         let b_id = ObjectId::new(1);
         let c = InterObjectConstraint::new(b_id, a, ms(200));
-        let out = evaluate(
-            &store,
-            &[],
-            b_id,
-            &spec(100, 150, 550),
-            &[c],
-            &ProtocolConfig::default(),
-        )
-        .unwrap();
+        let change = admitted
+            .evaluate(&spec(100, 150, 550), &[c], &config)
+            .unwrap();
+        let schedule = admitted.after(change, &config);
         // Both members' effective window is min(400, 200) = 200 →
         // period (200 - 10)/2 = 95 ms.
-        assert_eq!(out.schedule.period(a), Some(ms(95)));
-        assert_eq!(out.schedule.period(b_id), Some(ms(95)));
+        assert_eq!(schedule.period(a), Some(ms(95)));
+        assert_eq!(schedule.period(b_id), Some(ms(95)));
+    }
+
+    #[test]
+    fn earlier_constraint_on_an_unregistered_id_applies_when_it_registers() {
+        // With admission off, object 0 may name id 1 before it exists.
+        let config = ProtocolConfig {
+            admission_enabled: false,
+            ..ProtocolConfig::default()
+        };
+        let early = [InterObjectConstraint::new(
+            ObjectId::new(0),
+            ObjectId::new(1),
+            ms(200),
+        )];
+        let schedule = UpdateSchedule::new();
+        let first = evaluate(
+            &schedule,
+            &[],
+            ObjectId::new(0),
+            &spec(100, 150, 550),
+            &early,
+            |_| None,
+            &config,
+        )
+        .unwrap();
+        let mut schedule = schedule;
+        schedule.apply(first, &config);
+        let second = evaluate(
+            &schedule,
+            &early,
+            ObjectId::new(1),
+            &spec(100, 150, 550),
+            &[],
+            |_| None,
+            &config,
+        )
+        .unwrap();
+        schedule.apply(second, &config);
+        assert_eq!(schedule.period(ObjectId::new(0)), Some(ms(95)));
+        assert_eq!(schedule.period(ObjectId::new(1)), Some(ms(95)));
     }
 
     #[test]
     fn response_time_test_admits_more_than_liu_layland() {
-        // Harmonic-ish windows where RTA is exact: find a configuration
-        // the LL bound rejects but RTA admits.
+        // Window 14 ms → normal period (14 - 10)/1 = 4 ms at a 2 ms cost:
+        // U = 0.5 per object. RTA is exact where the LL bound is only
+        // sufficient.
         let base = ProtocolConfig {
             send_cost_base: TimeDelta::from_millis(2),
             send_cost_per_byte: TimeDelta::ZERO,
@@ -656,16 +648,7 @@ mod tests {
             ..base
         };
         let count_admitted = |config: &ProtocolConfig| {
-            let mut store = ObjectStore::new();
-            let s = ObjectSpec::builder("t")
-                .update_period(ms(8))
-                .exec_time(TimeDelta::from_micros(10))
-                .primary_bound(ms(8))
-                .backup_bound(ms(18)) // window 10 → period (10-10)... no
-                .build();
-            let s = s.unwrap_or_else(|_| unreachable!());
-            let _ = s;
-            // Use window 14 → normal period (14-10)/1 = 4ms, cost 2ms → U 0.5 each.
+            let mut admitted = Admitted::default();
             let s = ObjectSpec::builder("t")
                 .update_period(ms(8))
                 .exec_time(TimeDelta::from_micros(10))
@@ -674,7 +657,7 @@ mod tests {
                 .build()
                 .unwrap();
             let mut n = 0;
-            while admit_one(&mut store, &s, config).is_ok() {
+            while admitted.admit(&s, config).is_ok() {
                 n += 1;
                 if n > 10 {
                     break;

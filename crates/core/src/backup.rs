@@ -14,8 +14,8 @@ use crate::store::ObjectStore;
 use crate::update_sched::UpdateSchedule;
 use crate::wire::{ReadStatus, ScrubDigest, StateEntryRef, WireFrame, WireMessage};
 use rtpb_types::{
-    Epoch, LogPosition, NodeId, ObjectId, ObjectSpec, StalenessCertificate, Time, TimeDelta,
-    Version,
+    Epoch, InterObjectConstraint, LogPosition, NodeId, ObjectId, ObjectSpec, StalenessCertificate,
+    Time, TimeDelta, Version,
 };
 use std::collections::BTreeMap;
 
@@ -1048,25 +1048,28 @@ impl Backup {
     /// standby client application, and wait to recruit a new backup.
     #[must_use]
     pub fn promote(self, now: Time) -> Primary {
-        // Recompute the send schedule from the mirrored registry so the
-        // new primary can serve a future backup with the same guarantees.
-        let objects: Vec<(ObjectId, TimeDelta, TimeDelta)> = self
+        // Rebuild the constraints and the send schedule from the mirrored
+        // registry so the new primary can serve a future backup with the
+        // same guarantees. Constraints ride on the specs: walking them in
+        // id order, keeping pairs whose partner is still registered,
+        // reproduces the old primary's list.
+        let constraints: Vec<InterObjectConstraint> = self
             .store
             .iter()
-            .map(|(id, e)| {
-                (
-                    id,
-                    e.spec().window(),
-                    self.config.send_cost(e.spec().size_bytes()),
-                )
+            .flat_map(|(id, e)| {
+                e.spec()
+                    .constraints()
+                    .iter()
+                    .filter(|&&(partner, _)| self.store.get(partner).is_some())
+                    .map(move |&(partner, bound)| InterObjectConstraint::new(id, partner, bound))
             })
             .collect();
-        let schedule: UpdateSchedule = crate::update_sched::build_schedule(&objects, &self.config);
+        let schedule = UpdateSchedule::from_store(&self.store, &constraints, &self.config);
         Primary::from_store(
             self.node,
             self.config,
             self.store,
-            Vec::new(),
+            constraints,
             schedule,
             self.epoch.next(),
             now,

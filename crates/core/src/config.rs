@@ -15,7 +15,9 @@ pub enum SchedulabilityTest {
     LiuLayland,
     /// The hyperbolic bound (tighter, still sufficient).
     Hyperbolic,
-    /// Exact response-time analysis.
+    /// Exact response-time analysis. Unlike the utilization tests, which
+    /// decide from cached aggregates, it needs every task, so each
+    /// admission stays O(n) or more.
     ResponseTime,
     /// EDF utilization test `U ≤ 1` (if update transmissions are
     /// deadline-scheduled).

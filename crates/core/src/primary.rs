@@ -407,13 +407,16 @@ impl Primary {
     /// with [`ObjectSpec::with_constraints`] or
     /// [`ObjectSpecBuilder::constraint`](rtpb_types::ObjectSpecBuilder::constraint).
     ///
-    /// On success the update schedule is recomputed (a newcomer can
-    /// tighten existing periods through constraints, and compressed mode
-    /// redistributes capacity).
+    /// On success the update schedule admits the newcomer, tightening
+    /// the partners its constraints name; under compressed mode every
+    /// period follows the new utilization. The work is proportional to
+    /// what changes (see [`admission`]), except that the first admission
+    /// after a deregistration rebuilds the schedule from the store.
     ///
     /// # Errors
     ///
-    /// Returns the failing admission gate; the object is not registered.
+    /// Returns the failing admission gate; the object is not registered
+    /// and the schedule is untouched.
     pub fn register(&mut self, spec: ObjectSpec, now: Time) -> Result<ObjectId, AdmissionError> {
         if self.monitor.is_degraded() {
             // Admission promises temporal-consistency bounds; with the
@@ -427,26 +430,39 @@ impl Primary {
             .iter()
             .map(|&(partner, bound)| InterObjectConstraint::new(new_id, partner, bound))
             .collect();
-        let outcome = admission::evaluate(
-            &self.store,
+        // A stale schedule still counts deregistered objects: decide
+        // against a fresh build, installed only if the newcomer is.
+        let rebuilt = self
+            .schedule
+            .is_stale()
+            .then(|| UpdateSchedule::from_store(&self.store, &self.constraints, &self.config));
+        let store = &self.store;
+        let change = admission::evaluate(
+            rebuilt.as_ref().unwrap_or(&self.schedule),
             &self.constraints,
             new_id,
             &spec,
             &new_constraints,
+            |id| store.get(id).map(|e| e.spec().update_period()),
             &self.config,
         )?;
+        if let Some(rebuilt) = rebuilt {
+            self.schedule = rebuilt;
+        }
+        self.schedule.apply(change, &self.config);
         let id = self.store.register(spec, now);
         debug_assert_eq!(id, new_id);
         self.constraints.extend(new_constraints);
-        self.schedule = outcome.schedule;
         Ok(id)
     }
 
-    /// Deregisters an object and drops its constraints.
+    /// Deregisters an object, drops its constraints and its send period.
+    /// The other objects keep their periods until the next admission.
     pub fn deregister(&mut self, id: ObjectId) -> bool {
         let removed = self.store.deregister(id).is_some();
         if removed {
             self.constraints.retain(|c| !c.involves(id));
+            self.schedule.remove(id);
         }
         removed
     }
@@ -1505,9 +1521,27 @@ mod tests {
             .register(spec().with_constraints(&[(a, ms(300))]), Time::ZERO)
             .unwrap();
         assert_eq!(p.constraints().len(), 1);
+        // δ_ab = 300 ms tightens a from 195 ms to (300 - 10)/2 = 145 ms.
+        assert_eq!(p.send_period(a), Some(ms(145)));
         assert!(p.deregister(b));
         assert!(p.constraints().is_empty());
         assert!(!p.deregister(b));
+        // A deregistered object's send timer finds no period and stops.
+        assert_eq!(p.send_period(b), None);
+        // Its partner keeps the tightened period until the next successful
+        // admission; a rejected one changes nothing.
+        assert_eq!(p.send_period(a), Some(ms(145)));
+        let bad = ObjectSpec::builder("bad")
+            .update_period(ms(200))
+            .primary_bound(ms(150))
+            .backup_bound(ms(550))
+            .build()
+            .unwrap();
+        assert!(p.register(bad, Time::ZERO).is_err());
+        assert_eq!(p.send_period(a), Some(ms(145)));
+        let c = p.register(spec(), Time::ZERO).unwrap();
+        assert_eq!(p.send_period(a), Some(ms(195)));
+        assert_eq!(p.send_period(c), Some(ms(195)));
     }
 
     #[test]

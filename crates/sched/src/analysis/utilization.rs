@@ -52,7 +52,19 @@ pub fn liu_layland_bound(n: usize) -> f64 {
 /// ```
 #[must_use]
 pub fn rm_schedulable(tasks: &TaskSet) -> bool {
-    tasks.utilization() <= liu_layland_bound(tasks.len()) + 1e-12
+    rm_utilization_schedulable(tasks.utilization(), tasks.len())
+}
+
+/// [`rm_schedulable`] on aggregates: `n` tasks of total utilization
+/// `utilization`. Lets a caller that maintains the sum incrementally
+/// decide without building a [`TaskSet`].
+///
+/// # Panics
+///
+/// Panics if `n` is zero.
+#[must_use]
+pub fn rm_utilization_schedulable(utilization: f64, n: usize) -> bool {
+    utilization <= liu_layland_bound(n) + 1e-12
 }
 
 /// The hyperbolic RM bound (Bini & Buttazzo): `Π (U_i + 1) ≤ 2`.
@@ -81,7 +93,12 @@ pub fn rm_schedulable(tasks: &TaskSet) -> bool {
 /// ```
 #[must_use]
 pub fn hyperbolic_schedulable(tasks: &TaskSet) -> bool {
-    let product: f64 = tasks.iter().map(|t| t.utilization() + 1.0).product();
+    hyperbolic_product_schedulable(tasks.iter().map(|t| t.utilization() + 1.0).product())
+}
+
+/// [`hyperbolic_schedulable`] on the aggregate `Π (U_i + 1)`.
+#[must_use]
+pub fn hyperbolic_product_schedulable(product: f64) -> bool {
     product <= 2.0 + 1e-12
 }
 
@@ -105,7 +122,21 @@ pub fn hyperbolic_schedulable(tasks: &TaskSet) -> bool {
 /// ```
 #[must_use]
 pub fn edf_schedulable(tasks: &TaskSet) -> bool {
-    tasks.utilization() <= 1.0 + 1e-12
+    edf_utilization_schedulable(tasks.utilization())
+}
+
+/// [`edf_schedulable`] on the aggregate utilization.
+#[must_use]
+pub fn edf_utilization_schedulable(utilization: f64) -> bool {
+    utilization <= 1.0 + 1e-12
+}
+
+/// Whether a total utilization exceeds one CPU (`U > 1`, with a float
+/// tolerance): such a set is unschedulable under every policy, which is
+/// why [`TaskSet::try_from_iter`] refuses it.
+#[must_use]
+pub fn exceeds_unit_utilization(utilization: f64) -> bool {
+    utilization > 1.0 + 1e-9
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! of the first release) and an explicit relative deadline (defaults to the
 //! period, the classic Liu & Layland model).
 
+use crate::analysis::utilization::exceeds_unit_utilization;
 use core::fmt;
 use rtpb_types::{TaskId, TimeDelta};
 use std::error::Error;
@@ -205,7 +206,7 @@ impl TaskSet {
             return Err(TaskSetError::Empty);
         }
         let u: f64 = tasks.iter().map(PeriodicTask::utilization).sum();
-        if u > 1.0 + 1e-9 {
+        if exceeds_unit_utilization(u) {
             return Err(TaskSetError::Overutilized {
                 utilization_millis: (u * 1000.0).round() as u32,
             });

@@ -141,6 +141,36 @@ fn full_cycle_crash_takeover_recruit_then_second_failover() {
 }
 
 #[test]
+fn promotion_keeps_inter_object_constraints() {
+    let mut cluster = cluster_with(None);
+    // Window 320 ms → period (320 - 10)/2 = 155 ms on its own;
+    // δ_ab = 200 ms tightens both members to (200 - 10)/2 = 95 ms.
+    let spec = |name: &str| {
+        ObjectSpec::builder(name)
+            .update_period(ms(50))
+            .primary_bound(ms(80))
+            .backup_bound(ms(400))
+    };
+    let a = cluster.register(spec("a").build().unwrap()).unwrap();
+    let b = cluster
+        .register(spec("b").constraint(a, ms(200)).build().unwrap())
+        .unwrap();
+    let primary = cluster.primary().unwrap();
+    assert_eq!(primary.send_period(a), Some(ms(95)));
+    assert_eq!(primary.send_period(b), Some(ms(95)));
+    cluster.run_for(TimeDelta::from_secs(1));
+    cluster.inject(FaultEvent::CrashPrimary);
+    cluster.run_for(TimeDelta::from_secs(1));
+    assert!(cluster.has_failed_over());
+    // The successor rebuilds δ_ab from the mirrored specs.
+    let successor = cluster.primary().unwrap();
+    assert_eq!(successor.node(), NodeId::new(1));
+    assert_eq!(successor.constraints().len(), 1);
+    assert_eq!(successor.send_period(a), Some(ms(95)));
+    assert_eq!(successor.send_period(b), Some(ms(95)));
+}
+
+#[test]
 fn no_spurious_failover_under_update_loss() {
     // Update loss (even heavy) must not kill the service: heartbeats ride
     // the physically-redundant control path (§4.1 assumption).
