@@ -614,7 +614,25 @@ impl Backup {
         self.send_periods.insert(id, send_period);
     }
 
-    /// Handles an inbound message from the network.
+    /// Handles an inbound message from the network: encodes it and hands
+    /// the parsed frame to [`Backup::handle_frame`], the path every driver
+    /// receives on. Convenient for tests and callers that hold an owned
+    /// [`WireMessage`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msg` encodes to a frame the decoder rejects (larger than
+    /// [`MAX_DECODE_LEN`](crate::wire::MAX_DECODE_LEN)).
+    pub fn handle_message(&mut self, msg: &WireMessage, now: Time) -> BackupOutput {
+        let bytes = msg.encode();
+        let frame = WireFrame::parse(&bytes).expect("an encoded message parses");
+        self.handle_frame(&frame, now)
+    }
+
+    /// Handles an inbound frame from the network, read from a borrowed
+    /// decode view: payloads flow straight from the receive buffer into
+    /// the store's existing slots — no owned [`WireMessage`] (and no
+    /// per-update allocation) on the steady-state update and batch paths.
     ///
     /// Fencing runs before dispatch: a frame whose epoch is below the
     /// highest this backup has observed is rejected — it never touches
@@ -623,21 +641,6 @@ impl Backup {
     /// carrying the current epoch, which is how a deposed primary learns
     /// it has been superseded once the partition heals. Frames from a
     /// higher epoch move this backup's epoch forward.
-    pub fn handle_message(&mut self, msg: &WireMessage, now: Time) -> BackupOutput {
-        let mut out = BackupOutput::default();
-        self.monitor.observe_now(now);
-        self.dispatch_message(msg, now, &mut out);
-        out
-    }
-
-    /// [`Backup::handle_message`], but from a borrowed decode view: the
-    /// hot receive path parses a [`WireFrame`] over the receive buffer
-    /// and payloads flow straight from that buffer into the store's
-    /// existing slots — no owned [`WireMessage`] (and no per-update
-    /// allocation) on the steady-state update and batch paths.
-    ///
-    /// Semantics are identical to [`Backup::handle_message`] on the
-    /// equivalent owned message; the propcheck suite pins this.
     pub fn handle_frame(&mut self, frame: &WireFrame<'_>, now: Time) -> BackupOutput {
         let mut out = BackupOutput::default();
         self.monitor.observe_now(now);
@@ -645,13 +648,12 @@ impl Backup {
         out
     }
 
-    /// Fencing, shared by both dispatch paths. Returns whether the frame
-    /// may proceed: a frame below this backup's epoch is rejected — it
-    /// never touches the store, never feeds the watchdogs, and never
-    /// counts as primary liveness — though a stale *ping* still earns a
-    /// [`WireMessage::PingAck`] carrying the current epoch (how a deposed
-    /// primary learns it was superseded). A higher epoch moves this
-    /// backup's epoch forward.
+    /// Fencing. Returns whether the frame may proceed: a frame below this
+    /// backup's epoch is rejected — it never touches the store, never
+    /// feeds the watchdogs, and never counts as primary liveness — though
+    /// a stale *ping* still earns a [`WireMessage::PingAck`] carrying the
+    /// current epoch (how a deposed primary learns it was superseded). A
+    /// higher epoch moves this backup's epoch forward.
     fn fence(&mut self, frame_epoch: Epoch, ping_seq: Option<u64>, out: &mut BackupOutput) -> bool {
         if frame_epoch < self.epoch {
             self.stale_frames_rejected += 1;
@@ -671,91 +673,11 @@ impl Backup {
         true
     }
 
-    fn dispatch_message(&mut self, msg: &WireMessage, now: Time, out: &mut BackupOutput) {
-        let frame_epoch = msg.epoch();
+    fn dispatch_frame(&mut self, frame: &WireFrame<'_>, now: Time, out: &mut BackupOutput) {
+        let frame_epoch = frame.epoch();
         // Reads never assert write authority, so they bypass the fence: a
         // client with a stale epoch still deserves an answer (the reply
         // carries the current epoch). A higher epoch is still adopted.
-        if let WireMessage::ReadRequest { object, floor, .. } = msg {
-            if frame_epoch > self.epoch {
-                self.epoch = frame_epoch;
-            }
-            out.replies.push(self.read_reply(*object, *floor, now));
-            return;
-        }
-        let ping_seq = match msg {
-            WireMessage::Ping { seq, .. } => Some(*seq),
-            _ => None,
-        };
-        if !self.fence(frame_epoch, ping_seq, out) {
-            return;
-        }
-        match msg {
-            WireMessage::Update {
-                object,
-                version,
-                timestamp,
-                seq,
-                payload,
-                ..
-            } => {
-                let entry = StateEntryRef {
-                    object: *object,
-                    version: *version,
-                    timestamp: *timestamp,
-                    payload,
-                };
-                self.apply_update(entry, *seq, frame_epoch, now, out);
-            }
-            WireMessage::Ping { seq, scrub, .. } => {
-                out.replies.push(WireMessage::PingAck {
-                    epoch: self.epoch,
-                    from: self.node,
-                    seq: *seq,
-                });
-                self.check_scrub(frame_epoch, *scrub, now, out);
-            }
-            WireMessage::PingAck { from, seq, .. } => {
-                if let Some(sent_at) = self.detector.on_ack(*seq, now) {
-                    // A completed probe round trip is timing evidence
-                    // against the link-delay bound.
-                    self.monitor.observe_round_trip(*from, sent_at, now);
-                }
-            }
-            WireMessage::StateTransfer { head, entries, .. }
-            | WireMessage::ResyncDiff { head, entries, .. }
-            | WireMessage::LogSuffix { head, entries, .. } => {
-                self.begin_catch_up(now);
-                for e in entries {
-                    self.install_entry(e.as_ref(), frame_epoch, now, out);
-                }
-                self.advance_position(LogPosition::new(frame_epoch, *head));
-            }
-            WireMessage::Batch { messages, .. } => {
-                // One frame, many sub-messages: unpack in send order. The
-                // contained updates each feed the watchdogs and the
-                // piggybacked heartbeat. Each sub-message re-fences with
-                // its own epoch.
-                for m in messages {
-                    self.dispatch_message(m, now, out);
-                }
-            }
-            WireMessage::ReadRequest { .. } => {
-                // Handled before the fence; unreachable here.
-            }
-            WireMessage::RetransmitRequest { .. }
-            | WireMessage::JoinRequest { .. }
-            | WireMessage::ResyncRequest { .. }
-            | WireMessage::ReadReply { .. }
-            | WireMessage::UpdateAck { .. } => {
-                // Not addressed to a backup; ignore.
-            }
-        }
-    }
-
-    fn dispatch_frame(&mut self, frame: &WireFrame<'_>, now: Time, out: &mut BackupOutput) {
-        let frame_epoch = frame.epoch();
-        // Reads bypass the fence — see `dispatch_message`.
         if let WireFrame::ReadRequest { object, floor, .. } = frame {
             if frame_epoch > self.epoch {
                 self.epoch = frame_epoch;
@@ -797,6 +719,8 @@ impl Backup {
             }
             WireFrame::PingAck { from, seq, .. } => {
                 if let Some(sent_at) = self.detector.on_ack(*seq, now) {
+                    // A completed probe round trip is timing evidence
+                    // against the link-delay bound.
                     self.monitor.observe_round_trip(*from, sent_at, now);
                 }
             }
@@ -810,6 +734,10 @@ impl Backup {
                 self.advance_position(LogPosition::new(frame_epoch, *head));
             }
             WireFrame::Batch { frames, .. } => {
+                // One frame, many sub-messages: unpack in send order. The
+                // contained updates each feed the watchdogs and the
+                // piggybacked heartbeat. Each sub-message re-fences with
+                // its own epoch.
                 for sub in frames.iter() {
                     self.dispatch_frame(&sub, now, out);
                 }
@@ -982,14 +910,7 @@ impl Backup {
         let last = *self.last_update_at.get(&id)?;
         let attempts = self.retransmit_attempts.get(&id).copied().unwrap_or(0);
         let backoff = 1u64 << attempts.min(self.config.retransmit_backoff_cap);
-        // Under batching an update may legitimately wait out the whole
-        // coalescing window before it is framed, so the gap budget must
-        // absorb `W` on top of the send period and the link bound.
-        let allowance = (period
-            + self.config.coalesce_window
-            + self.config.link_delay_bound
-            + self.config.retransmit_slack)
-            * backoff;
+        let allowance = self.config.refresh_allowance(period) * backoff;
         if now.saturating_since(last) > allowance {
             self.retransmit_requests_sent += 1;
             self.retransmit_attempts

@@ -371,6 +371,17 @@ impl ProtocolConfig {
         !self.coalesce_window.is_zero()
     }
 
+    /// The longest gap between two arrivals of an object sent every
+    /// `period` that still counts as on schedule: `period + W + ℓ +
+    /// slack`, where `W` is the coalescing window a batched update may
+    /// wait out before it is framed (zero when batching is off). The
+    /// backup's retransmission watchdog and the §5.3 refresh ledger both
+    /// measure gaps against it.
+    #[must_use]
+    pub fn refresh_allowance(&self, period: TimeDelta) -> TimeDelta {
+        period + self.coalesce_window + self.link_delay_bound + self.retransmit_slack
+    }
+
     /// The failure-detection declaration bound: the minimum elapsed time
     /// between a backup's last contact with the primary and the instant it
     /// may declare the primary dead (`heartbeat_miss_threshold` misses of

@@ -17,15 +17,15 @@
 use crate::backup::{Backup, BackupRead};
 use crate::config::{ConfigError, ProtocolConfig};
 use crate::harness::cpu::{CpuQueue, Work};
-use crate::harness::faults::{FaultEvent, FaultPlan};
-use crate::integrity::IntegrityEvent;
+use crate::harness::faults::{FaultEvent, FaultLedger, FaultPlan, Pending, Watch};
 use crate::metrics::{ClusterMetrics, FaultRecord, InjectedFault};
 use crate::monitor::MonitorEvent;
 use crate::name_service::NameService;
 use crate::primary::{CatchUpDecision, Primary};
+use crate::telemetry::Instruments;
 use crate::wire::{WireFrame, WireMessage};
 use rtpb_net::{FaultKind, FaultWindow, LinkConfig, LinkOutcome, LossyLink};
-use rtpb_obs::{Counter, EventBus, EventKind, Histogram, MetricsRegistry, Role};
+use rtpb_obs::{EventBus, EventKind, MetricsRegistry, Role};
 use rtpb_sim::{ClockModel, Context, Simulation, World};
 use rtpb_types::{
     AdmissionError, BufPool, Epoch, LogPosition, NodeId, ObjectId, ObjectSpec, ReadConsistency,
@@ -63,8 +63,6 @@ pub struct ClusterConfig {
     /// If set, a replacement backup is recruited this long after the last
     /// backup is lost.
     pub recruit_backup_after: Option<TimeDelta>,
-    /// Trace ring-buffer capacity (0 disables tracing).
-    pub trace_capacity: usize,
     /// Whether control traffic (heartbeats, acks, retransmission
     /// requests) is exempt from the configured loss probability. Defaults
     /// to `true`: the paper assumes link failures are masked by physical
@@ -99,7 +97,6 @@ impl Default for ClusterConfig {
             num_backups: 1,
             auto_failover: true,
             recruit_backup_after: None,
-            trace_capacity: 0,
             control_loss_exempt: true,
             fault_plan: FaultPlan::new(),
             bus: EventBus::disabled(),
@@ -123,80 +120,6 @@ impl ClusterConfig {
     /// [`ConfigError`] for the full catalogue.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.protocol.check()
-    }
-}
-
-/// Pre-resolved registry handles for the cluster's hot paths (resolving
-/// by name per event would take the registry lock each time).
-struct Instruments {
-    updates_sent: Counter,
-    updates_lost: Counter,
-    frames_sent: Counter,
-    send_rejected: Counter,
-    retransmit_requests: Counter,
-    client_writes: Counter,
-    reads_served: Counter,
-    read_redirects: Counter,
-    failovers: Counter,
-    faults_injected: Counter,
-    fenced_frames: Counter,
-    catchup_bytes: Counter,
-    timing_violations: Counter,
-    integrity_violations: Counter,
-    scrub_divergences: Counter,
-    response_time: Histogram,
-    read_latency: Histogram,
-    failover_time: Histogram,
-    recovery_time: Histogram,
-    batch_occupancy: Histogram,
-}
-
-impl Instruments {
-    fn from_registry(registry: &MetricsRegistry) -> Self {
-        Instruments {
-            updates_sent: registry.counter("cluster.updates_sent"),
-            updates_lost: registry.counter("cluster.updates_lost"),
-            frames_sent: registry.counter("cluster.frames_sent"),
-            send_rejected: registry.counter("cluster.send_rejected"),
-            retransmit_requests: registry.counter("cluster.retransmit_requests"),
-            client_writes: registry.counter("cluster.client_writes"),
-            reads_served: registry.counter("cluster.reads_served"),
-            read_redirects: registry.counter("cluster.read_redirects"),
-            failovers: registry.counter("cluster.failovers"),
-            faults_injected: registry.counter("cluster.faults_injected"),
-            fenced_frames: registry.counter("cluster.fenced_frames"),
-            catchup_bytes: registry.counter("cluster.catchup_bytes"),
-            timing_violations: registry.counter("cluster.timing_violations"),
-            integrity_violations: registry.counter("cluster.integrity_violations"),
-            scrub_divergences: registry.counter("cluster.scrub_divergences"),
-            response_time: registry.histogram("cluster.response_time"),
-            read_latency: registry.histogram("cluster.read_latency"),
-            failover_time: registry.histogram("cluster.failover_time"),
-            recovery_time: registry.histogram("cluster.recovery_time"),
-            // Occupancy is a count of sub-messages, not a duration; the
-            // bucket bounds are message counts.
-            batch_occupancy: registry.histogram_with_bounds(
-                "cluster.batch_occupancy",
-                vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096],
-            ),
-        }
-    }
-}
-
-fn fault_name(fault: InjectedFault) -> &'static str {
-    match fault {
-        InjectedFault::PrimaryCrash => "primary_crash",
-        InjectedFault::BackupCrash => "backup_crash",
-        InjectedFault::BackupRecovery => "backup_recovery",
-        InjectedFault::Partition => "partition",
-        InjectedFault::PrimaryPartition => "primary_partition",
-        InjectedFault::LossBurst => "loss_burst",
-        InjectedFault::DelaySpike => "delay_spike",
-        InjectedFault::ClockStep => "clock_step",
-        InjectedFault::ClockDrift => "clock_drift",
-        InjectedFault::ClockFreeze => "clock_freeze",
-        InjectedFault::CorruptFrame => "corrupt_frame",
-        InjectedFault::CorruptState => "corrupt_state",
     }
 }
 
@@ -264,34 +187,6 @@ enum Event {
         record: usize,
         slot: usize,
     },
-}
-
-/// The updates a frame carries: the frame itself for a bare
-/// [`WireMessage::Update`], its members for a [`WireMessage::Batch`],
-/// none for anything else.
-fn carried_updates(msg: &WireMessage) -> &[WireMessage] {
-    match msg {
-        WireMessage::Update { .. } => std::slice::from_ref(msg),
-        WireMessage::Batch { messages, .. } => messages,
-        _ => &[],
-    }
-}
-
-/// The link-class rule: a frame rides the lossy data link when it
-/// carries updates or is catch-up traffic; any other frame is control
-/// traffic, exempt from loss while
-/// [`ClusterConfig::control_loss_exempt`] holds.
-fn rides_data_link(msg: &WireMessage) -> bool {
-    matches!(
-        msg,
-        WireMessage::Update { .. }
-            | WireMessage::Batch { .. }
-            | WireMessage::JoinRequest { .. }
-            | WireMessage::ResyncRequest { .. }
-            | WireMessage::StateTransfer { .. }
-            | WireMessage::ResyncDiff { .. }
-            | WireMessage::LogSuffix { .. }
-    )
 }
 
 /// A message encoded once for every destination [`ClusterWorld::route`]
@@ -391,23 +286,12 @@ struct ClusterWorld {
     /// The fault plan, sorted by injection time; `Event::FaultAt` indexes
     /// into this.
     plan: Vec<(Time, FaultEvent)>,
-    /// Open fault records awaiting attribution (detection / recovery),
-    /// keyed by the affected backup host where applicable. Values index
-    /// into [`ClusterMetrics::fault_report`].
-    pending_primary_crash: Option<usize>,
-    pending_backup_crash: BTreeMap<usize, usize>,
-    pending_recovery: BTreeMap<usize, usize>,
-    pending_partition: BTreeMap<usize, usize>,
+    /// Every injected fault's record, and the open ones awaiting
+    /// detection or recovery.
+    faults: FaultLedger,
     /// An active cut isolating the serving primary: `(record, until)`.
     /// Moves into [`DeposedPrimary`] if a backup promotes meanwhile.
     primary_partition: Option<(usize, Time)>,
-    /// Demoted ex-primaries awaiting their anti-entropy resync diff,
-    /// keyed by host index; values are fault-record indices.
-    pending_resync: BTreeMap<usize, usize>,
-    /// Open loss-burst / delay-spike records: `(record, host, until)`.
-    /// Detection is attributed to retransmission requests arriving from a
-    /// matching host before `until` plus a grace period.
-    window_faults: Vec<(usize, Option<usize>, Time)>,
     /// When the last overload shed happened (rate-limits shedding).
     last_shed_at: Option<Time>,
     /// Objects whose send timers fired inside the open coalescing window,
@@ -434,21 +318,11 @@ struct ClusterWorld {
     /// decisions without perturbing replay determinism. Empty entries
     /// (and an empty vec) read as the identity clock.
     clocks: Vec<ClockModel>,
-    /// Open clock-fault records as `(record, slot)`. The first
-    /// [`TimingViolation`](crate::monitor::TimingViolation) raised by any
-    /// node attributes detection to every open clock fault (the monitor
-    /// has no way to tell *whose* clock broke — only that the envelope
-    /// did).
-    open_clock_faults: Vec<(usize, usize)>,
     /// Bit rot scheduled by [`FaultEvent::CorruptState`], keyed by host:
     /// `(flips, record)`. The rot manifests at the host's *next*
     /// [`FaultEvent::RestartBackup`], when the retained store is read
     /// back and audited.
     pending_state_rot: BTreeMap<usize, (u32, usize)>,
-    /// `CorruptState` records whose rot was applied and detected at
-    /// restart, awaiting the catch-up frame that repairs the quarantined
-    /// objects (values index into [`ClusterMetrics::fault_report`]).
-    rot_recovery: BTreeMap<usize, usize>,
     /// Hosts whose own scrub check kicked off an anti-entropy resync
     /// (`ResyncStarted` emitted), awaiting the catch-up frame that closes
     /// it with a `ResyncCompleted`.
@@ -492,9 +366,9 @@ impl ClusterWorld {
         self.clocks.get(1 + i).map_or(global, |c| c.local(global))
     }
 
-    /// Surfaces a node's drained monitor events: counts violations into
-    /// `cluster.timing_violations`, emits the three §14 trace kinds, and
-    /// attributes detection to every still-open clock fault (the first
+    /// Surfaces a node's drained monitor events through the shared
+    /// telemetry step, one at a time: a violation also detects every
+    /// still-open clock fault right after it is emitted (the first
     /// violation is the protocol's reaction to the injected fault).
     fn forward_monitor(
         &mut self,
@@ -503,70 +377,11 @@ impl ClusterWorld {
         events: Vec<MonitorEvent>,
     ) {
         for event in events {
-            match event {
-                MonitorEvent::Violation(v) => {
-                    self.instruments.timing_violations.inc();
-                    ctx.emit(EventKind::TimingViolation {
-                        node,
-                        evidence: v.name().to_string(),
-                        observed_ns: v.observed_ns(),
-                        bound_ns: v.bound_ns(),
-                    });
-                    let now = ctx.now();
-                    let open: Vec<usize> = self.open_clock_faults.iter().map(|&(r, _)| r).collect();
-                    for record in open {
-                        if self.metrics.fault_report()[record].detected_at.is_none() {
-                            self.metrics.record_fault_detected(record, now);
-                            ctx.emit(EventKind::FaultDetected {
-                                record: record as u64,
-                            });
-                        }
-                    }
-                }
-                MonitorEvent::Degraded => {
-                    ctx.trace(format!("{node} temporally degraded: fast paths off"));
-                    ctx.emit(EventKind::MonitorDegraded { node });
-                }
-                MonitorEvent::Recovered => {
-                    ctx.trace(format!("{node} temporal envelope held: recovered"));
-                    ctx.emit(EventKind::MonitorRecovered { node });
-                }
-            }
-        }
-    }
-
-    /// Surfaces a node's drained integrity incidents: counts them into
-    /// `cluster.integrity_violations` / `cluster.scrub_divergences` and
-    /// mirrors each onto the event bus. Containment already happened
-    /// inside the state machine (frame dropped, record withheld, entry
-    /// quarantined); this is the observability half.
-    fn forward_integrity(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        node: NodeId,
-        events: Vec<IntegrityEvent>,
-    ) {
-        for event in events {
-            match event {
-                IntegrityEvent::Violation { source, object, .. } => {
-                    self.instruments.integrity_violations.inc();
-                    ctx.emit(EventKind::IntegrityViolation {
-                        node,
-                        source: source.name(),
-                        object: object.map_or(u64::MAX, |id| u64::from(id.index())),
-                    });
-                }
-                IntegrityEvent::ScrubDivergence { range, ranges } => {
-                    self.instruments.scrub_divergences.inc();
-                    ctx.trace(format!(
-                        "{node} scrub divergence in range {range}/{ranges}: repairing"
-                    ));
-                    ctx.emit(EventKind::ScrubDivergence {
-                        node,
-                        range: u64::from(range),
-                        ranges: u64::from(ranges),
-                    });
-                }
+            let violation = matches!(event, MonitorEvent::Violation(_));
+            self.instruments
+                .monitor_events(node, [event], |kind| ctx.emit(kind));
+            if violation {
+                self.faults.timing_violation(ctx);
             }
         }
     }
@@ -576,12 +391,7 @@ impl ClusterWorld {
     /// the retransmission machinery repairs the gap like a loss.
     fn note_corrupt_frame(&mut self, ctx: &mut Context<'_, Event>, node: NodeId) {
         self.corrupt_messages += 1;
-        self.instruments.integrity_violations.inc();
-        ctx.emit(EventKind::IntegrityViolation {
-            node,
-            source: "frame",
-            object: u64::MAX,
-        });
+        self.instruments.corrupt_frame(node, |kind| ctx.emit(kind));
     }
 
     /// The serving primary. Callers guard on `self.primary` being `Some`
@@ -622,8 +432,7 @@ impl ClusterWorld {
             .backup
             .as_ref()
             .is_some_and(|b| !b.join_in_progress())
-            && !self.pending_recovery.contains_key(&i)
-            && !self.pending_resync.contains_key(&i)
+            && !self.faults.reintegrating(i)
     }
 
     /// Whether the serving primary is currently cut off from every
@@ -631,24 +440,6 @@ impl ClusterWorld {
     /// either direction between the primary and the backups are dropped.
     fn primary_cut(&self, now: Time) -> bool {
         self.primary_partition.is_some_and(|(_, until)| now < until)
-    }
-
-    /// Counts and emits the stale-epoch frames a replica just fenced.
-    fn note_fenced(
-        &self,
-        ctx: &mut Context<'_, Event>,
-        node: NodeId,
-        local: Epoch,
-        stale: &[Epoch],
-    ) {
-        for &frame in stale {
-            self.instruments.fenced_frames.inc();
-            ctx.emit(EventKind::StaleEpochRejected {
-                node,
-                frame_epoch: frame.value(),
-                local_epoch: local.value(),
-            });
-        }
     }
 
     /// Encodes `msg` once: into a pooled send buffer, whose capacity
@@ -690,7 +481,7 @@ impl ClusterWorld {
     /// Puts one frame on the link between `from` and `to`: the only way a
     /// frame enters the simulated network. Every link joins a backup host
     /// to the primary role, and the frame takes that link's data or
-    /// control lane by [`rides_data_link`], after three gates:
+    /// control lane by [`WireMessage::rides_data_link`], after three gates:
     ///
     /// - a partition: frames to or from the serving primary die inside a
     ///   [`FaultEvent::PartitionPrimary`] cut, and frames to or from the
@@ -702,9 +493,9 @@ impl ClusterWorld {
     ///   put on a link, so it draws no randomness. Heartbeat probes are
     ///   the exception.
     ///
-    /// Update-carrying frames are counted as they leave: frames, batch
-    /// occupancy, updates sent and lost, and the per-object ledger when
-    /// the destination feeds the metrics.
+    /// Update-carrying frames are counted as they leave, through the
+    /// shared telemetry step, and in the per-object ledger when the
+    /// destination feeds the metrics.
     fn route(&mut self, ctx: &mut Context<'_, Event>, from: Peer, to: Peer, frame: &Encoded<'_>) {
         let now = ctx.now();
         let (host, outbound, end) = match (from, to) {
@@ -744,7 +535,7 @@ impl ClusterWorld {
         if outbound && !probe && self.hosts[host].backup.is_none() {
             return;
         }
-        let data = rides_data_link(frame.msg) || !self.config.control_loss_exempt;
+        let data = frame.msg.rides_data_link() || !self.config.control_loss_exempt;
         let h = &mut self.hosts[host];
         let link = match (outbound, data) {
             (true, true) => &mut h.data_link,
@@ -753,40 +544,13 @@ impl ClusterWorld {
             (false, false) => &mut h.rev_ctrl_link,
         };
         let outcome = link.transmit(now, bytes);
-        let updates = carried_updates(frame.msg);
-        if !updates.is_empty() {
-            let lost = outcome.is_lost();
-            self.instruments.frames_sent.inc();
-            if let WireMessage::Batch { messages, .. } = frame.msg {
-                let size = messages.len() as u64;
-                self.instruments.batch_occupancy.record_nanos(size);
-                ctx.emit(EventKind::BatchSent {
-                    to: to_node,
-                    size,
-                    lost,
-                });
-            }
-            for update in updates {
-                if let WireMessage::Update {
-                    object, version, ..
-                } = update
-                {
-                    self.instruments.updates_sent.inc();
-                    if lost {
-                        self.instruments.updates_lost.inc();
-                    }
-                    ctx.emit(EventKind::UpdateSent {
-                        object: *object,
-                        version: *version,
-                        to: to_node,
-                        lost,
-                    });
-                }
-            }
-            if self.metrics_host() == Some(host) {
-                for _ in updates {
-                    self.metrics.record_update_sent(lost);
-                }
+        let lost = outcome.is_lost();
+        let carried = self
+            .instruments
+            .frame_sent(to_node, frame.msg, lost, |kind| ctx.emit(kind));
+        if carried > 0 && self.metrics_host() == Some(host) {
+            for _ in 0..carried {
+                self.metrics.record_update_sent(lost);
             }
         }
         for at in outcome.arrivals() {
@@ -816,42 +580,38 @@ impl ClusterWorld {
             .as_ref()
             .and_then(|p| p.send_period(object))
             .unwrap_or(TimeDelta::from_millis(100));
-        let allowance = period
-            + self.config.protocol.coalesce_window
-            + self.config.protocol.link_delay_bound
-            + self.config.protocol.retransmit_slack;
-        (allowance / 2).max(TimeDelta::from_millis(1))
+        (self.config.protocol.refresh_allowance(period) / 2).max(TimeDelta::from_millis(1))
     }
 
-    /// Restart every per-object timer under a fresh epoch (after
-    /// registration, schedule recomputation, or backup integration).
+    /// Restarts every per-object timer under a fresh epoch (after
+    /// registration, schedule recomputation, or backup integration):
+    /// returns, for each object in id order, its send timer (if it has a
+    /// send period) and then its watchdog, each with the delay from now
+    /// at which the caller schedules it.
     ///
     /// First firings are phase-staggered across the period so the send
     /// workload interleaves like a real fixed-priority schedule instead of
-    /// arriving in one burst.
-    fn restart_object_timers(&mut self, ctx: &mut Context<'_, Event>) {
+    /// arriving in one burst. The §5.3 refresh budget of every sent object
+    /// is reset to its new period's allowance.
+    fn restart_object_timers(&mut self) -> Vec<(TimeDelta, Event)> {
         self.epoch += 1;
         let epoch = self.epoch;
-        let ids: Vec<ObjectId> = self.specs.keys().copied().collect();
-        for id in ids {
+        let mut timers = Vec::with_capacity(2 * self.specs.len());
+        for &id in self.specs.keys() {
             if let Some(period) = self.primary.as_ref().and_then(|p| p.send_period(id)) {
-                ctx.schedule_in(
+                timers.push((
                     send_phase(id, period),
                     Event::SendTimer { object: id, epoch },
-                );
-                // Like the backup watchdog, the §5.3 refresh budget must
-                // absorb the coalescing delay a batched update may incur.
-                self.metrics.set_refresh_allowance(
-                    id,
-                    period
-                        + self.config.protocol.coalesce_window
-                        + self.config.protocol.link_delay_bound
-                        + self.config.protocol.retransmit_slack,
-                );
+                ));
+                self.metrics
+                    .set_refresh_allowance(id, self.config.protocol.refresh_allowance(period));
             }
-            let wd = self.watchdog_interval(id);
-            ctx.schedule_in(wd, Event::WatchdogTimer { object: id, epoch });
+            timers.push((
+                self.watchdog_interval(id),
+                Event::WatchdogTimer { object: id, epoch },
+            ));
         }
+        timers
     }
 
     /// A backup's per-object freshness tags: `(write_epoch, version)` for
@@ -940,7 +700,6 @@ impl ClusterWorld {
             return;
         };
         let now = ctx.now();
-        ctx.trace(format!("{} taking over as primary", self.hosts[host].node));
         ctx.emit(EventKind::RoleTransition {
             node: self.hosts[host].node,
             from: Role::Backup,
@@ -962,14 +721,9 @@ impl ClusterWorld {
         if let Some(duration) = self.metrics.failover_duration() {
             self.instruments.failover_time.record(duration);
         }
-        if let Some(record) = self.pending_primary_crash.take() {
-            // Failover completion ends the primary-crash fault: the
-            // service is serving again.
-            self.metrics.record_fault_recovered(record, now);
-            ctx.emit(EventKind::FaultRecovered {
-                record: record as u64,
-            });
-        }
+        // Failover completion ends the primary-crash fault: the service
+        // is serving again.
+        self.faults.recover_pending(ctx, Pending::PrimaryCrash);
         // Surviving backups track the new primary and re-join (the
         // multi-backup extension).
         let survivors: Vec<usize> = self
@@ -980,14 +734,12 @@ impl ClusterWorld {
             .map(|(i, _)| i)
             .collect();
         for i in survivors {
-            let node = self.hosts[i].node;
             let local = self.backup_local(i, now);
             let join = self.hosts[i].backup.as_mut().map(|b| {
                 b.rearm(local);
                 b.begin_join(local)
             });
             if let Some(join) = join {
-                ctx.trace(format!("{node} re-joining the new primary"));
                 self.send(ctx, Peer::Backup(i), Peer::Primary, &join);
             }
         }
@@ -1010,10 +762,6 @@ impl ClusterWorld {
         let Some(old) = self.primary.take() else {
             return;
         };
-        ctx.trace(format!(
-            "{} deposed behind the partition: split-brain window opens",
-            old.node()
-        ));
         self.deposed = Some(DeposedPrimary {
             primary: old,
             cut_until: until,
@@ -1037,9 +785,6 @@ impl ClusterWorld {
         let node = dep.primary.node();
         let from_epoch = dep.primary.epoch().value();
         let to_epoch = dep.primary.observed_epoch().value();
-        ctx.trace(format!(
-            "{node} saw epoch#{to_epoch} (own: epoch#{from_epoch}): demoting, resyncing"
-        ));
         ctx.emit(EventKind::PrimaryDemoted {
             node,
             from_epoch,
@@ -1061,7 +806,7 @@ impl ClusterWorld {
         let mut host = BackupHost::new(node, index, &self.config);
         host.backup = Some(backup);
         self.hosts.push(host);
-        self.pending_resync.insert(index, dep.record);
+        self.faults.watch(Pending::Resync(index), dep.record);
         self.send(ctx, Peer::Backup(index), Peer::Primary, &resync);
     }
 
@@ -1131,8 +876,10 @@ impl ClusterWorld {
         let monitor_events = backup.drain_monitor_events();
         let integrity_events = backup.drain_integrity_events();
         self.forward_monitor(ctx, node, monitor_events);
-        self.forward_integrity(ctx, node, integrity_events);
-        self.note_fenced(ctx, node, local_epoch, &out.stale_rejected);
+        self.instruments
+            .integrity_events(node, integrity_events, |k| ctx.emit(k));
+        self.instruments
+            .fenced(node, local_epoch, &out.stale_rejected, |k| ctx.emit(k));
         if matches!(
             frame,
             WireFrame::StateTransfer { .. }
@@ -1142,36 +889,25 @@ impl ClusterWorld {
             // Any catch-up frame (full transfer, anti-entropy diff, or
             // log suffix) completes re-integration: a recovering replica
             // is consistent again once it lands.
-            if let Some(record) = self.pending_recovery.remove(&host) {
-                let injected = self.metrics.fault_report()[record].injected_at;
+            if let Some(record) = self.faults.take(Pending::Recovery(host)) {
+                let injected = self.faults.records()[record].injected_at;
                 self.instruments
                     .recovery_time
                     .record(ctx.now().saturating_since(injected));
-                self.metrics.record_fault_recovered(record, ctx.now());
-                ctx.emit(EventKind::FaultRecovered {
-                    record: record as u64,
-                });
+                self.faults.recover(ctx, record);
             }
-            if let Some(record) = self.pending_resync.remove(&host) {
+            if let Some(record) = self.faults.take(Pending::Resync(host)) {
                 ctx.emit(EventKind::ResyncCompleted { node });
-                self.metrics.record_fault_recovered(record, ctx.now());
-                ctx.emit(EventKind::FaultRecovered {
-                    record: record as u64,
-                });
+                self.faults.recover(ctx, record);
             }
             if self.scrub_repair.remove(&host) {
                 // The diff landed: the scrub-triggered anti-entropy
                 // repair is complete.
                 ctx.emit(EventKind::ResyncCompleted { node });
             }
-            if let Some(record) = self.rot_recovery.remove(&host) {
-                // The catch-up frame re-shipped the quarantined objects:
-                // the store rot is repaired.
-                self.metrics.record_fault_recovered(record, ctx.now());
-                ctx.emit(EventKind::FaultRecovered {
-                    record: record as u64,
-                });
-            }
+            // The catch-up frame re-shipped the quarantined objects: the
+            // store rot is repaired.
+            self.faults.recover_pending(ctx, Pending::Rot(host));
         }
         for (object, version, write_ts) in &out.applied {
             ctx.emit(EventKind::UpdateApplied {
@@ -1190,7 +926,7 @@ impl ClusterWorld {
             // check kicking off anti-entropy (DESIGN.md §15).
             if let WireMessage::ResyncRequest { versions, .. } = &reply {
                 if from != Peer::Deposed
-                    && !self.pending_resync.contains_key(&host)
+                    && self.faults.pending(Pending::Resync(host)).is_none()
                     && self.scrub_repair.insert(host)
                 {
                     ctx.emit(EventKind::ResyncStarted {
@@ -1222,7 +958,8 @@ impl ClusterWorld {
         let node = dep.primary.node();
         let local_epoch = dep.primary.epoch();
         let superseded = dep.primary.is_deposed();
-        self.note_fenced(ctx, node, local_epoch, &out.stale_rejected);
+        self.instruments
+            .fenced(node, local_epoch, &out.stale_rejected, |k| ctx.emit(k));
         if superseded {
             self.demote_deposed(ctx);
         }
@@ -1246,28 +983,7 @@ impl ClusterWorld {
                     node: h.node,
                 });
             }
-            // A retransmission request arriving during (or shortly after)
-            // a loss burst / delay spike is how those faults manifest:
-            // attribute detection and count the retry against the record.
-            let now = ctx.now();
-            let grace = TimeDelta::from_secs(1);
-            let mut hit = Vec::new();
-            self.window_faults.retain(|&(record, affected, until)| {
-                if now > until + grace {
-                    return false;
-                }
-                if affected.is_none() || affected == Some(host) {
-                    hit.push(record);
-                }
-                true
-            });
-            for record in hit {
-                self.metrics.record_fault_detected(record, now);
-                self.metrics.add_fault_retry(record);
-                ctx.emit(EventKind::FaultDetected {
-                    record: record as u64,
-                });
-            }
+            self.faults.retransmit_requested(ctx, host);
         }
         let local_now = self.primary_local(ctx.now());
         let (out, p_epoch, monitor_events, integrity_events) = {
@@ -1278,19 +994,12 @@ impl ClusterWorld {
             (out, primary.epoch(), events, integrity)
         };
         self.forward_monitor(ctx, p_node, monitor_events);
-        self.forward_integrity(ctx, p_node, integrity_events);
-        self.note_fenced(ctx, p_node, p_epoch, &out.stale_rejected);
+        self.instruments
+            .integrity_events(p_node, integrity_events, |k| ctx.emit(k));
+        self.instruments
+            .fenced(p_node, p_epoch, &out.stale_rejected, |k| ctx.emit(k));
         if let Some(plan) = &out.catch_up {
-            // The catch-up decision is the tentpole trace point: which of
-            // the three re-integration paths ran, and at what cost.
-            self.instruments.catchup_bytes.add(plan.bytes);
-            ctx.emit(EventKind::CatchUpPlan {
-                node: plan.node,
-                path: plan.path.name().to_string(),
-                gap: plan.gap,
-                records: plan.records,
-                bytes: plan.bytes,
-            });
+            self.instruments.catch_up_plan(plan, |kind| ctx.emit(kind));
             self.catch_up_plans.push(plan.clone());
         }
         for reply in out.replies {
@@ -1306,7 +1015,6 @@ impl ClusterWorld {
             }
         }
         if out.backup_joined {
-            ctx.trace("new backup integrated");
             let now = ctx.now();
             if let Some(h) = self.hosts.get(host) {
                 ctx.emit(EventKind::RoleTransition {
@@ -1315,26 +1023,11 @@ impl ClusterWorld {
                     to: Role::Backup,
                 });
             }
-            if let Some(&record) = self.pending_recovery.get(&host) {
-                // The primary accepted the recovering replica back; the
-                // recovery itself completes when the state transfer lands.
-                self.metrics.record_fault_detected(record, now);
-                ctx.emit(EventKind::FaultDetected {
-                    record: record as u64,
-                });
-            }
-            if let Some(record) = self.pending_partition.remove(&host) {
-                self.metrics.record_fault_recovered(record, now);
-                ctx.emit(EventKind::FaultRecovered {
-                    record: record as u64,
-                });
-            }
-            if let Some(record) = self.pending_backup_crash.remove(&host) {
-                self.metrics.record_fault_recovered(record, now);
-                ctx.emit(EventKind::FaultRecovered {
-                    record: record as u64,
-                });
-            }
+            // The primary accepted the recovering replica back; the
+            // recovery itself completes when the state transfer lands.
+            self.faults.detect_pending(ctx, Pending::Recovery(host));
+            self.faults.recover_pending(ctx, Pending::Partition(host));
+            self.faults.recover_pending(ctx, Pending::BackupCrash(host));
             // Re-sync registrations the joining host missed while it was
             // crashed or partitioned away (object *state* arrives via the
             // state-transfer reply already in flight).
@@ -1351,7 +1044,9 @@ impl ClusterWorld {
                     }
                 }
             }
-            self.restart_object_timers(ctx);
+            for (delay, event) in self.restart_object_timers() {
+                ctx.schedule_in(delay, event);
+            }
         }
     }
 
@@ -1361,28 +1056,18 @@ impl ClusterWorld {
         let Some(node) = self.primary.as_ref().map(Primary::node) else {
             return;
         };
-        ctx.trace("primary crashed");
-        let record = self
-            .metrics
-            .record_fault_injected(InjectedFault::PrimaryCrash, ctx.now());
-        self.note_injected(ctx, InjectedFault::PrimaryCrash, record);
+        self.faults.inject(
+            ctx,
+            InjectedFault::PrimaryCrash,
+            Watch::Step(Pending::PrimaryCrash),
+        );
         ctx.emit(EventKind::RoleTransition {
             node,
             from: Role::Primary,
             to: Role::Down,
         });
-        self.pending_primary_crash = Some(record);
         self.primary = None;
         self.cpu.clear();
-    }
-
-    /// Counts and emits one injected fault.
-    fn note_injected(&self, ctx: &mut Context<'_, Event>, fault: InjectedFault, record: usize) {
-        self.instruments.faults_injected.inc();
-        ctx.emit(EventKind::FaultInjected {
-            fault: fault_name(fault).to_string(),
-            record: record as u64,
-        });
     }
 
     /// Kills one backup host (crash fault). The primary's failure
@@ -1394,22 +1079,21 @@ impl ClusterWorld {
         if h.backup.is_none() {
             return;
         }
-        ctx.trace(format!("backup {} crashed", h.node));
         let node = h.node;
         // Park the state machine: if the host later restarts (rather than
         // recovering cold) its durable store survives the crash and the
         // rejoin can catch up from its log position.
         h.parked = h.backup.take();
-        let record = self
-            .metrics
-            .record_fault_injected(InjectedFault::BackupCrash, ctx.now());
-        self.note_injected(ctx, InjectedFault::BackupCrash, record);
+        self.faults.inject(
+            ctx,
+            InjectedFault::BackupCrash,
+            Watch::Step(Pending::BackupCrash(host)),
+        );
         ctx.emit(EventKind::RoleTransition {
             node,
             from: Role::Backup,
             to: Role::Down,
         });
-        self.pending_backup_crash.insert(host, record);
     }
 
     /// Restarts a crashed backup host. The replica comes back empty and
@@ -1425,7 +1109,6 @@ impl ClusterWorld {
             if h.backup.is_some() {
                 return;
             }
-            ctx.trace(format!("backup {} recovering", h.node));
             // Cold recovery: whatever state the crash left behind is gone.
             h.parked = None;
             let mut backup = Backup::new(h.node, self.config.protocol.clone());
@@ -1441,17 +1124,24 @@ impl ClusterWorld {
             h.backup = Some(backup);
             join
         };
-        let record = self
-            .metrics
-            .record_fault_injected(InjectedFault::BackupRecovery, now);
-        self.note_injected(ctx, InjectedFault::BackupRecovery, record);
+        self.rejoin(ctx, host, &join);
+    }
+
+    /// A restarted backup host re-joins the serving primary: opens the
+    /// restart's fault record, which the host's catch-up frame closes, and
+    /// sends the join request.
+    fn rejoin(&mut self, ctx: &mut Context<'_, Event>, host: usize, join: &WireMessage) {
+        self.faults.inject(
+            ctx,
+            InjectedFault::BackupRecovery,
+            Watch::Step(Pending::Recovery(host)),
+        );
         ctx.emit(EventKind::RoleTransition {
             node: self.hosts[host].node,
             from: Role::Down,
             to: Role::Joining,
         });
-        self.pending_recovery.insert(host, record);
-        self.send(ctx, Peer::Backup(host), Peer::Primary, &join);
+        self.send(ctx, Peer::Backup(host), Peer::Primary, join);
     }
 
     /// Restarts a crashed backup host with its pre-crash state intact
@@ -1476,13 +1166,6 @@ impl ClusterWorld {
                 self.recover_backup(ctx, host);
                 return;
             };
-            ctx.trace(format!(
-                "backup {} restarting with durable state at {}",
-                h.node,
-                backup
-                    .log_position()
-                    .map_or_else(|| "log start".to_string(), |p| p.to_string())
-            ));
             // Scheduled bit rot manifests now, when the durable store is
             // read back: flip one byte in each of the first `flips`
             // retained images (deterministic — part of the fault plan,
@@ -1511,47 +1194,63 @@ impl ClusterWorld {
             h.backup = Some(backup);
             (join, integrity_events, node, rotted)
         };
-        self.forward_integrity(ctx, node, integrity_events);
-        if let Some((_, rot_record)) = rot {
-            if rotted {
-                // The restart audit caught the rot: detection is this
-                // instant; recovery is the catch-up frame that re-ships
-                // the quarantined objects.
-                self.metrics.record_fault_detected(rot_record, now);
-                ctx.emit(EventKind::FaultDetected {
-                    record: rot_record as u64,
-                });
-                self.rot_recovery.insert(host, rot_record);
-            }
+        self.instruments
+            .integrity_events(node, integrity_events, |k| ctx.emit(k));
+        if let Some((_, rot_record)) = rot.filter(|_| rotted) {
+            // The restart audit caught the rot: detection is this
+            // instant; recovery is the catch-up frame that re-ships the
+            // quarantined objects.
+            self.faults.detect(ctx, rot_record);
+            self.faults.watch(Pending::Rot(host), rot_record);
         }
-        let record = self
-            .metrics
-            .record_fault_injected(InjectedFault::BackupRecovery, now);
-        self.note_injected(ctx, InjectedFault::BackupRecovery, record);
-        ctx.emit(EventKind::RoleTransition {
-            node: self.hosts[host].node,
-            from: Role::Down,
-            to: Role::Joining,
-        });
-        self.pending_recovery.insert(host, record);
-        self.send(ctx, Peer::Backup(host), Peer::Primary, &join);
+        self.rejoin(ctx, host, &join);
     }
 
-    /// Pushes a time-windowed fault onto the primary→backup data path of
-    /// one host (or every host).
-    fn push_data_window(&mut self, host: Option<usize>, window: FaultWindow) {
-        match host {
-            Some(i) => {
-                if let Some(h) = self.hosts.get_mut(i) {
-                    h.data_link.push_window(window);
-                }
-            }
-            None => {
-                for h in &mut self.hosts {
-                    h.data_link.push_window(window);
-                }
+    /// Opens a time-windowed fault of `kind` on the primary→backup data
+    /// path of one host (every host if `host` is `None`) for `duration`.
+    /// Its record waits for the retransmission requests the window
+    /// provokes; the window heals on its own.
+    fn data_window_fault(
+        &mut self,
+        ctx: &mut Context<'_, Event>,
+        fault: InjectedFault,
+        host: Option<usize>,
+        duration: TimeDelta,
+        kind: FaultKind,
+    ) {
+        let from = ctx.now();
+        let until = from + duration;
+        let record = self
+            .faults
+            .inject(ctx, fault, Watch::Window { host, until });
+        let window = FaultWindow { from, until, kind };
+        for (i, h) in self.hosts.iter_mut().enumerate() {
+            if host.is_none_or(|only| only == i) {
+                h.data_link.push_window(window);
             }
         }
+        ctx.schedule_at(until, Event::FaultHealed { record, host });
+    }
+
+    /// Perturbs the clock of backup host `host`'s role slot (the
+    /// primary's if `None`) and opens the fault's record: the first
+    /// timing violation detects it, and the clock is disciplined back
+    /// after `duration`.
+    fn clock_fault(
+        &mut self,
+        ctx: &mut Context<'_, Event>,
+        fault: InjectedFault,
+        host: Option<usize>,
+        duration: TimeDelta,
+        perturb: impl FnOnce(&mut ClockModel),
+    ) {
+        let slot = host.map_or(0, |h| 1 + h);
+        perturb(self.clock_mut(slot));
+        let record = self.faults.inject(ctx, fault, Watch::Clock);
+        ctx.schedule_at(
+            ctx.now() + duration,
+            Event::ClockFaultHealed { record, slot },
+        );
     }
 
     /// Executes one scheduled [`FaultEvent`] at the current instant.
@@ -1576,12 +1275,11 @@ impl ClusterWorld {
                 h.ctrl_link.push_window(window);
                 h.rev_data_link.push_window(window);
                 h.rev_ctrl_link.push_window(window);
-                ctx.trace(format!("partition: {} cut off until {until}", h.node));
-                let record = self
-                    .metrics
-                    .record_fault_injected(InjectedFault::Partition, now);
-                self.note_injected(ctx, InjectedFault::Partition, record);
-                self.pending_partition.insert(host, record);
+                let record = self.faults.inject(
+                    ctx,
+                    InjectedFault::Partition,
+                    Watch::Step(Pending::Partition(host)),
+                );
                 ctx.schedule_at(
                     until,
                     Event::FaultHealed {
@@ -1595,56 +1293,51 @@ impl ClusterWorld {
                     return;
                 }
                 let until = now + duration;
-                ctx.trace(format!("partition: primary cut off until {until}"));
-                let record = self
-                    .metrics
-                    .record_fault_injected(InjectedFault::PrimaryPartition, now);
-                self.note_injected(ctx, InjectedFault::PrimaryPartition, record);
+                let record =
+                    self.faults
+                        .inject(ctx, InjectedFault::PrimaryPartition, Watch::Caller);
                 self.primary_partition = Some((record, until));
                 ctx.schedule_at(until, Event::FaultHealed { record, host: None });
             }
+            // Plans are declarative data: clamp rather than panic on an
+            // out-of-range probability.
             FaultEvent::LossBurst {
                 host,
                 duration,
                 loss,
-            } => {
-                let until = now + duration;
-                // Plans are declarative data: clamp rather than panic on
-                // an out-of-range probability.
-                let window = FaultWindow {
-                    from: now,
-                    until,
-                    kind: FaultKind::Loss(loss.clamp(0.0, 1.0)),
-                };
-                let record = self
-                    .metrics
-                    .record_fault_injected(InjectedFault::LossBurst, now);
-                self.note_injected(ctx, InjectedFault::LossBurst, record);
-                self.push_data_window(host, window);
-                ctx.trace(format!("loss burst ({loss}) until {until}"));
-                self.window_faults.push((record, host, until));
-                ctx.schedule_at(until, Event::FaultHealed { record, host });
-            }
+            } => self.data_window_fault(
+                ctx,
+                InjectedFault::LossBurst,
+                host,
+                duration,
+                FaultKind::Loss(loss.clamp(0.0, 1.0)),
+            ),
             FaultEvent::DelaySpike {
                 host,
                 duration,
                 extra,
-            } => {
-                let until = now + duration;
-                let window = FaultWindow {
-                    from: now,
-                    until,
-                    kind: FaultKind::DelaySpike(extra),
-                };
-                let record = self
-                    .metrics
-                    .record_fault_injected(InjectedFault::DelaySpike, now);
-                self.note_injected(ctx, InjectedFault::DelaySpike, record);
-                self.push_data_window(host, window);
-                ctx.trace(format!("delay spike (+{extra}) until {until}"));
-                self.window_faults.push((record, host, until));
-                ctx.schedule_at(until, Event::FaultHealed { record, host });
-            }
+            } => self.data_window_fault(
+                ctx,
+                InjectedFault::DelaySpike,
+                host,
+                duration,
+                FaultKind::DelaySpike(extra),
+            ),
+            // Corrupted frames are dropped at the receiver's CRC check, so
+            // the fault manifests exactly like loss: the retransmission
+            // requests it provokes attribute detection, same as a loss
+            // burst.
+            FaultEvent::CorruptFrame {
+                host,
+                duration,
+                probability,
+            } => self.data_window_fault(
+                ctx,
+                InjectedFault::CorruptFrame,
+                host,
+                duration,
+                FaultKind::Corrupt(probability.clamp(0.0, 1.0)),
+            ),
             FaultEvent::SetLoss { loss } => {
                 // A sweep knob, not a fault: adjusts the steady-state loss
                 // probability on every primary→backup data path without
@@ -1653,92 +1346,33 @@ impl ClusterWorld {
                 for h in &mut self.hosts {
                     h.data_link.set_loss_probability(p);
                 }
-                ctx.trace(format!("data-path loss probability set to {p}"));
             }
             FaultEvent::ClockStep {
                 host,
                 offset,
                 backward,
                 duration,
-            } => {
-                let slot = host.map_or(0, |h| 1 + h);
-                let until = now + duration;
-                let clock = self.clock_mut(slot);
+            } => self.clock_fault(ctx, InjectedFault::ClockStep, host, duration, |clock| {
                 if backward {
                     clock.step_behind(now, offset);
                 } else {
                     clock.step_ahead(now, offset);
                 }
-                let record = self
-                    .metrics
-                    .record_fault_injected(InjectedFault::ClockStep, now);
-                self.note_injected(ctx, InjectedFault::ClockStep, record);
-                let dir = if backward { "back" } else { "ahead" };
-                ctx.trace(format!(
-                    "clock slot {slot} stepped {dir} by {offset} until {until}"
-                ));
-                self.open_clock_faults.push((record, slot));
-                ctx.schedule_at(until, Event::ClockFaultHealed { record, slot });
-            }
+            }),
+            // Plans are declarative data: clamp a zero denominator rather
+            // than panic.
             FaultEvent::ClockDrift {
                 host,
                 rate_num,
                 rate_den,
                 duration,
-            } => {
-                let slot = host.map_or(0, |h| 1 + h);
-                let until = now + duration;
-                // Plans are declarative data: clamp a zero denominator
-                // rather than panic.
-                let den = rate_den.max(1);
-                self.clock_mut(slot).set_rate(now, rate_num, den);
-                let record = self
-                    .metrics
-                    .record_fault_injected(InjectedFault::ClockDrift, now);
-                self.note_injected(ctx, InjectedFault::ClockDrift, record);
-                ctx.trace(format!(
-                    "clock slot {slot} drifting at {rate_num}/{den} until {until}"
-                ));
-                self.open_clock_faults.push((record, slot));
-                ctx.schedule_at(until, Event::ClockFaultHealed { record, slot });
-            }
+            } => self.clock_fault(ctx, InjectedFault::ClockDrift, host, duration, |clock| {
+                clock.set_rate(now, rate_num, rate_den.max(1));
+            }),
             FaultEvent::ClockFreeze { host, duration } => {
-                let slot = host.map_or(0, |h| 1 + h);
-                let until = now + duration;
-                self.clock_mut(slot).freeze(now);
-                let record = self
-                    .metrics
-                    .record_fault_injected(InjectedFault::ClockFreeze, now);
-                self.note_injected(ctx, InjectedFault::ClockFreeze, record);
-                ctx.trace(format!("clock slot {slot} frozen until {until}"));
-                self.open_clock_faults.push((record, slot));
-                ctx.schedule_at(until, Event::ClockFaultHealed { record, slot });
-            }
-            FaultEvent::CorruptFrame {
-                host,
-                duration,
-                probability,
-            } => {
-                let until = now + duration;
-                // Plans are declarative data: clamp rather than panic on
-                // an out-of-range probability.
-                let window = FaultWindow {
-                    from: now,
-                    until,
-                    kind: FaultKind::Corrupt(probability.clamp(0.0, 1.0)),
-                };
-                let record = self
-                    .metrics
-                    .record_fault_injected(InjectedFault::CorruptFrame, now);
-                self.note_injected(ctx, InjectedFault::CorruptFrame, record);
-                self.push_data_window(host, window);
-                ctx.trace(format!("frame corruption ({probability}) until {until}"));
-                // Corrupted frames are dropped at the receiver's CRC
-                // check, so the fault manifests exactly like loss: the
-                // retransmission requests it provokes attribute
-                // detection, same as a loss burst.
-                self.window_faults.push((record, host, until));
-                ctx.schedule_at(until, Event::FaultHealed { record, host });
+                self.clock_fault(ctx, InjectedFault::ClockFreeze, host, duration, |clock| {
+                    clock.freeze(now);
+                });
             }
             FaultEvent::CorruptState { host, flips } => {
                 // Bit rot on the durable store is latent: nothing
@@ -1746,12 +1380,8 @@ impl ClusterWorld {
                 // the rotted images back (see `restart_backup`, where
                 // detection is attributed to the recovery audit).
                 let record = self
-                    .metrics
-                    .record_fault_injected(InjectedFault::CorruptState, now);
-                self.note_injected(ctx, InjectedFault::CorruptState, record);
-                ctx.trace(format!(
-                    "store rot scheduled for host {host}: {flips} flipped images"
-                ));
+                    .faults
+                    .inject(ctx, InjectedFault::CorruptState, Watch::Caller);
                 let entry = self.pending_state_rot.entry(host).or_insert((0, record));
                 entry.0 += flips;
             }
@@ -1850,7 +1480,6 @@ impl World for ClusterWorld {
                         .as_mut()
                         .and_then(Primary::shed_lowest_criticality);
                     if let Some(shed) = shed {
-                        ctx.trace(format!("overload: shedding {shed}"));
                         ctx.emit(EventKind::ObjectShed { object: shed });
                         self.last_shed_at = Some(ctx.now());
                         self.specs.remove(&shed);
@@ -1964,7 +1593,6 @@ impl World for ClusterWorld {
                         .as_mut()
                         .and_then(|b| b.tick_watchdog(object, local));
                     if let Some(request) = request {
-                        ctx.trace(format!("watchdog retransmit request for {object}"));
                         self.send(ctx, Peer::Backup(i), Peer::Primary, &request);
                     }
                 }
@@ -1983,7 +1611,8 @@ impl World for ClusterWorld {
                 let monitor_events = primary.drain_monitor_events();
                 let integrity_events = primary.drain_integrity_events();
                 self.forward_monitor(ctx, primary_node, monitor_events);
-                self.forward_integrity(ctx, primary_node, integrity_events);
+                self.instruments
+                    .integrity_events(primary_node, integrity_events, |k| ctx.emit(k));
                 for (dest, ping) in round.pings {
                     ctx.emit(EventKind::HeartbeatSent {
                         from: primary_node,
@@ -1995,25 +1624,13 @@ impl World for ClusterWorld {
                     }
                 }
                 for dead in round.died {
-                    ctx.trace(format!("primary declared {dead} dead"));
                     ctx.emit(EventKind::HeartbeatMissed {
                         from: primary_node,
                         peer: dead,
                     });
                     if let Some(i) = self.hosts.iter().position(|h| h.node == dead) {
-                        let now = ctx.now();
-                        if let Some(&record) = self.pending_backup_crash.get(&i) {
-                            self.metrics.record_fault_detected(record, now);
-                            ctx.emit(EventKind::FaultDetected {
-                                record: record as u64,
-                            });
-                        }
-                        if let Some(&record) = self.pending_partition.get(&i) {
-                            self.metrics.record_fault_detected(record, now);
-                            ctx.emit(EventKind::FaultDetected {
-                                record: record as u64,
-                            });
-                        }
+                        self.faults.detect_pending(ctx, Pending::BackupCrash(i));
+                        self.faults.detect_pending(ctx, Pending::Partition(i));
                     }
                     if self.primary.as_ref().is_some_and(|p| !p.is_backup_alive()) {
                         if let Some(delay) = self.config.recruit_backup_after {
@@ -2038,7 +1655,8 @@ impl World for ClusterWorld {
                     let integrity_events = backup.drain_integrity_events();
                     let backup_node = self.hosts[i].node;
                     self.forward_monitor(ctx, backup_node, monitor_events);
-                    self.forward_integrity(ctx, backup_node, integrity_events);
+                    self.instruments
+                        .integrity_events(backup_node, integrity_events, |k| ctx.emit(k));
                     if let Some(ping) = ping {
                         ctx.emit(EventKind::HeartbeatSent {
                             from: self.hosts[i].node,
@@ -2047,30 +1665,15 @@ impl World for ClusterWorld {
                         self.send(ctx, Peer::Backup(i), Peer::Primary, &ping);
                     }
                     if primary_died {
-                        let now = ctx.now();
-                        ctx.trace(format!("{} declared primary dead", self.hosts[i].node));
                         ctx.emit(EventKind::HeartbeatMissed {
                             from: self.hosts[i].node,
                             peer: primary_node,
                         });
-                        self.metrics.record_failover_started(now);
-                        if let Some(record) = self.pending_primary_crash {
-                            self.metrics.record_fault_detected(record, now);
-                            ctx.emit(EventKind::FaultDetected {
-                                record: record as u64,
-                            });
-                        }
-                        if let Some(&record) = self.pending_partition.get(&i) {
-                            self.metrics.record_fault_detected(record, now);
-                            ctx.emit(EventKind::FaultDetected {
-                                record: record as u64,
-                            });
-                        }
+                        self.metrics.record_failover_started(ctx.now());
+                        self.faults.detect_pending(ctx, Pending::PrimaryCrash);
+                        self.faults.detect_pending(ctx, Pending::Partition(i));
                         if let Some((record, _)) = self.primary_partition {
-                            self.metrics.record_fault_detected(record, now);
-                            ctx.emit(EventKind::FaultDetected {
-                                record: record as u64,
-                            });
+                            self.faults.detect(ctx, record);
                         }
                         if self.config.auto_failover && self.primary.is_none() {
                             // First detector to fire takes over.
@@ -2104,16 +1707,7 @@ impl World for ClusterWorld {
                         .as_mut()
                         .and_then(|b| b.tick_join(local));
                     if let Some(join) = retry {
-                        let record = self
-                            .pending_recovery
-                            .get(&i)
-                            .or_else(|| self.pending_partition.get(&i))
-                            .or_else(|| self.pending_resync.get(&i))
-                            .copied();
-                        if let Some(record) = record {
-                            self.metrics.add_fault_retry(record);
-                        }
-                        ctx.trace(format!("{} retrying join", self.hosts[i].node));
+                        self.faults.join_retried(i);
                         self.send(ctx, Peer::Backup(i), Peer::Primary, &join);
                     }
                 }
@@ -2171,10 +1765,7 @@ impl World for ClusterWorld {
                     // auto-failover is off): the primary never lost its
                     // role, so restored connectivity is recovery.
                     self.primary_partition = None;
-                    self.metrics.record_fault_recovered(record, now);
-                    ctx.emit(EventKind::FaultRecovered {
-                        record: record as u64,
-                    });
+                    self.faults.recover(ctx, record);
                     return;
                 }
                 if self.deposed.as_ref().is_some_and(|d| d.record == record) {
@@ -2183,31 +1774,7 @@ impl World for ClusterWorld {
                     // the successor's cluster.
                     return;
                 }
-                let partition_host = self
-                    .pending_partition
-                    .iter()
-                    .find(|&(_, &r)| r == record)
-                    .map(|(&i, _)| i);
-                if let Some(i) = partition_host {
-                    // A cut shorter than the detection bound heals
-                    // silently; close the record now. Detected cuts stay
-                    // open until the severed replica rejoins.
-                    let detected = self.metrics.fault_report()[record].detected_at.is_some();
-                    if !detected {
-                        self.pending_partition.remove(&i);
-                        self.metrics.record_fault_recovered(record, now);
-                        ctx.emit(EventKind::FaultRecovered {
-                            record: record as u64,
-                        });
-                    }
-                } else {
-                    // Loss bursts and delay spikes end when their window
-                    // closes.
-                    self.metrics.record_fault_recovered(record, now);
-                    ctx.emit(EventKind::FaultRecovered {
-                        record: record as u64,
-                    });
-                }
+                self.faults.window_closed(ctx, record);
             }
             Event::ClockFaultHealed { record, slot } => {
                 // Clock discipline snaps the slot's local reading back
@@ -2216,12 +1783,7 @@ impl World for ClusterWorld {
                 // envelope holds for the full quiet period.
                 let now = ctx.now();
                 self.clock_mut(slot).heal(now);
-                self.open_clock_faults.retain(|&(r, _)| r != record);
-                ctx.trace(format!("clock slot {slot} disciplined back to global time"));
-                self.metrics.record_fault_recovered(record, now);
-                ctx.emit(EventKind::FaultRecovered {
-                    record: record as u64,
-                });
+                self.faults.clock_healed(ctx, record);
             }
             Event::RecruitBackup => {
                 if self.primary.is_none() || self.live_backup_count() > 0 {
@@ -2229,7 +1791,6 @@ impl World for ClusterWorld {
                 }
                 let node = NodeId::new(self.next_node);
                 self.next_node += 1;
-                ctx.trace(format!("recruiting {node} as new backup"));
                 ctx.emit(EventKind::RoleTransition {
                     node,
                     from: Role::Down,
@@ -2335,6 +1896,7 @@ impl SimCluster {
         let next_node = 1 + config.num_backups as u16;
         let plan = config.fault_plan.events();
         let instruments = Instruments::from_registry(&config.registry);
+        let faults = FaultLedger::new(&config.registry);
         let world = ClusterWorld {
             primary: Some(primary),
             deposed: None,
@@ -2349,32 +1911,22 @@ impl SimCluster {
             write_counter: 0,
             corrupt_messages: 0,
             plan,
-            pending_primary_crash: None,
-            pending_backup_crash: BTreeMap::new(),
-            pending_recovery: BTreeMap::new(),
-            pending_partition: BTreeMap::new(),
+            faults,
             primary_partition: None,
-            pending_resync: BTreeMap::new(),
-            window_faults: Vec::new(),
             last_shed_at: None,
             pending_batch: Vec::new(),
             batch_flush_scheduled: false,
             catch_up_plans: Vec::new(),
             send_pool: BufPool::new(),
             clocks: Vec::new(),
-            open_clock_faults: Vec::new(),
             pending_state_rot: BTreeMap::new(),
-            rot_recovery: BTreeMap::new(),
             scrub_repair: BTreeSet::new(),
             config,
         };
-        let trace_capacity = world.config.trace_capacity;
         let seed = world.config.seed;
         let observer = world.config.bus.writer();
         let schedule: Vec<Time> = world.plan.iter().map(|&(at, _)| at).collect();
-        let mut sim = Simulation::new(world, seed)
-            .with_trace(trace_capacity)
-            .with_observer(observer);
+        let mut sim = Simulation::new(world, seed).with_observer(observer);
         sim.schedule_at(Time::ZERO, Event::PrimaryHeartbeat);
         sim.schedule_at(Time::ZERO, Event::BackupHeartbeat);
         for (index, at) in schedule.into_iter().enumerate() {
@@ -2430,7 +1982,9 @@ impl SimCluster {
             // Registration may have retimed every object (constraints,
             // compression): restart all object timers under a fresh
             // epoch.
-            self.restart_timers();
+            for (delay, event) in self.sim.world_mut().restart_object_timers() {
+                self.sim.schedule_in(delay, event);
+            }
         }
         match rejected {
             Some(e) => Err(e),
@@ -2507,42 +2061,6 @@ impl SimCluster {
                     }
                 }
             }
-        }
-    }
-
-    fn restart_timers(&mut self) {
-        // Borrow dance: epoch bump and per-object scheduling both need
-        // the world and the queue; schedule directly from the driver.
-        let now = self.sim.now();
-        let (ids_and_periods, epoch) = {
-            let world = self.sim.world_mut();
-            world.epoch += 1;
-            let epoch = world.epoch;
-            let mut items = Vec::new();
-            for (&id, _) in world.specs.iter() {
-                let period = world.primary.as_ref().and_then(|p| p.send_period(id));
-                let wd = world.watchdog_interval(id);
-                items.push((id, period, wd));
-            }
-            (items, epoch)
-        };
-        let (coalesce, delay_bound, slack) = {
-            let p = &self.sim.world().config.protocol;
-            (p.coalesce_window, p.link_delay_bound, p.retransmit_slack)
-        };
-        for (id, period, wd) in ids_and_periods {
-            if let Some(period) = period {
-                self.sim.schedule_at(
-                    now + send_phase(id, period),
-                    Event::SendTimer { object: id, epoch },
-                );
-                self.sim
-                    .world_mut()
-                    .metrics
-                    .set_refresh_allowance(id, period + coalesce + delay_bound + slack);
-            }
-            self.sim
-                .schedule_at(now + wd, Event::WatchdogTimer { object: id, epoch });
         }
     }
 
@@ -2770,7 +2288,7 @@ impl SimCluster {
                     served_by,
                     version: certificate.version,
                     age_bound: certificate.age_bound,
-                    consistency: consistency.name().to_string(),
+                    consistency: consistency.name(),
                 });
                 Ok((
                     ReadOutcome::Replica {
@@ -2794,7 +2312,7 @@ impl SimCluster {
                         served_by: primary,
                         version: certificate.version,
                         age_bound: certificate.age_bound,
-                        consistency: consistency.name().to_string(),
+                        consistency: consistency.name(),
                     });
                     Ok((
                         ReadOutcome::Replica {
@@ -2808,8 +2326,8 @@ impl SimCluster {
                     self.sim.emit(EventKind::ReadRedirected {
                         object,
                         primary,
-                        consistency: consistency.name().to_string(),
-                        reason: reason.to_string(),
+                        consistency: consistency.name(),
+                        reason,
                     });
                     Ok((
                         ReadOutcome::Redirect {
@@ -2875,7 +2393,7 @@ impl SimCluster {
     /// [`ClusterConfig::fault_plan`].
     #[must_use]
     pub fn fault_report(&self) -> &[FaultRecord] {
-        self.sim.world().metrics.fault_report()
+        self.sim.world().faults.records()
     }
 
     /// Every catch-up decision the serving primary made this run, in
@@ -2949,20 +2467,6 @@ impl SimCluster {
         self.sim.world().corrupt_messages
     }
 
-    /// Checksum verification failures detected so far, across every
-    /// layer (wire frames, log records, log snapshots, store entries).
-    #[must_use]
-    pub fn integrity_violations(&self) -> u64 {
-        self.sim.world().instruments.integrity_violations.get()
-    }
-
-    /// Scrub-digest divergences detected so far (each one triggers
-    /// anti-entropy repair on the diverging backup).
-    #[must_use]
-    pub fn scrub_divergences(&self) -> u64 {
-        self.sim.world().instruments.scrub_divergences.get()
-    }
-
     /// Fault-injection hook: silently flips `mask` into host `host`'s
     /// stored image of `id`, with no restart and no audit — latent rot
     /// for the background scrubber (DESIGN.md §15) to find. Returns
@@ -2985,13 +2489,6 @@ impl SimCluster {
     pub fn send_pool_stats(&self) -> (u64, u64, u64) {
         let pool = &self.sim.world().send_pool;
         (pool.outstanding(), pool.leases_issued(), pool.reuses())
-    }
-
-    /// The simulation trace (enabled via
-    /// [`ClusterConfig::trace_capacity`]).
-    #[must_use]
-    pub fn trace(&self) -> &rtpb_sim::Trace {
-        self.sim.trace()
     }
 
     /// The current CPU backlog at the primary host (writes + sends
@@ -3096,7 +2593,6 @@ mod tests {
     fn retransmit_requests_fire_under_loss() {
         let mut config = ClusterConfig::default();
         config.link.loss_probability = 0.4;
-        config.trace_capacity = 256;
         let mut cluster = SimCluster::new(config);
         cluster.register(spec(100, 150, 550)).unwrap();
         cluster.run_for(TimeDelta::from_secs(20));
@@ -3105,11 +2601,7 @@ mod tests {
 
     #[test]
     fn primary_crash_triggers_failover() {
-        let config = ClusterConfig {
-            trace_capacity: 64,
-            ..ClusterConfig::default()
-        };
-        let mut cluster = SimCluster::new(config);
+        let mut cluster = SimCluster::new(ClusterConfig::default());
         let id = cluster.register(spec(100, 150, 550)).unwrap();
         cluster.run_for(TimeDelta::from_secs(2));
         let writes_before = cluster.metrics().object_report(id).unwrap().writes;

@@ -1,12 +1,16 @@
-//! Declarative fault plans for robustness experiments.
+//! Declarative fault plans for robustness experiments, and the ledger
+//! that follows each injected fault through its lifecycle.
 //!
 //! A [`FaultPlan`] is a timestamped list of [`FaultEvent`]s executed by
 //! [`SimCluster`](super::SimCluster) as ordinary simulation events, so a
 //! chaos scenario — crashes, partitions, loss bursts, delay spikes,
 //! recoveries — is a deterministic, replayable function of the cluster
 //! seed. Per-fault outcomes (detection latency, recovery time, retries
-//! spent) are collected in the
-//! [`FaultRecord`](crate::metrics::FaultRecord)s of the cluster metrics.
+//! spent) live in the cluster's `FaultLedger`: one
+//! [`FaultRecord`] per injected fault, each lifecycle step (inject,
+//! detect, recover, retry) one ledger call that updates the record and
+//! emits its `fault_*` event, and the open records keyed by the protocol
+//! step that will detect or close them.
 //!
 //! # Examples
 //!
@@ -23,7 +27,11 @@
 //! assert_eq!(plan.len(), 2);
 //! ```
 
+use crate::metrics::{FaultRecord, InjectedFault};
+use rtpb_obs::{Counter, EventKind, MetricsRegistry};
+use rtpb_sim::Context;
 use rtpb_types::{Time, TimeDelta};
+use std::collections::BTreeMap;
 
 /// One scheduled fault in a [`FaultPlan`].
 ///
@@ -220,9 +228,263 @@ impl FaultPlan {
     }
 }
 
+/// The protocol step an open fault record waits for, keyed by the role
+/// or backup host it concerns. A key holds one record at a time: opening
+/// a second record under the same key forgets the first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Pending {
+    /// A primary crash: a backup's failure detector detects it, the
+    /// failover closes it.
+    PrimaryCrash,
+    /// A crash of backup host `i`: the primary's failure detector detects
+    /// it, the host's rejoin closes it.
+    BackupCrash(usize),
+    /// The restart of backup host `i`: the primary admitting it back
+    /// detects it, its catch-up frame closes it.
+    Recovery(usize),
+    /// A partition of backup host `i`: either failure detector detects
+    /// it, the host's rejoin closes it (or the heal, if nobody noticed).
+    Partition(usize),
+    /// A demoted ex-primary resyncing as backup host `i`: its resync
+    /// diff closes it.
+    Resync(usize),
+    /// Store rot the restart audit of backup host `i` caught: the
+    /// catch-up frame that re-ships the quarantined objects closes it.
+    Rot(usize),
+}
+
+/// What a newly injected fault waits for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Watch {
+    /// Nothing the ledger tracks: the cluster holds the record itself
+    /// (a primary partition, latent store rot).
+    Caller,
+    /// The keyed protocol step.
+    Step(Pending),
+    /// A data-path window on backup host `host` (every host if `None`)
+    /// until `until`: retransmission requests from a matching host detect
+    /// it until the grace period after `until` runs out.
+    Window {
+        /// The affected host, or `None` for every host.
+        host: Option<usize>,
+        /// When the window closes.
+        until: Time,
+    },
+    /// A clock fault: the first timing violation any node raises detects
+    /// it — the monitor cannot tell whose clock broke, only that the
+    /// envelope did.
+    Clock,
+}
+
+/// How long after a data-path window closes a retransmission request is
+/// still attributed to it.
+const WINDOW_GRACE: TimeDelta = TimeDelta::from_secs(1);
+
+/// Every injected fault's [`FaultRecord`], plus the open ones keyed by
+/// what will detect or close them. Each lifecycle step is one call that
+/// updates the record and emits its event through the caller's
+/// [`Context`].
+#[derive(Debug)]
+pub(crate) struct FaultLedger {
+    records: Vec<FaultRecord>,
+    /// `cluster.faults_injected`.
+    injected: Counter,
+    pending: BTreeMap<Pending, usize>,
+    /// Open data-path windows as `(record, host, until)`, in injection
+    /// order; pruned as retransmission requests arrive.
+    windows: Vec<(usize, Option<usize>, Time)>,
+    /// Open clock faults, in injection order.
+    clocks: Vec<usize>,
+}
+
+impl FaultLedger {
+    /// An empty ledger counting injections into `registry`.
+    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
+        FaultLedger {
+            records: Vec::new(),
+            injected: registry.counter("cluster.faults_injected"),
+            pending: BTreeMap::new(),
+            windows: Vec::new(),
+            clocks: Vec::new(),
+        }
+    }
+
+    /// Every injected fault's lifecycle, in injection order.
+    pub(crate) fn records(&self) -> &[FaultRecord] {
+        &self.records
+    }
+
+    /// Opens a record for a fault injected now, counts it, emits
+    /// `fault_injected` and files the record under `watch`. Returns the
+    /// record's index.
+    pub(crate) fn inject<E>(
+        &mut self,
+        ctx: &Context<'_, E>,
+        kind: InjectedFault,
+        watch: Watch,
+    ) -> usize {
+        let record = self.records.len();
+        self.records.push(FaultRecord {
+            kind,
+            injected_at: ctx.now(),
+            detected_at: None,
+            recovered_at: None,
+            retries: 0,
+        });
+        self.injected.inc();
+        ctx.emit(EventKind::FaultInjected {
+            fault: kind.name(),
+            record: record as u64,
+        });
+        match watch {
+            Watch::Caller => {}
+            Watch::Step(key) => self.watch(key, record),
+            Watch::Window { host, until } => self.windows.push((record, host, until)),
+            Watch::Clock => self.clocks.push(record),
+        }
+        record
+    }
+
+    /// Files an already open `record` under `key`.
+    pub(crate) fn watch(&mut self, key: Pending, record: usize) {
+        self.pending.insert(key, record);
+    }
+
+    /// The record open under `key`, if any.
+    pub(crate) fn pending(&self, key: Pending) -> Option<usize> {
+        self.pending.get(&key).copied()
+    }
+
+    /// Removes and returns the record open under `key`, if any.
+    pub(crate) fn take(&mut self, key: Pending) -> Option<usize> {
+        self.pending.remove(&key)
+    }
+
+    /// Whether backup host `host` is still re-integrating: a restart or a
+    /// resync whose catch-up frame has not landed yet.
+    pub(crate) fn reintegrating(&self, host: usize) -> bool {
+        self.pending.contains_key(&Pending::Recovery(host))
+            || self.pending.contains_key(&Pending::Resync(host))
+    }
+
+    /// Marks `record` detected now and emits `fault_detected`. A record
+    /// keeps its first detection instant; every call still emits.
+    pub(crate) fn detect<E>(&mut self, ctx: &Context<'_, E>, record: usize) {
+        self.records[record].detected_at.get_or_insert(ctx.now());
+        ctx.emit(EventKind::FaultDetected {
+            record: record as u64,
+        });
+    }
+
+    /// [`FaultLedger::detect`] for the record open under `key`, if any.
+    pub(crate) fn detect_pending<E>(&mut self, ctx: &Context<'_, E>, key: Pending) {
+        if let Some(record) = self.pending(key) {
+            self.detect(ctx, record);
+        }
+    }
+
+    /// Marks `record` recovered now and emits `fault_recovered`. A record
+    /// keeps its first recovery instant.
+    pub(crate) fn recover<E>(&mut self, ctx: &Context<'_, E>, record: usize) {
+        self.records[record].recovered_at.get_or_insert(ctx.now());
+        ctx.emit(EventKind::FaultRecovered {
+            record: record as u64,
+        });
+    }
+
+    /// Closes the record open under `key`, if any, with
+    /// [`FaultLedger::recover`].
+    pub(crate) fn recover_pending<E>(&mut self, ctx: &Context<'_, E>, key: Pending) {
+        if let Some(record) = self.take(key) {
+            self.recover(ctx, record);
+        }
+    }
+
+    /// Counts one protocol retry against `record`.
+    pub(crate) fn retry(&mut self, record: usize) {
+        self.records[record].retries += 1;
+    }
+
+    /// Backup host `host` re-sent its join request: the retry counts
+    /// against its open restart, partition or resync record, in that
+    /// order of precedence.
+    pub(crate) fn join_retried(&mut self, host: usize) {
+        let record = [
+            Pending::Recovery(host),
+            Pending::Partition(host),
+            Pending::Resync(host),
+        ]
+        .into_iter()
+        .find_map(|key| self.pending(key));
+        if let Some(record) = record {
+            self.retry(record);
+        }
+    }
+
+    /// A retransmission request from backup host `host` arrived: it is how
+    /// a loss burst, delay spike or frame-corruption window manifests, so
+    /// every matching open window is detected and charged a retry.
+    /// Windows that closed more than the grace period ago are dropped.
+    pub(crate) fn retransmit_requested<E>(&mut self, ctx: &Context<'_, E>, host: usize) {
+        let now = ctx.now();
+        let mut hit = Vec::new();
+        self.windows.retain(|&(record, affected, until)| {
+            if now > until + WINDOW_GRACE {
+                return false;
+            }
+            if affected.is_none() || affected == Some(host) {
+                hit.push(record);
+            }
+            true
+        });
+        for record in hit {
+            self.detect(ctx, record);
+            self.retry(record);
+        }
+    }
+
+    /// A node raised a timing violation: every open clock fault not yet
+    /// detected is detected now.
+    pub(crate) fn timing_violation<E>(&mut self, ctx: &Context<'_, E>) {
+        for i in 0..self.clocks.len() {
+            let record = self.clocks[i];
+            if self.records[record].detected_at.is_none() {
+                self.detect(ctx, record);
+            }
+        }
+    }
+
+    /// A clock fault's window elapsed: the clock is back on the global
+    /// timeline and the fault recovers.
+    pub(crate) fn clock_healed<E>(&mut self, ctx: &Context<'_, E>, record: usize) {
+        self.clocks.retain(|&r| r != record);
+        self.recover(ctx, record);
+    }
+
+    /// A partition or data-path window closed. A partition nobody detected
+    /// healed silently and recovers now; a detected one stays open until
+    /// the severed replica rejoins. A data-path window recovers now.
+    pub(crate) fn window_closed<E>(&mut self, ctx: &Context<'_, E>, record: usize) {
+        let key = self
+            .pending
+            .iter()
+            .find(|&(_, &r)| r == record)
+            .map(|(&key, _)| key);
+        if let Some(key) = key {
+            if self.records[record].detected_at.is_some() {
+                return;
+            }
+            self.pending.remove(&key);
+        }
+        self.recover(ctx, record);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtpb_obs::{EventBus, ObsEvent};
+    use rtpb_sim::{Simulation, World};
 
     #[test]
     fn events_come_back_in_timestamp_order() {
@@ -244,5 +506,149 @@ mod tests {
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
         assert_eq!(plan.events(), Vec::new());
+    }
+
+    /// Runs each scheduled step against the ledger at the step's instant.
+    struct Steps(FaultLedger);
+
+    struct Step(fn(&mut FaultLedger, &Context<'_, Step>));
+
+    impl World for Steps {
+        type Event = Step;
+        fn handle(&mut self, ctx: &mut Context<'_, Step>, step: Step) {
+            (step.0)(&mut self.0, ctx);
+        }
+    }
+
+    fn run(steps: Vec<(u64, Step)>) -> (FaultLedger, Vec<ObsEvent>, MetricsRegistry) {
+        let bus = EventBus::with_capacity(64);
+        let registry = MetricsRegistry::new();
+        let mut sim =
+            Simulation::new(Steps(FaultLedger::new(&registry)), 0).with_observer(bus.writer());
+        for (at, step) in steps {
+            sim.schedule_at(t(at), step);
+        }
+        sim.run_to_completion();
+        (sim.into_world().0, bus.collect(), registry)
+    }
+
+    fn t(ms: u64) -> Time {
+        Time::from_millis(ms)
+    }
+
+    #[test]
+    fn each_step_updates_its_record_and_emits_its_event() {
+        let (ledger, events, registry) = run(vec![
+            (
+                100,
+                Step(|l, ctx| {
+                    l.inject(
+                        ctx,
+                        InjectedFault::PrimaryCrash,
+                        Watch::Step(Pending::PrimaryCrash),
+                    );
+                }),
+            ),
+            (
+                250,
+                Step(|l, ctx| l.detect_pending(ctx, Pending::PrimaryCrash)),
+            ),
+            // A repeat still emits but keeps the first instant.
+            (260, Step(|l, ctx| l.detect(ctx, 0))),
+            (
+                300,
+                Step(|l, ctx| l.recover_pending(ctx, Pending::PrimaryCrash)),
+            ),
+            (310, Step(|l, ctx| l.recover(ctx, 0))),
+            (320, Step(|l, _| l.retry(0))),
+        ]);
+        let r = &ledger.records()[0];
+        assert_eq!(r.kind, InjectedFault::PrimaryCrash);
+        assert_eq!(r.injected_at, t(100));
+        assert_eq!(r.detected_at, Some(t(250)));
+        assert_eq!(r.recovered_at, Some(t(300)));
+        assert_eq!(r.retries, 1);
+        assert_eq!(ledger.pending(Pending::PrimaryCrash), None);
+        assert_eq!(
+            registry.snapshot().counter("cluster.faults_injected"),
+            Some(1)
+        );
+        let got: Vec<(Time, EventKind)> = events.into_iter().map(|e| (e.at, e.kind)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (
+                    t(100),
+                    EventKind::FaultInjected {
+                        fault: "primary_crash",
+                        record: 0
+                    }
+                ),
+                (t(250), EventKind::FaultDetected { record: 0 }),
+                (t(260), EventKind::FaultDetected { record: 0 }),
+                (t(300), EventKind::FaultRecovered { record: 0 }),
+                (t(310), EventKind::FaultRecovered { record: 0 }),
+            ]
+        );
+    }
+
+    #[test]
+    fn open_records_are_attributed_to_the_step_that_closes_them() {
+        let (ledger, events, _) = run(vec![
+            (
+                0,
+                Step(|l, ctx| {
+                    let until = t(200);
+                    let host = Some(1);
+                    l.inject(ctx, InjectedFault::LossBurst, Watch::Window { host, until });
+                    l.inject(ctx, InjectedFault::ClockStep, Watch::Clock);
+                    l.inject(
+                        ctx,
+                        InjectedFault::Partition,
+                        Watch::Step(Pending::Partition(0)),
+                    );
+                    l.inject(
+                        ctx,
+                        InjectedFault::Partition,
+                        Watch::Step(Pending::Partition(2)),
+                    );
+                }),
+            ),
+            // A request from another host says nothing about host 1's burst.
+            (50, Step(|l, ctx| l.retransmit_requested(ctx, 0))),
+            (60, Step(|l, ctx| l.retransmit_requested(ctx, 1))),
+            (70, Step(|l, ctx| l.timing_violation(ctx))),
+            // Only the first violation detects a clock fault.
+            (80, Step(|l, ctx| l.timing_violation(ctx))),
+            (
+                90,
+                Step(|l, ctx| l.detect_pending(ctx, Pending::Partition(2))),
+            ),
+            // An undetected cut heals silently; a detected one waits for
+            // the rejoin.
+            (100, Step(|l, ctx| l.window_closed(ctx, 2))),
+            (110, Step(|l, ctx| l.window_closed(ctx, 3))),
+            (120, Step(|l, ctx| l.clock_healed(ctx, 1))),
+            // Past the grace period the burst no longer takes the blame.
+            (1_300, Step(|l, ctx| l.retransmit_requested(ctx, 1))),
+            (1_400, Step(|l, _| l.join_retried(2))),
+        ]);
+        let r = ledger.records();
+        assert_eq!((r[0].detected_at, r[0].retries), (Some(t(60)), 1));
+        assert_eq!(r[1].detected_at, Some(t(70)));
+        assert_eq!(r[1].recovered_at, Some(t(120)));
+        assert_eq!(r[2].recovered_at, Some(t(100)));
+        assert_eq!(ledger.pending(Pending::Partition(0)), None);
+        assert_eq!(r[3].recovered_at, None);
+        assert_eq!(r[3].retries, 1);
+        assert_eq!(ledger.pending(Pending::Partition(2)), Some(3));
+        let detected: Vec<(Time, u64)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::FaultDetected { record } => Some((e.at, record)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(detected, vec![(t(60), 0), (t(70), 1), (t(90), 3)]);
     }
 }

@@ -19,7 +19,8 @@
 //! The protocol cores ([`Primary`], [`Backup`]) are sans-io state
 //! machines; drive them through the [`RtpbClient`] session facade (which
 //! owns the deterministic simulation harness, [`harness::SimCluster`])
-//! or the real-clock thread runtime in `rtpb-rt`.
+//! or the real-clock thread runtime in `rtpb-rt`. Both drivers count and
+//! emit what the cores report through the same steps ([`telemetry`]).
 //!
 //! # Examples
 //!
@@ -61,6 +62,7 @@ pub mod monitor;
 pub mod name_service;
 pub mod primary;
 pub mod store;
+pub mod telemetry;
 pub mod update_sched;
 pub mod wire;
 

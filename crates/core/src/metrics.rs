@@ -177,6 +177,28 @@ pub enum InjectedFault {
     CorruptState,
 }
 
+impl InjectedFault {
+    /// The schema name of the fault kind (the `fault` field of a
+    /// `fault_injected` event).
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            InjectedFault::PrimaryCrash => "primary_crash",
+            InjectedFault::BackupCrash => "backup_crash",
+            InjectedFault::BackupRecovery => "backup_recovery",
+            InjectedFault::Partition => "partition",
+            InjectedFault::PrimaryPartition => "primary_partition",
+            InjectedFault::LossBurst => "loss_burst",
+            InjectedFault::DelaySpike => "delay_spike",
+            InjectedFault::ClockStep => "clock_step",
+            InjectedFault::ClockDrift => "clock_drift",
+            InjectedFault::ClockFreeze => "clock_freeze",
+            InjectedFault::CorruptFrame => "corrupt_frame",
+            InjectedFault::CorruptState => "corrupt_state",
+        }
+    }
+}
+
 /// The lifecycle of one injected fault: when it was injected, when the
 /// protocol *detected* it (a failure detector fired, or loss evidence
 /// like a retransmission request surfaced), when the cluster *recovered*
@@ -261,7 +283,6 @@ pub struct ClusterMetrics {
     retransmit_requests: u64,
     failover_at: Option<Time>,
     failover_complete_at: Option<Time>,
-    faults: Vec<FaultRecord>,
 }
 
 impl ClusterMetrics {
@@ -519,54 +540,6 @@ impl ClusterMetrics {
                 .saturating_since(self.failover_at?),
         )
     }
-
-    /// Opens a [`FaultRecord`] for an injected fault; returns its index
-    /// for later attribution.
-    pub fn record_fault_injected(&mut self, kind: InjectedFault, now: Time) -> usize {
-        self.faults.push(FaultRecord {
-            kind,
-            injected_at: now,
-            detected_at: None,
-            recovered_at: None,
-            retries: 0,
-        });
-        self.faults.len() - 1
-    }
-
-    /// Marks fault `index` as detected (first detection wins).
-    pub fn record_fault_detected(&mut self, index: usize, now: Time) {
-        if let Some(r) = self.faults.get_mut(index) {
-            r.detected_at.get_or_insert(now);
-        }
-    }
-
-    /// Marks fault `index` as recovered (first recovery wins).
-    pub fn record_fault_recovered(&mut self, index: usize, now: Time) {
-        if let Some(r) = self.faults.get_mut(index) {
-            r.recovered_at.get_or_insert(now);
-        }
-    }
-
-    /// Attributes one protocol retry to fault `index`.
-    pub fn add_fault_retry(&mut self, index: usize) {
-        if let Some(r) = self.faults.get_mut(index) {
-            r.retries += 1;
-        }
-    }
-
-    /// Sets the retry count of fault `index` (when the retries were
-    /// counted elsewhere, e.g. by the backup's join machinery).
-    pub fn set_fault_retries(&mut self, index: usize, retries: u64) {
-        if let Some(r) = self.faults.get_mut(index) {
-            r.retries = retries;
-        }
-    }
-
-    /// Every injected fault's lifecycle, in injection order.
-    #[must_use]
-    pub fn fault_report(&self) -> &[FaultRecord] {
-        &self.faults
-    }
 }
 
 #[cfg(test)]
@@ -763,29 +736,6 @@ mod tests {
         m.finalize(t(400)); // gap 300 → 185 ms excess
         assert_eq!(m.object_report(id).unwrap().inconsistency_episodes, 1);
         assert_eq!(m.mean_inconsistency_duration(), Some(ms(185)));
-    }
-
-    #[test]
-    fn fault_records_track_lifecycle() {
-        let mut m = ClusterMetrics::new();
-        let idx = m.record_fault_injected(InjectedFault::PrimaryCrash, t(100));
-        m.record_fault_detected(idx, t(250));
-        m.record_fault_recovered(idx, t(300));
-        m.add_fault_retry(idx);
-        m.add_fault_retry(idx);
-        // Later repeats do not overwrite the first marks.
-        m.record_fault_detected(idx, t(999));
-        let r = &m.fault_report()[0];
-        assert_eq!(r.kind, InjectedFault::PrimaryCrash);
-        assert_eq!(r.detection_latency(), Some(ms(150)));
-        assert_eq!(r.recovery_time(), Some(ms(200)));
-        assert_eq!(r.retries, 2);
-        let open = m.record_fault_injected(InjectedFault::LossBurst, t(400));
-        m.set_fault_retries(open, 7);
-        let r = &m.fault_report()[1];
-        assert_eq!(r.detection_latency(), None);
-        assert_eq!(r.recovery_time(), None);
-        assert_eq!(r.retries, 7);
     }
 
     #[test]

@@ -738,6 +738,36 @@ impl WireMessage {
             _ => 0,
         }
     }
+
+    /// The updates this frame carries: the frame itself for a bare
+    /// [`WireMessage::Update`], its members for a [`WireMessage::Batch`],
+    /// none for anything else.
+    #[must_use]
+    pub fn carried_updates(&self) -> &[WireMessage] {
+        match self {
+            WireMessage::Update { .. } => std::slice::from_ref(self),
+            WireMessage::Batch { messages, .. } => messages,
+            _ => &[],
+        }
+    }
+
+    /// The link-class rule both drivers route by: a frame rides the
+    /// lossy data link when it carries updates or is catch-up traffic;
+    /// any other frame is control traffic, which the paper assumes
+    /// physical redundancy shields from loss (§4.1).
+    #[must_use]
+    pub fn rides_data_link(&self) -> bool {
+        matches!(
+            self,
+            WireMessage::Update { .. }
+                | WireMessage::Batch { .. }
+                | WireMessage::JoinRequest { .. }
+                | WireMessage::ResyncRequest { .. }
+                | WireMessage::StateTransfer { .. }
+                | WireMessage::ResyncDiff { .. }
+                | WireMessage::LogSuffix { .. }
+        )
+    }
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {

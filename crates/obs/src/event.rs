@@ -157,7 +157,7 @@ pub enum EventKind {
         /// Certificate age bound (zero for strong reads).
         age_bound: TimeDelta,
         /// Requested consistency level (e.g. `"bounded"`, `"monotonic"`).
-        consistency: String,
+        consistency: &'static str,
     },
     /// A client read could not be served by any eligible replica and
     /// was redirected to the serving primary.
@@ -167,9 +167,9 @@ pub enum EventKind {
         /// The primary the read was redirected to.
         primary: NodeId,
         /// Requested consistency level.
-        consistency: String,
+        consistency: &'static str,
         /// Machine-readable reason (e.g. `"behind_floor"`, `"bound_unmet"`).
-        reason: String,
+        reason: &'static str,
     },
     /// A scheduler invocation completed (update-transmission task).
     SchedulerInvocation {
@@ -185,7 +185,7 @@ pub enum EventKind {
     /// A fault-plan fault was injected.
     FaultInjected {
         /// Fault kind name (e.g. `"primary_crash"`).
-        fault: String,
+        fault: &'static str,
         /// Index into the fault report.
         record: u64,
     },
@@ -268,7 +268,7 @@ pub enum EventKind {
         node: NodeId,
         /// Chosen path: `"log_suffix"`, `"snapshot_diff"`, or
         /// `"full_transfer"`.
-        path: String,
+        path: &'static str,
         /// Log records between the replica's position and the head.
         gap: u64,
         /// Entries shipped by the chosen reply.
@@ -295,7 +295,7 @@ pub enum EventKind {
         /// Which evidence source fired: `"round_trip_exceeded"`,
         /// `"timestamp_from_future"`, `"renewal_from_future"`,
         /// `"local_clock_regression"`, or `"clock_stalled"`.
-        evidence: String,
+        evidence: &'static str,
         /// The observed quantity, in nanoseconds (round-trip time, how far
         /// ahead a timestamp was, regression magnitude, …).
         observed_ns: u64,
@@ -876,13 +876,13 @@ mod tests {
                 served_by: NodeId::new(2),
                 version: Version::new(4),
                 age_bound: TimeDelta::from_micros(250),
-                consistency: "bounded".into(),
+                consistency: "bounded",
             },
             EventKind::ReadRedirected {
                 object: ObjectId::new(1),
                 primary: NodeId::new(0),
-                consistency: "read_your_writes".into(),
-                reason: "behind_floor".into(),
+                consistency: "read_your_writes",
+                reason: "behind_floor",
             },
             EventKind::SchedulerInvocation {
                 task: TaskId::new(0),
@@ -891,7 +891,7 @@ mod tests {
                 met_deadline: true,
             },
             EventKind::FaultInjected {
-                fault: "loss_burst".into(),
+                fault: "loss_burst",
                 record: 0,
             },
             EventKind::FaultDetected { record: 0 },
@@ -931,7 +931,7 @@ mod tests {
             },
             EventKind::CatchUpPlan {
                 node: NodeId::new(1),
-                path: "log_suffix".into(),
+                path: "log_suffix",
                 gap: 12,
                 records: 12,
                 bytes: 900,
@@ -943,7 +943,7 @@ mod tests {
             },
             EventKind::TimingViolation {
                 node: NodeId::new(1),
-                evidence: "round_trip_exceeded".into(),
+                evidence: "round_trip_exceeded",
                 observed_ns: 45_000_000,
                 bound_ns: 30_000_000,
             },

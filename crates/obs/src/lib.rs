@@ -16,9 +16,6 @@
 //! - **Metrics registry** ([`MetricsRegistry`]): monotonic [`Counter`]s,
 //!   [`Gauge`]s, and fixed-bucket latency [`Histogram`]s over virtual or
 //!   real nanoseconds, snapshot-table and JSONL exportable.
-//! - **Profiling hooks** ([`ScopeTimer`], [`VirtualScope`]): scope timers
-//!   that degrade to no-ops when disabled, so instrumented and
-//!   uninstrumented simulator runs stay bit-identical.
 //! - **JSONL export** ([`EventBus::export_jsonl`], [`validate_line`]):
 //!   dependency-free flat-JSON lines with a schema validator, consumed by
 //!   the bench harness and the CI observability smoke job.
@@ -60,10 +57,8 @@
 mod bus;
 mod event;
 pub mod json;
-mod profile;
 mod registry;
 
 pub use bus::{EventBus, EventWriter};
 pub use event::{validate_line, ClockDomain, EventKind, ObsEvent, Role, SchemaError};
-pub use profile::{ScopeTimer, VirtualScope};
 pub use registry::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};

@@ -17,6 +17,13 @@
 //! primary's death, it simply starts consuming client writes — that is the
 //! failover.
 //!
+//! Each direction is a lossy data link plus a lossless control link; a
+//! frame takes the one [`WireMessage::rides_data_link`] names, as in the
+//! simulator. Counters and events come from the same telemetry steps the
+//! simulator runs ([`rtpb_core::telemetry`]).
+//!
+//! [`WireMessage::rides_data_link`]: rtpb_core::wire::WireMessage::rides_data_link
+//!
 //! # Examples
 //!
 //! ```no_run

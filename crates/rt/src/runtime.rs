@@ -4,14 +4,13 @@ use crate::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::link::spawn_link;
 use rtpb_core::backup::Backup;
 use rtpb_core::config::ProtocolConfig;
-use rtpb_core::integrity::IntegrityEvent;
 use rtpb_core::metrics::ClusterMetrics;
-use rtpb_core::monitor::MonitorEvent;
 use rtpb_core::primary::Primary;
-use rtpb_core::wire::{ReadStatus, WireMessage};
+use rtpb_core::telemetry::Instruments;
+use rtpb_core::wire::{ReadStatus, WireFrame, WireMessage};
 use rtpb_net::LinkConfig;
-use rtpb_obs::{ClockDomain, EventBus, EventKind, EventWriter, Role};
-use rtpb_types::{AdmissionError, Epoch, NodeId, ObjectId, ObjectSpec, Time, TimeDelta, Version};
+use rtpb_obs::{ClockDomain, EventBus, EventKind, EventWriter, MetricsRegistry, Role};
+use rtpb_types::{AdmissionError, Epoch, NodeId, ObjectId, ObjectSpec, Time, TimeDelta};
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
@@ -180,14 +179,13 @@ impl Ord for Deadline {
 
 struct Shared {
     metrics: Mutex<ClusterMetrics>,
+    /// The `cluster.*` counters and histograms, counted by the same
+    /// telemetry steps the simulator runs.
+    instruments: Instruments,
     stop: AtomicBool,
     failed_over: AtomicBool,
     rejoins: AtomicU64,
     suffix_rejoins: AtomicU64,
-    reads_served: AtomicU64,
-    read_redirects: AtomicU64,
-    timing_violations: AtomicU64,
-    integrity_violations: AtomicU64,
     epoch: Instant,
 }
 
@@ -210,14 +208,11 @@ impl RtCluster {
         }
         let shared = Arc::new(Shared {
             metrics: Mutex::new(ClusterMetrics::new()),
+            instruments: Instruments::from_registry(&MetricsRegistry::new()),
             stop: AtomicBool::new(false),
             failed_over: AtomicBool::new(false),
             rejoins: AtomicU64::new(0),
             suffix_rejoins: AtomicU64::new(0),
-            reads_served: AtomicU64::new(0),
-            read_redirects: AtomicU64::new(0),
-            timing_violations: AtomicU64::new(0),
-            integrity_violations: AtomicU64::new(0),
             epoch: Instant::now(),
         });
 
@@ -239,24 +234,23 @@ impl RtCluster {
         let mut backup = Backup::new(NodeId::new(1), config.protocol.clone());
         for (id, spec, period) in primary_registry.clone() {
             backup.sync_registration(id, spec, period, shared.now());
-            shared.metrics.lock().unwrap().set_refresh_allowance(
-                id,
-                period
-                    + config.protocol.coalesce_window
-                    + config.protocol.link_delay_bound
-                    + config.protocol.retransmit_slack,
-            );
+            shared
+                .metrics
+                .lock()
+                .expect("metrics lock poisoned")
+                .set_refresh_allowance(id, config.protocol.refresh_allowance(period));
         }
 
         // Channels: client→primary (MPMC so the promoted backup can take
-        // over), and one lossy link thread per direction.
+        // over), and a lossy data link plus a lossless control link per
+        // direction, chosen per frame by `WireMessage::rides_data_link`.
         let (client_tx, client_rx) = unbounded::<(ObjectId, Vec<u8>, Instant)>();
         let (to_backup_tx, backup_in) = unbounded::<Vec<u8>>();
         let (to_primary_tx, primary_in) = unbounded::<Vec<u8>>();
-        // Updates ride the lossy data path; control traffic (heartbeats,
-        // retransmission requests) rides a physically-redundant path with
-        // the same delays but no loss — matching the paper's §4.1
-        // assumptions and the simulation harness.
+        // Control traffic (heartbeats, retransmission requests) rides a
+        // physically-redundant path with the same delays but no loss —
+        // matching the paper's §4.1 assumptions and the simulation
+        // harness.
         let lossless = LinkConfig {
             loss_probability: 0.0,
             ..config.link
@@ -387,6 +381,7 @@ impl RtCluster {
         }
 
         let mut metrics = shared.metrics.lock().unwrap().clone();
+        let counters = &shared.instruments;
         metrics.finalize(shared.now());
         let episodes: u64 = metrics
             .object_ids()
@@ -405,19 +400,19 @@ impl RtCluster {
             .sum();
         Ok(RtReport {
             writes,
-            updates_sent: metrics.updates_sent(),
+            updates_sent: counters.updates_sent.get(),
             updates_applied: applies,
-            retransmit_requests: metrics.retransmit_requests(),
+            retransmit_requests: counters.retransmit_requests.get(),
             mean_response: metrics.response_times().mean(),
             average_max_distance: metrics.average_max_distance(),
             inconsistency_episodes: episodes,
             failed_over: shared.failed_over.load(Ordering::SeqCst),
             backup_rejoins: shared.rejoins.load(Ordering::SeqCst),
             suffix_rejoins: shared.suffix_rejoins.load(Ordering::SeqCst),
-            reads_served: shared.reads_served.load(Ordering::SeqCst),
-            read_redirects: shared.read_redirects.load(Ordering::SeqCst),
-            timing_violations: shared.timing_violations.load(Ordering::SeqCst),
-            integrity_violations: shared.integrity_violations.load(Ordering::SeqCst),
+            reads_served: counters.reads_served.get(),
+            read_redirects: counters.read_redirects.get(),
+            timing_violations: counters.timing_violations.get(),
+            integrity_violations: counters.integrity_violations.get(),
         })
     }
 }
@@ -521,13 +516,13 @@ fn reader_loop(
                 age_bound,
                 ..
             }) => {
-                shared.reads_served.fetch_add(1, Ordering::SeqCst);
+                shared.instruments.reads_served.inc();
                 emit(EventKind::ReadServed {
                     object,
                     served_by: NodeId::new(1),
                     version,
                     age_bound,
-                    consistency: "bounded".to_string(),
+                    consistency: "bounded",
                 });
             }
             other => {
@@ -548,12 +543,12 @@ fn reader_loop(
                     ..
                 }) = await_reply(reply_deadline)
                 {
-                    shared.read_redirects.fetch_add(1, Ordering::SeqCst);
+                    shared.instruments.read_redirects.inc();
                     emit(EventKind::ReadRedirected {
                         object,
                         primary: NodeId::new(0),
-                        consistency: "bounded".to_string(),
-                        reason: reason.to_string(),
+                        consistency: "bounded",
+                        reason,
                     });
                 }
             }
@@ -571,75 +566,12 @@ struct Links {
 }
 
 fn send_wire(link: &Links, msg: &WireMessage) {
-    let chosen = if matches!(msg, WireMessage::Update { .. } | WireMessage::Batch { .. }) {
+    let chosen = if msg.rides_data_link() {
         &link.data
     } else {
         &link.control
     };
     let _ = chosen.send(msg.encode());
-}
-
-/// Surfaces a node's drained temporal-monitor events: counts violations
-/// into the run report and mirrors each onto the event bus.
-fn forward_monitor(shared: &Shared, obs: &EventWriter, node: NodeId, events: Vec<MonitorEvent>) {
-    for event in events {
-        let kind = match event {
-            MonitorEvent::Violation(v) => {
-                shared.timing_violations.fetch_add(1, Ordering::SeqCst);
-                EventKind::TimingViolation {
-                    node,
-                    evidence: v.name().to_string(),
-                    observed_ns: v.observed_ns(),
-                    bound_ns: v.bound_ns(),
-                }
-            }
-            MonitorEvent::Degraded => EventKind::MonitorDegraded { node },
-            MonitorEvent::Recovered => EventKind::MonitorRecovered { node },
-        };
-        obs.emit(ClockDomain::Real, shared.now(), kind);
-    }
-}
-
-/// Surfaces a node's drained integrity incidents: counts them into the
-/// run report and mirrors each onto the event bus (DESIGN.md §15).
-fn forward_integrity(
-    shared: &Shared,
-    obs: &EventWriter,
-    node: NodeId,
-    events: Vec<IntegrityEvent>,
-) {
-    for event in events {
-        let kind = match event {
-            IntegrityEvent::Violation { source, object, .. } => {
-                shared.integrity_violations.fetch_add(1, Ordering::SeqCst);
-                EventKind::IntegrityViolation {
-                    node,
-                    source: source.name(),
-                    object: object.map_or(u64::MAX, |id| u64::from(id.index())),
-                }
-            }
-            IntegrityEvent::ScrubDivergence { range, ranges } => EventKind::ScrubDivergence {
-                node,
-                range: u64::from(range),
-                ranges: u64::from(ranges),
-            },
-            // `IntegrityEvent` is non-exhaustive; future kinds are
-            // counted nowhere rather than crashing the runtime.
-            _ => continue,
-        };
-        obs.emit(ClockDomain::Real, shared.now(), kind);
-    }
-}
-
-/// The `(object, version)` pairs of every update a frame carries.
-fn frame_updates(msg: &WireMessage) -> Vec<(ObjectId, Version)> {
-    match msg {
-        WireMessage::Update {
-            object, version, ..
-        } => vec![(*object, *version)],
-        WireMessage::Batch { messages, .. } => messages.iter().flat_map(frame_updates).collect(),
-        _ => Vec::new(),
-    }
 }
 
 #[allow(clippy::needless_pass_by_value, clippy::too_many_arguments)]
@@ -654,6 +586,15 @@ fn primary_loop(
     obs: &EventWriter,
 ) {
     let emit = |kind: EventKind| obs.emit(ClockDomain::Real, shared.now(), kind);
+    let tel = &shared.instruments;
+    let node = primary.node();
+    // Every frame leaves through here: update-carrying frames are counted
+    // (loss is decided downstream in the link thread, so the sender always
+    // reports `false`) before they go on the wire.
+    let send = |msg: &WireMessage| {
+        tel.frame_sent(NodeId::new(1), msg, false, &emit);
+        send_wire(link, msg);
+    };
     let start = Instant::now();
     let batching = primary.config().batching_enabled();
     let coalesce_window = Duration::from(primary.config().coalesce_window);
@@ -690,21 +631,7 @@ fn primary_loop(
                             flush_at = Some(Instant::now() + coalesce_window);
                         }
                     } else if let Some(update) = primary.make_update(id, shared.now()) {
-                        shared.metrics.lock().unwrap().record_update_sent(false);
-                        if let WireMessage::Update {
-                            object, version, ..
-                        } = &update
-                        {
-                            // Loss is decided downstream in the link
-                            // thread; the sender always reports `false`.
-                            emit(EventKind::UpdateSent {
-                                object: *object,
-                                version: *version,
-                                to: NodeId::new(1),
-                                lost: false,
-                            });
-                        }
-                        send_wire(link, &update);
+                        send(&update);
                     }
                     if let Some(period) = primary.send_period(id) {
                         timers.push(Deadline {
@@ -715,19 +642,14 @@ fn primary_loop(
                 }
                 None => {
                     let round = primary.tick_heartbeat(shared.now());
-                    forward_monitor(shared, obs, primary.node(), primary.drain_monitor_events());
-                    forward_integrity(
-                        shared,
-                        obs,
-                        primary.node(),
-                        primary.drain_integrity_events(),
-                    );
+                    tel.monitor_events(node, primary.drain_monitor_events(), &emit);
+                    tel.integrity_events(node, primary.drain_integrity_events(), &emit);
                     for (dest, ping) in round.pings {
                         emit(EventKind::HeartbeatSent {
-                            from: primary.node(),
+                            from: node,
                             to: dest,
                         });
-                        send_wire(link, &ping);
+                        send(&ping);
                     }
                     timers.push(Deadline {
                         due: d.due + Duration::from(primary.config().heartbeat_period / 2),
@@ -741,27 +663,7 @@ fn primary_loop(
             flush_at = None;
             let ids = std::mem::take(&mut pending);
             if let Some(batch) = primary.make_batch(&ids, shared.now()) {
-                let carried = frame_updates(&batch);
-                {
-                    let mut m = shared.metrics.lock().unwrap();
-                    for _ in &carried {
-                        m.record_update_sent(false);
-                    }
-                }
-                emit(EventKind::BatchSent {
-                    to: NodeId::new(1),
-                    size: carried.len() as u64,
-                    lost: false,
-                });
-                for (object, version) in carried {
-                    emit(EventKind::UpdateSent {
-                        object,
-                        version,
-                        to: NodeId::new(1),
-                        lost: false,
-                    });
-                }
-                send_wire(link, &batch);
+                send(&batch);
             }
         }
         let mut until_next = timers.peek().map_or(Duration::from_millis(10), |d| {
@@ -777,62 +679,35 @@ fn primary_loop(
         let deadline = Instant::now() + timeout;
         loop {
             let mut progressed = false;
-            while let Ok((id, payload, sent_at)) = client_rx.try_recv() {
+            while let Ok(write) = client_rx.try_recv() {
                 progressed = true;
-                let now = shared.now();
-                // The runtime is a harness-level driver of the sans-io
-                // core; clients go through `RtpbClient`.
-                #[allow(deprecated)]
-                let applied = primary.apply_client_write(id, payload, now);
-                if let Some(version) = applied {
-                    let response = TimeDelta::from(sent_at.elapsed());
-                    let mut m = shared.metrics.lock().unwrap();
-                    m.record_response(response);
-                    m.on_primary_write(id, version, now);
-                    drop(m);
-                    emit(EventKind::ClientWrite {
-                        object: id,
-                        version,
-                        response,
-                    });
-                }
+                serve_write(shared, &mut primary, write, &emit);
             }
             while let Ok(bytes) = network.try_recv() {
                 progressed = true;
-                if let Ok(msg) = WireMessage::decode(&bytes) {
-                    if let WireMessage::RetransmitRequest { object, .. } = &msg {
-                        shared.metrics.lock().unwrap().record_retransmit_request();
-                        emit(EventKind::RetransmitRequested {
-                            object: *object,
-                            node: NodeId::new(1),
-                        });
-                    }
-                    let out = primary.handle_message(&msg, shared.now());
-                    forward_monitor(shared, obs, primary.node(), primary.drain_monitor_events());
-                    forward_integrity(
-                        shared,
-                        obs,
-                        primary.node(),
-                        primary.drain_integrity_events(),
-                    );
-                    if let Some(plan) = &out.catch_up {
-                        emit(EventKind::CatchUpPlan {
-                            node: plan.node,
-                            path: plan.path.name().to_string(),
-                            gap: plan.gap,
-                            records: plan.records,
-                            bytes: plan.bytes,
-                        });
-                    }
-                    for reply in &out.replies {
-                        if matches!(reply, WireMessage::ReadReply { .. }) {
-                            let _ = read_replies.send(reply.encode());
-                            continue;
-                        }
-                        if matches!(reply, WireMessage::Update { .. }) {
-                            shared.metrics.lock().unwrap().record_update_sent(false);
-                        }
-                        send_wire(link, reply);
+                let Ok(msg) = WireMessage::decode(&bytes) else {
+                    tel.corrupt_frame(node, emit);
+                    continue;
+                };
+                if let WireMessage::RetransmitRequest { object, .. } = &msg {
+                    tel.retransmit_requests.inc();
+                    emit(EventKind::RetransmitRequested {
+                        object: *object,
+                        node: NodeId::new(1),
+                    });
+                }
+                let out = primary.handle_message(&msg, shared.now());
+                tel.monitor_events(node, primary.drain_monitor_events(), &emit);
+                tel.integrity_events(node, primary.drain_integrity_events(), &emit);
+                tel.fenced(node, primary.epoch(), &out.stale_rejected, &emit);
+                if let Some(plan) = &out.catch_up {
+                    tel.catch_up_plan(plan, emit);
+                }
+                for reply in &out.replies {
+                    if matches!(reply, WireMessage::ReadReply { .. }) {
+                        let _ = read_replies.send(reply.encode());
+                    } else {
+                        send(reply);
                     }
                 }
             }
@@ -845,6 +720,44 @@ fn primary_loop(
             std::thread::sleep(nap);
         }
     }
+}
+
+/// A serving primary applies one client write: it feeds the per-object
+/// ledger, counts the write and its response time, and emits
+/// `client_write` after any store snapshot the write triggered.
+fn serve_write(
+    shared: &Shared,
+    primary: &mut Primary,
+    (id, payload, sent_at): (ObjectId, Vec<u8>, Instant),
+    emit: &impl Fn(EventKind),
+) {
+    let now = shared.now();
+    // The runtime is a harness-level driver of the sans-io core; clients
+    // go through `RtpbClient`.
+    #[allow(deprecated)]
+    let applied = primary.apply_client_write(id, payload, now);
+    let Some(version) = applied else {
+        return;
+    };
+    for (head, log_len) in primary.take_snapshot_marks() {
+        emit(EventKind::StoreSnapshot {
+            node: primary.node(),
+            head,
+            log_len,
+        });
+    }
+    let response = TimeDelta::from(sent_at.elapsed());
+    let mut m = shared.metrics.lock().expect("metrics lock poisoned");
+    m.record_response(response);
+    m.on_primary_write(id, version, now);
+    drop(m);
+    shared.instruments.client_writes.inc();
+    shared.instruments.response_time.record(response);
+    emit(EventKind::ClientWrite {
+        object: id,
+        version,
+        response,
+    });
 }
 
 /// The backup thread's crash/recovery schedule (mirrors the simulation's
@@ -870,6 +783,7 @@ fn backup_loop(
     obs: &EventWriter,
 ) {
     let emit = |kind: EventKind| obs.emit(ClockDomain::Real, shared.now(), kind);
+    let tel = &shared.instruments;
     let start = Instant::now();
     let node = backup.node();
     let mut timers: BinaryHeap<Deadline> = BinaryHeap::new();
@@ -970,8 +884,8 @@ fn backup_loop(
                 }
                 None => {
                     let (ping, primary_died) = backup.tick_heartbeat(shared.now());
-                    forward_monitor(shared, obs, node, backup.drain_monitor_events());
-                    forward_integrity(shared, obs, node, backup.drain_integrity_events());
+                    tel.monitor_events(node, backup.drain_monitor_events(), &emit);
+                    tel.integrity_events(node, backup.drain_integrity_events(), &emit);
                     if let Some(ping) = ping {
                         emit(EventKind::HeartbeatSent {
                             from: node,
@@ -1005,59 +919,67 @@ fn backup_loop(
                 from: Role::Backup,
                 to: Role::Primary,
             });
+            tel.failovers.inc();
             promoted = Some(backup.promote(shared.now()));
             break;
         }
         match network.recv_timeout(Duration::from_millis(5)) {
             Ok(bytes) => {
-                if let Ok(msg) = WireMessage::decode(&bytes) {
-                    {
-                        // A batch refreshes every update it carries.
-                        let mut m = shared.metrics.lock().unwrap();
-                        for (object, _) in frame_updates(&msg) {
-                            m.on_backup_refresh(object, shared.now());
-                        }
+                // The same receive path as the simulator's: parse a
+                // borrowing view, which checks the CRC trailer first, and
+                // hand it to the backup.
+                let Ok(frame) = WireFrame::parse(&bytes) else {
+                    tel.corrupt_frame(node, emit);
+                    continue;
+                };
+                {
+                    // Fresh or duplicate, an arrival resets the §5.3
+                    // refresh clock; a batch refreshes every update it
+                    // carries.
+                    let now = shared.now();
+                    let mut m = shared.metrics.lock().expect("metrics lock poisoned");
+                    frame.for_each_update(|object, _| m.on_backup_refresh(object, now));
+                }
+                if rejoining
+                    && matches!(
+                        frame,
+                        WireFrame::StateTransfer { .. }
+                            | WireFrame::LogSuffix { .. }
+                            | WireFrame::ResyncDiff { .. }
+                    )
+                {
+                    rejoining = false;
+                    shared.rejoins.fetch_add(1, Ordering::SeqCst);
+                    if matches!(frame, WireFrame::LogSuffix { .. }) {
+                        shared.suffix_rejoins.fetch_add(1, Ordering::SeqCst);
                     }
-                    if rejoining
-                        && matches!(
-                            msg,
-                            WireMessage::StateTransfer { .. }
-                                | WireMessage::LogSuffix { .. }
-                                | WireMessage::ResyncDiff { .. }
-                        )
-                    {
-                        rejoining = false;
-                        shared.rejoins.fetch_add(1, Ordering::SeqCst);
-                        if matches!(msg, WireMessage::LogSuffix { .. }) {
-                            shared.suffix_rejoins.fetch_add(1, Ordering::SeqCst);
-                        }
-                        emit(EventKind::RoleTransition {
-                            node,
-                            from: Role::Joining,
-                            to: Role::Backup,
-                        });
-                    }
-                    let out = backup.handle_message(&msg, shared.now());
-                    forward_monitor(shared, obs, node, backup.drain_monitor_events());
-                    forward_integrity(shared, obs, node, backup.drain_integrity_events());
-                    let mut m = shared.metrics.lock().unwrap();
-                    for (id, version, ts) in &out.applied {
-                        m.on_backup_apply(*id, *version, *ts, shared.now());
-                    }
-                    drop(m);
-                    for (id, version, _) in &out.applied {
-                        emit(EventKind::UpdateApplied {
-                            object: *id,
-                            version: *version,
-                            node,
-                        });
-                    }
-                    for reply in &out.replies {
-                        if matches!(reply, WireMessage::ReadReply { .. }) {
-                            let _ = read_replies.send(reply.encode());
-                        } else {
-                            send_wire(link, reply);
-                        }
+                    emit(EventKind::RoleTransition {
+                        node,
+                        from: Role::Joining,
+                        to: Role::Backup,
+                    });
+                }
+                let out = backup.handle_frame(&frame, shared.now());
+                tel.monitor_events(node, backup.drain_monitor_events(), &emit);
+                tel.integrity_events(node, backup.drain_integrity_events(), &emit);
+                tel.fenced(node, backup.epoch(), &out.stale_rejected, &emit);
+                let mut m = shared.metrics.lock().expect("metrics lock poisoned");
+                for (id, version, ts) in &out.applied {
+                    m.on_backup_apply(*id, *version, *ts, shared.now());
+                }
+                drop(m);
+                for (id, version, _) in &out.applied {
+                    emit(EventKind::UpdateApplied {
+                        object: *id,
+                        version: *version,
+                        node,
+                    });
+                }
+                for reply in &out.replies {
+                    if matches!(reply, WireMessage::ReadReply { .. }) {
+                        let _ = read_replies.send(reply.encode());
+                    } else {
+                        send_wire(link, reply);
                     }
                 }
             }
@@ -1072,16 +994,7 @@ fn backup_loop(
     };
     while !shared.stop.load(Ordering::SeqCst) {
         match client_rx.recv_timeout(Duration::from_millis(5)) {
-            Ok((id, payload, sent_at)) => {
-                let now = shared.now();
-                #[allow(deprecated)]
-                let applied = new_primary.apply_client_write(id, payload, now);
-                if let Some(version) = applied {
-                    let mut m = shared.metrics.lock().unwrap();
-                    m.record_response(TimeDelta::from(sent_at.elapsed()));
-                    m.on_primary_write(id, version, now);
-                }
-            }
+            Ok(write) => serve_write(shared, &mut new_primary, write, &emit),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
         }
@@ -1218,7 +1131,7 @@ mod tests {
         let plan = events
             .iter()
             .find_map(|e| match &e.kind {
-                EventKind::CatchUpPlan { path, .. } => Some(path.clone()),
+                EventKind::CatchUpPlan { path, .. } => Some(*path),
                 _ => None,
             })
             .expect("the rejoin must emit a catch_up_plan event");

@@ -3,7 +3,6 @@
 use crate::event::EventId;
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
-use crate::trace::Trace;
 use rtpb_obs::{ClockDomain, EventKind, EventWriter};
 use rtpb_types::{Time, TimeDelta};
 
@@ -22,13 +21,12 @@ pub trait World {
 
 /// The engine-side capabilities available to a [`World`] while it handles
 /// an event: the clock, event scheduling/cancellation, randomness, and
-/// tracing.
+/// structured-event emission.
 #[derive(Debug)]
 pub struct Context<'a, E> {
     now: Time,
     queue: &'a mut EventQueue<E>,
     rng: &'a mut SimRng,
-    trace: &'a mut Trace,
     observer: &'a EventWriter,
     stop_requested: &'a mut bool,
 }
@@ -66,11 +64,6 @@ impl<E> Context<'_, E> {
         self.rng
     }
 
-    /// Appends a trace record at the current time.
-    pub fn trace(&mut self, message: impl Into<String>) {
-        self.trace.push(self.now, message);
-    }
-
     /// Emits a structured observability event at the current virtual time.
     ///
     /// A no-op (one branch, no allocation) when the simulation was built
@@ -102,7 +95,6 @@ pub struct Simulation<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
     rng: SimRng,
-    trace: Trace,
     observer: EventWriter,
     now: Time,
     stop_requested: bool,
@@ -116,19 +108,11 @@ impl<W: World> Simulation<W> {
             world,
             queue: EventQueue::new(),
             rng: SimRng::seed_from(seed),
-            trace: Trace::disabled(),
             observer: EventWriter::disabled(),
             now: Time::ZERO,
             stop_requested: false,
             events_handled: 0,
         }
-    }
-
-    /// Enables tracing, retaining the most recent `capacity` records.
-    #[must_use]
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace = Trace::with_capacity(capacity);
-        self
     }
 
     /// Attaches a structured-event writer; events emitted through
@@ -168,12 +152,6 @@ impl<W: World> Simulation<W> {
     /// run segments).
     pub fn world_mut(&mut self) -> &mut W {
         &mut self.world
-    }
-
-    /// The retained trace.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Total events dispatched so far.
@@ -219,7 +197,6 @@ impl<W: World> Simulation<W> {
             now: self.now,
             queue: &mut self.queue,
             rng: &mut self.rng,
-            trace: &mut self.trace,
             observer: &self.observer,
             stop_requested: &mut self.stop_requested,
         };
@@ -298,7 +275,6 @@ mod tests {
                     self.chain_depth = self.chain_depth.max(n);
                     if n > 0 {
                         ctx.schedule_in(TimeDelta::from_millis(1), Ev::Chain(n - 1));
-                        ctx.trace(format!("chained {n}"));
                     }
                 }
                 Ev::Stop => ctx.stop(),
@@ -323,11 +299,11 @@ mod tests {
 
     #[test]
     fn chained_events_cascade() {
-        let mut sim = Simulation::new(Counter::default(), 0).with_trace(16);
+        let mut sim = Simulation::new(Counter::default(), 0);
         sim.schedule_at(Time::ZERO, Ev::Chain(5));
         sim.run_to_completion();
         assert_eq!(sim.now(), Time::from_millis(5));
-        assert!(sim.trace().contains("chained 5"));
+        assert_eq!(sim.world().chain_depth, 5);
         assert_eq!(sim.events_handled(), 6);
     }
 

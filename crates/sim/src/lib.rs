@@ -12,7 +12,7 @@
 //! A simulation is a [`World`] (your state machine) plus a [`Simulation`]
 //! engine. The world handles one event at a time; inside the handler it can
 //! schedule future events, cancel pending ones, draw random numbers, and
-//! append trace records through the [`Context`]. Two events never execute
+//! emit typed observability events through the [`Context`]. Two events never execute
 //! concurrently, and ties in time are broken by insertion order, so the
 //! whole run is a deterministic function of (world, seed, initial events).
 //!
@@ -56,7 +56,6 @@ pub mod propcheck;
 mod queue;
 mod rng;
 mod stats;
-mod trace;
 
 pub use clock::ClockModel;
 pub use engine::{Context, Simulation, World};
@@ -64,4 +63,3 @@ pub use event::EventId;
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::Summary;
-pub use trace::{Trace, TraceRecord};

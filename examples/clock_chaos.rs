@@ -133,15 +133,13 @@ fn main() {
 
     // Violation ledger: which node saw which evidence, how often.
     let events = client.bus().collect();
-    let mut ledger: BTreeMap<(String, String), u64> = BTreeMap::new();
+    let mut ledger: BTreeMap<(String, &str), u64> = BTreeMap::new();
     let mut degraded = 0u64;
     let mut recovered = 0u64;
     for event in &events {
         match &event.kind {
             EventKind::TimingViolation { node, evidence, .. } => {
-                *ledger
-                    .entry((node.to_string(), evidence.clone()))
-                    .or_insert(0) += 1;
+                *ledger.entry((node.to_string(), *evidence)).or_insert(0) += 1;
             }
             EventKind::MonitorDegraded { .. } => degraded += 1,
             EventKind::MonitorRecovered { .. } => recovered += 1,
@@ -160,14 +158,14 @@ fn main() {
         "clock_stalled",          // the freeze, pinned across consecutive readings
     ] {
         assert!(
-            ledger.keys().any(|(_, e)| e == required),
+            ledger.keys().any(|(_, e)| *e == required),
             "expected {required} evidence in this scenario"
         );
     }
     assert!(
         ledger
             .keys()
-            .any(|(n, e)| { n == "node#0" && e == "local_clock_regression" }),
+            .any(|(n, e)| { n == "node#0" && *e == "local_clock_regression" }),
         "the drift snap-back must be caught by the primary itself"
     );
     assert!(

@@ -185,7 +185,7 @@ fn main() {
     assert!(
         events.iter().any(|e| matches!(
             &e.kind,
-            EventKind::CatchUpPlan { path, .. } if path == "full_transfer"
+            EventKind::CatchUpPlan { path, .. } if *path == "full_transfer"
         )),
         "the rotted restart must fall to the bottom of the ladder"
     );

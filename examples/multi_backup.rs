@@ -15,7 +15,6 @@ use rtpb::RtpbClient;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ClusterConfig {
         num_backups: 2,
-        trace_capacity: 64,
         ..ClusterConfig::default()
     };
     let mut client = RtpbClient::new(config);

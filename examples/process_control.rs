@@ -11,6 +11,7 @@
 //! ```
 
 use rtpb::core::harness::{ClusterConfig, FaultEvent};
+use rtpb::obs::{EventBus, EventKind};
 use rtpb::types::{ObjectSpec, TimeDelta};
 use rtpb::{ReadConsistency, RtpbClient};
 
@@ -25,7 +26,7 @@ fn sensor(name: &str, period_ms: u64) -> ObjectSpec {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ClusterConfig {
-        trace_capacity: 64,
+        bus: EventBus::with_capacity(1 << 16),
         recruit_backup_after: Some(TimeDelta::from_millis(500)),
         seed: 11,
         ..ClusterConfig::default()
@@ -98,12 +99,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\ntrace highlights:");
-    for record in client.cluster().trace().records().filter(|r| {
-        r.message.contains("dead")
-            || r.message.contains("taking over")
-            || r.message.contains("backup")
-    }) {
-        println!("  {record}");
+    for event in client.bus().collect() {
+        match event.kind {
+            EventKind::HeartbeatMissed { from, peer } => {
+                println!("  [{}] {from} declared {peer} dead", event.at);
+            }
+            EventKind::RoleTransition { node, from, to } => {
+                println!("  [{}] {node}: {} -> {}", event.at, from.name(), to.name());
+            }
+            _ => {}
+        }
     }
     println!("\nthe reactor never lost its monitoring service.");
     Ok(())

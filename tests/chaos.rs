@@ -321,7 +321,6 @@ fn split_brain_cluster(seed: u64) -> RtpbClient {
     let config = ClusterConfig {
         seed,
         num_backups: 2,
-        trace_capacity: 256,
         bus: EventBus::with_capacity(1 << 17),
         registry: MetricsRegistry::new(),
         fault_plan: FaultPlan::new().at(
@@ -587,7 +586,6 @@ fn assert_certificates_sound(cluster: &RtpbClient, id: ObjectId) {
 fn backward_clock_step_degrades_backup_then_recovers() {
     let config = ClusterConfig {
         seed: 43,
-        trace_capacity: 512,
         bus: EventBus::with_capacity(1 << 17),
         registry: MetricsRegistry::new(),
         fault_plan: FaultPlan::new().at(
@@ -699,7 +697,7 @@ fn backward_clock_step_degrades_backup_then_recovers() {
     assert!(
         events.iter().any(|e| matches!(
             &e.kind,
-            EventKind::ReadRedirected { reason, .. } if reason == "unsound"
+            EventKind::ReadRedirected { reason, .. } if *reason == "unsound"
         )),
         "refusals must carry the explicit unsound reason"
     );

@@ -20,7 +20,6 @@ fn spec(period: u64) -> ObjectSpec {
 
 fn cluster_with(recruit_ms: Option<u64>) -> RtpbClient {
     RtpbClient::new(ClusterConfig {
-        trace_capacity: 128,
         recruit_backup_after: recruit_ms.map(ms),
         ..ClusterConfig::default()
     })

@@ -31,6 +31,16 @@ fn spec(period: u64) -> ObjectSpec {
         .unwrap()
 }
 
+/// A counter from the registry snapshot; panics if the registry was left
+/// disabled, so a missing count can never read as zero.
+fn counter(cluster: &RtpbClient, name: &str) -> u64 {
+    cluster
+        .registry()
+        .snapshot()
+        .counter(name)
+        .expect("the test enables the registry")
+}
+
 /// Ground-truth certificate audit (shared with the clock-chaos suite):
 /// every replica-served read's staleness certificate is checked against
 /// the recorded write history on the global clock. With corruption in
@@ -104,7 +114,7 @@ fn corrupt_frames_are_detected_dropped_and_repaired() {
         corrupted > 0,
         "a 1.0-probability window must corrupt frames"
     );
-    assert!(cluster.cluster().integrity_violations() >= corrupted);
+    assert!(counter(&cluster, "cluster.integrity_violations") >= corrupted);
     let events = cluster.bus().collect();
     let frame_violations = events
         .iter()
@@ -251,7 +261,7 @@ fn scrubber_finds_silent_rot_and_repairs_via_resync() {
     let id = cluster.register(spec(200)).unwrap();
     cluster.run_for(TimeDelta::from_secs(2));
     assert_eq!(
-        cluster.cluster().scrub_divergences(),
+        counter(&cluster, "cluster.scrub_divergences"),
         0,
         "a healthy store must scrub clean"
     );
@@ -263,7 +273,7 @@ fn scrubber_finds_silent_rot_and_repairs_via_resync() {
     cluster.run_for(TimeDelta::from_secs(4));
 
     assert!(
-        cluster.cluster().scrub_divergences() >= 1,
+        counter(&cluster, "cluster.scrub_divergences") >= 1,
         "the scrubber must notice the diverged digest"
     );
     let events = cluster.bus().collect();
@@ -318,7 +328,6 @@ fn acceptance_cluster(seed: u64) -> RtpbClient {
         seed,
         num_backups: 2,
         auto_failover: false,
-        trace_capacity: 256,
         bus: EventBus::with_capacity(1 << 18),
         registry: MetricsRegistry::new(),
         fault_plan: FaultPlan::new()
@@ -371,7 +380,7 @@ fn combined_corruption_chaos_detects_everything_and_converges() {
 
     assert!(!cluster.has_failed_over(), "the primary never died");
     assert!(cluster.cluster().corrupt_messages() > 0);
-    assert!(cluster.cluster().integrity_violations() > 0);
+    assert!(counter(&cluster, "cluster.integrity_violations") > 0);
     let events = cluster.bus().collect();
     for source in ["frame", "store_entry"] {
         assert!(
@@ -452,7 +461,7 @@ fn corruption_chaos_replays_byte_identically() {
             cluster.export_jsonl(),
             cluster.fault_report().to_vec(),
             cluster.cluster().corrupt_messages(),
-            cluster.cluster().integrity_violations(),
+            counter(&cluster, "cluster.integrity_violations"),
         )
     };
     let (jsonl_a, faults_a, corrupted_a, violations_a) = run();

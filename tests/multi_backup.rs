@@ -22,7 +22,6 @@ fn spec(period: u64) -> ObjectSpec {
 fn cluster(backups: usize) -> RtpbClient {
     let config = ClusterConfig {
         num_backups: backups,
-        trace_capacity: 128,
         ..ClusterConfig::default()
     };
     RtpbClient::new(config)

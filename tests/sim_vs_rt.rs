@@ -3,9 +3,11 @@
 //! behaviour under both drivers.
 
 use rtpb::core::harness::{ClusterConfig, FaultEvent};
+use rtpb::obs::{EventBus, ObsEvent};
 use rtpb::rt::{RtCluster, RtConfig};
 use rtpb::types::{ObjectSpec, TimeDelta};
 use rtpb::RtpbClient;
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 fn spec(period_ms: u64) -> ObjectSpec {
@@ -87,4 +89,45 @@ fn both_drivers_survive_update_loss_via_retransmission() {
         !rt_report.failed_over,
         "update loss must not kill the service"
     );
+}
+
+#[test]
+fn both_drivers_emit_the_same_event_kinds() {
+    // One healthy batched run per driver: the same cores and the same
+    // telemetry steps must produce the same taxonomy under both clocks.
+    let coalesce = TimeDelta::from_millis(5);
+    let kinds = |events: Vec<ObsEvent>| -> BTreeSet<&'static str> {
+        events.iter().map(|e| e.kind.name()).collect()
+    };
+
+    let mut sim_config = ClusterConfig {
+        bus: EventBus::with_capacity(1 << 16),
+        ..ClusterConfig::default()
+    };
+    sim_config.protocol.coalesce_window = coalesce;
+    let mut cluster = RtpbClient::new(sim_config);
+    cluster.register(spec(20)).unwrap();
+    cluster.run_for(TimeDelta::from_secs(1));
+    let sim = kinds(cluster.bus().collect());
+
+    let mut rt_config = RtConfig::default();
+    rt_config.protocol.coalesce_window = coalesce;
+    rt_config.objects.push(spec(20));
+    rt_config.bus = EventBus::with_capacity(1 << 16);
+    let bus = rt_config.bus.clone();
+    RtCluster::run(rt_config, Duration::from_secs(1)).unwrap();
+    let rt = kinds(bus.collect());
+
+    // The runtime admits its objects before the run starts and reports
+    // no admission decisions.
+    let missing: Vec<&str> = sim
+        .iter()
+        .copied()
+        .filter(|&k| k != "admission_decision" && !rt.contains(k))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "rt never emitted {missing:?} (sim: {sim:?}, rt: {rt:?})"
+    );
+    assert!(sim.contains("batch_sent"), "the run must batch: {sim:?}");
 }
