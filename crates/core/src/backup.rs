@@ -11,13 +11,13 @@ use crate::integrity::{IntegrityEvent, IntegritySource};
 use crate::monitor::TemporalMonitor;
 use crate::primary::Primary;
 use crate::store::ObjectStore;
+use crate::table::IdTable;
 use crate::update_sched::UpdateSchedule;
 use crate::wire::{ReadStatus, ScrubDigest, StateEntryRef, WireFrame, WireMessage};
 use rtpb_types::{
     Epoch, InterObjectConstraint, LogPosition, NodeId, ObjectId, ObjectSpec, StalenessCertificate,
     Time, TimeDelta, Version,
 };
-use std::collections::BTreeMap;
 
 /// What happened when the backup processed an inbound message.
 #[derive(Debug, Clone, Default)]
@@ -118,8 +118,10 @@ pub struct Backup {
     node: NodeId,
     config: ProtocolConfig,
     store: ObjectStore,
-    send_periods: BTreeMap<ObjectId, TimeDelta>,
-    last_update_at: BTreeMap<ObjectId, Time>,
+    // Per-object watchdog state, kept only for objects the store holds:
+    // registration adds an object, and an id read off the wire never does.
+    send_periods: IdTable<TimeDelta>,
+    last_update_at: IdTable<Time>,
     detector: FailureDetector,
     primary_alive: bool,
     // Highest fencing epoch observed on any inbound frame; frames below
@@ -134,7 +136,7 @@ pub struct Backup {
     retransmit_requests_sent: u64,
     updates_applied: u64,
     duplicates_ignored: u64,
-    retransmit_attempts: BTreeMap<ObjectId, u32>,
+    retransmit_attempts: IdTable<u32>,
     join: Option<JoinState>,
     join_attempts: u32,
     join_abandoned: bool,
@@ -167,8 +169,8 @@ impl Backup {
             node,
             config,
             store: ObjectStore::new(),
-            send_periods: BTreeMap::new(),
-            last_update_at: BTreeMap::new(),
+            send_periods: IdTable::default(),
+            last_update_at: IdTable::default(),
             detector,
             primary_alive: true,
             epoch: Epoch::INITIAL,
@@ -177,7 +179,7 @@ impl Backup {
             retransmit_requests_sent: 0,
             updates_applied: 0,
             duplicates_ignored: 0,
-            retransmit_attempts: BTreeMap::new(),
+            retransmit_attempts: IdTable::default(),
             join: None,
             join_attempts: 0,
             join_abandoned: false,
@@ -198,7 +200,7 @@ impl Backup {
         node: NodeId,
         config: ProtocolConfig,
         store: ObjectStore,
-        send_periods: BTreeMap<ObjectId, TimeDelta>,
+        send_periods: IdTable<TimeDelta>,
         epoch: Epoch,
         position: Option<LogPosition>,
         now: Time,
@@ -226,7 +228,7 @@ impl Backup {
             retransmit_requests_sent: 0,
             updates_applied: 0,
             duplicates_ignored: 0,
-            retransmit_attempts: BTreeMap::new(),
+            retransmit_attempts: IdTable::default(),
             join: None,
             join_attempts: 0,
             join_abandoned: false,
@@ -324,7 +326,7 @@ impl Backup {
     ///
     /// Returns the quarantined objects.
     pub fn audit_integrity(&mut self) -> Vec<ObjectId> {
-        let failed = self.store.audit();
+        let failed: Vec<ObjectId> = self.store.audit().into_iter().map(|(id, _)| id).collect();
         if !failed.is_empty() {
             self.position = None;
         }
@@ -603,15 +605,18 @@ impl Backup {
     /// Mirrors a deregistration.
     pub fn sync_deregistration(&mut self, id: ObjectId) {
         self.store.deregister(id);
-        self.send_periods.remove(&id);
-        self.last_update_at.remove(&id);
-        self.retransmit_attempts.remove(&id);
+        self.send_periods.remove(id);
+        self.last_update_at.remove(id);
+        self.retransmit_attempts.remove(id);
     }
 
-    /// Updates the watchdog period for `id` (schedule recomputation at
-    /// the primary, e.g. compressed-mode redistribution).
+    /// Updates the watchdog period for a registered `id` (schedule
+    /// recomputation at the primary, e.g. compressed-mode
+    /// redistribution). An id this backup has not registered is ignored.
     pub fn sync_send_period(&mut self, id: ObjectId, send_period: TimeDelta) {
-        self.send_periods.insert(id, send_period);
+        if self.store.get(id).is_some() {
+            self.send_periods.insert(id, send_period);
+        }
     }
 
     /// Handles an inbound message from the network: encodes it and hands
@@ -788,7 +793,7 @@ impl Backup {
             range: s.range,
             ranges: s.ranges,
         });
-        for id in self.store.audit() {
+        for (id, _) in self.store.audit() {
             self.integrity_events.push(IntegrityEvent::Violation {
                 source: IntegritySource::StoreEntry,
                 object: Some(id),
@@ -832,8 +837,7 @@ impl Backup {
         // observing node.
         self.monitor
             .observe_remote_timestamp(self.node, u.timestamp, now);
-        self.last_update_at.insert(u.object, now);
-        self.retransmit_attempts.remove(&u.object);
+        self.note_arrival(u.object, now);
         // The update carries its object's latest log coordinate.
         // Advancing the high-water mark past unseen records of
         // *other* objects is sound: RTPB re-sends every object's
@@ -869,8 +873,7 @@ impl Backup {
     ) {
         self.monitor
             .observe_remote_timestamp(self.node, e.timestamp, now);
-        self.last_update_at.insert(e.object, now);
-        self.retransmit_attempts.remove(&e.object);
+        self.note_arrival(e.object, now);
         // Entries are tagged with the shipping frame's epoch: a serving
         // primary's whole image carries its own epoch (adopted at
         // promotion), so a resync diff overwrites divergent values this
@@ -882,6 +885,16 @@ impl Backup {
         if installed {
             self.updates_applied += 1;
             out.applied.push((e.object, e.version, e.timestamp));
+        }
+    }
+
+    /// Restarts `object`'s freshness watchdog and clears its backoff. An
+    /// object this backup does not hold — never registered, or
+    /// deregistered while the frame was in flight — leaves no trace.
+    fn note_arrival(&mut self, object: ObjectId, now: Time) {
+        if self.store.get(object).is_some() {
+            self.last_update_at.insert(object, now);
+            self.retransmit_attempts.remove(object);
         }
     }
 
@@ -906,9 +919,9 @@ impl Backup {
         if !self.primary_alive {
             return None;
         }
-        let period = *self.send_periods.get(&id)?;
-        let last = *self.last_update_at.get(&id)?;
-        let attempts = self.retransmit_attempts.get(&id).copied().unwrap_or(0);
+        let period = *self.send_periods.get(id)?;
+        let last = *self.last_update_at.get(id)?;
+        let attempts = self.retransmit_attempts.get(id).copied().unwrap_or(0);
         let backoff = 1u64 << attempts.min(self.config.retransmit_backoff_cap);
         let allowance = self.config.refresh_allowance(period) * backoff;
         if now.saturating_since(last) > allowance {

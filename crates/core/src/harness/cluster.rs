@@ -22,6 +22,7 @@ use crate::metrics::{ClusterMetrics, FaultRecord, InjectedFault};
 use crate::monitor::MonitorEvent;
 use crate::name_service::NameService;
 use crate::primary::{CatchUpDecision, Primary};
+use crate::table::IdTable;
 use crate::telemetry::Instruments;
 use crate::wire::{WireFrame, WireMessage};
 use rtpb_net::{FaultKind, FaultWindow, LinkConfig, LinkOutcome, LossyLink};
@@ -278,7 +279,7 @@ struct ClusterWorld {
     metrics: ClusterMetrics,
     instruments: Instruments,
     names: NameService,
-    specs: BTreeMap<ObjectId, ObjectSpec>,
+    specs: IdTable<ObjectSpec>,
     epoch: u32,
     next_node: u16,
     write_counter: u64,
@@ -299,6 +300,9 @@ struct ClusterWorld {
     /// frame (insertion order; only populated when
     /// [`ProtocolConfig::batching_enabled`] holds).
     pending_batch: Vec<ObjectId>,
+    /// The ids in `pending_batch`, so parking an object costs one lookup
+    /// however full the window is.
+    parked: IdTable<()>,
     /// Whether a [`Event::FlushBatch`] is already scheduled for the open
     /// coalescing window.
     batch_flush_scheduled: bool,
@@ -597,7 +601,7 @@ impl ClusterWorld {
         self.epoch += 1;
         let epoch = self.epoch;
         let mut timers = Vec::with_capacity(2 * self.specs.len());
-        for &id in self.specs.keys() {
+        for (id, _) in self.specs.iter() {
             if let Some(period) = self.primary.as_ref().and_then(|p| p.send_period(id)) {
                 timers.push((
                     send_phase(id, period),
@@ -1425,7 +1429,7 @@ impl ClusterWorld {
                         let cost = self
                             .config
                             .protocol
-                            .send_cost(self.specs.get(&object).map_or(64, ObjectSpec::size_bytes));
+                            .send_cost(self.specs.get(object).map_or(64, ObjectSpec::size_bytes));
                         let update = self
                             .primary
                             .as_mut()
@@ -1453,7 +1457,7 @@ impl World for ClusterWorld {
     fn handle(&mut self, ctx: &mut Context<'_, Event>, event: Event) {
         match event {
             Event::ClientWrite { object } => {
-                let Some(spec) = self.specs.get(&object) else {
+                let Some(spec) = self.specs.get(object) else {
                     return;
                 };
                 let period = spec.update_period();
@@ -1482,7 +1486,7 @@ impl World for ClusterWorld {
                     if let Some(shed) = shed {
                         ctx.emit(EventKind::ObjectShed { object: shed });
                         self.last_shed_at = Some(ctx.now());
-                        self.specs.remove(&shed);
+                        self.specs.remove(shed);
                         for h in &mut self.hosts {
                             if let Some(b) = h.backup.as_mut() {
                                 b.sync_deregistration(shed);
@@ -1537,7 +1541,7 @@ impl World for ClusterWorld {
                     // Coalescing pipeline: park the object and flush the
                     // whole set one coalescing window later, as a single
                     // frame through a single CPU transmission.
-                    if !self.pending_batch.contains(&object) {
+                    if self.parked.insert(object, ()).is_none() {
                         self.pending_batch.push(object);
                     }
                     if !self.batch_flush_scheduled {
@@ -1549,7 +1553,7 @@ impl World for ClusterWorld {
                 let cost = self
                     .config
                     .protocol
-                    .send_cost(self.specs.get(&object).map_or(64, ObjectSpec::size_bytes));
+                    .send_cost(self.specs.get(object).map_or(64, ObjectSpec::size_bytes));
                 let local = self.primary_local(ctx.now());
                 let update = self
                     .primary
@@ -1565,6 +1569,9 @@ impl World for ClusterWorld {
                 // objects gone from the store contribute nothing.
                 self.batch_flush_scheduled = false;
                 let ids = std::mem::take(&mut self.pending_batch);
+                for &id in &ids {
+                    self.parked.remove(id);
+                }
                 let local = self.primary_local(ctx.now());
                 let Some(primary) = self.primary.as_mut() else {
                     return;
@@ -1905,7 +1912,7 @@ impl SimCluster {
             metrics: ClusterMetrics::new(),
             instruments,
             names: NameService::new(primary_node),
-            specs: BTreeMap::new(),
+            specs: IdTable::default(),
             epoch: 0,
             next_node,
             write_counter: 0,
@@ -1915,6 +1922,7 @@ impl SimCluster {
             primary_partition: None,
             last_shed_at: None,
             pending_batch: Vec::new(),
+            parked: IdTable::default(),
             batch_flush_scheduled: false,
             catch_up_plans: Vec::new(),
             send_pool: BufPool::new(),
@@ -2086,7 +2094,7 @@ impl SimCluster {
         let now = self.sim.now();
         let (version, position, node, marks) = {
             let world = self.sim.world_mut();
-            if !world.specs.contains_key(&object) {
+            if !world.specs.contains(object) {
                 return Err(WriteError::UnknownObject(object));
             }
             let serving = world.names.resolve();
@@ -2156,7 +2164,7 @@ impl SimCluster {
         let now = self.sim.now();
         let routed = {
             let world = self.sim.world_mut();
-            if !world.specs.contains_key(&object) {
+            if !world.specs.contains(object) {
                 return Err(ReadError::UnknownObject(object));
             }
             let mut chosen = None;

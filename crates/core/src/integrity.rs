@@ -30,8 +30,9 @@ pub enum IntegritySource {
     /// A retained update-log record failed its checksum; the record was
     /// withheld from catch-up suffixes.
     LogRecord,
-    /// A store snapshot failed its checksum; catch-up fell past the
-    /// snapshot-diff rung to a full state transfer.
+    /// A snapshot delta that a diff would read failed its checksum;
+    /// catch-up fell past the snapshot-diff rung to a full state
+    /// transfer.
     LogSnapshot,
     /// A store entry's applied image failed its checksum; the entry was
     /// quarantined and its value withheld from reads.

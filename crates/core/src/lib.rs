@@ -62,6 +62,7 @@ pub mod monitor;
 pub mod name_service;
 pub mod primary;
 pub mod store;
+mod table;
 pub mod telemetry;
 pub mod update_sched;
 pub mod wire;

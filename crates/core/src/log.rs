@@ -14,17 +14,25 @@
 //!
 //! - A hard retention cap ([`ProtocolConfig::log_retention`]): the oldest
 //!   record is dropped once the ring is full.
-//! - Periodic store snapshots ([`ProtocolConfig::snapshot_interval`]
-//!   appends apart): a snapshot records every object's `(write_epoch,
-//!   version)` freshness tag, and records at or before the oldest retained
-//!   snapshot are truncated — a gap that predates the ring can still be
-//!   served as a *snapshot diff* (only objects whose tag moved since the
-//!   snapshot) rather than a full transfer.
+//! - Periodic snapshot marks ([`ProtocolConfig::snapshot_interval`]
+//!   appends apart), kept as a *delta chain*: each mark seals only the
+//!   objects whose `(write_epoch, version)` freshness tag changed since
+//!   the previous mark, each with the tag it had at that previous mark.
+//!   Records at or before the oldest retained mark are truncated. A gap
+//!   that predates the ring can still be served as a *snapshot diff*:
+//!   merging the deltas after the requester's mark with the changes not
+//!   yet sealed yields every changed object's tag at that mark, and only
+//!   objects whose tag moved past it ship.
+//!
+//! Keeping the chain costs O(changes), not O(store): a write notes at most
+//! one tag, and a mark sorts and checksums only what was noted since the
+//! previous one.
 //!
 //! The three catch-up paths a primary can choose are named by
 //! [`CatchUpPath`] and surfaced in traces as `catch_up_plan` events.
 
 use crate::config::ProtocolConfig;
+use crate::table::IdTable;
 use rtpb_types::{Crc32c, Epoch, ObjectId, Time, Version};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -68,22 +76,25 @@ impl LogRecord {
     }
 }
 
-/// A periodic store snapshot: every registered object's `(write_epoch,
-/// version)` freshness tag as of one log sequence number.
+/// One link of the snapshot delta chain: the objects whose `(write_epoch,
+/// version)` freshness tag changed between the previous mark and this
+/// one, each with the tag it had at the previous mark, sealed under one
+/// CRC32C.
 ///
 /// A snapshot is *metadata only* — the store itself is the snapshot's
 /// payload, consulted lazily when a gap is served from it.
 #[derive(Debug, Clone)]
 pub struct LogSnapshot {
     seq: u64,
-    tags: BTreeMap<ObjectId, (Epoch, Version)>,
+    /// `(object, tag at the previous mark)`, in id order.
+    changed: Vec<(ObjectId, (Epoch, Version))>,
     crc: u32,
 }
 
-fn snapshot_crc(seq: u64, tags: &BTreeMap<ObjectId, (Epoch, Version)>) -> u32 {
+fn snapshot_crc(seq: u64, changed: &[(ObjectId, (Epoch, Version))]) -> u32 {
     let mut c = Crc32c::new();
     c.update_u64(seq);
-    for (id, (epoch, version)) in tags {
+    for (id, (epoch, version)) in changed {
         c.update_u32(id.index());
         c.update_u64(epoch.value());
         c.update_u64(version.value());
@@ -98,31 +109,24 @@ impl LogSnapshot {
         self.seq
     }
 
-    /// The freshness tag the object had at snapshot time, if it was
-    /// registered then.
-    #[must_use]
-    pub fn tag(&self, object: ObjectId) -> Option<(Epoch, Version)> {
-        self.tags.get(&object).copied()
-    }
-
-    /// Number of objects captured.
+    /// Number of changed tags the mark sealed.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.tags.len()
+        self.changed.len()
     }
 
-    /// Whether the snapshot captured no objects.
+    /// Whether no tag changed since the previous mark.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
+        self.changed.is_empty()
     }
 
-    /// Whether the snapshot still matches the checksum taken when it was
-    /// cut. A snapshot that fails is unusable as a diff basis — the
+    /// Whether the delta still matches the checksum taken when it was
+    /// sealed. A diff that would read a delta that fails is withheld — the
     /// catch-up ladder falls through to a full transfer.
     #[must_use]
     pub fn verify(&self) -> bool {
-        self.crc == snapshot_crc(self.seq, &self.tags)
+        self.crc == snapshot_crc(self.seq, &self.changed)
     }
 }
 
@@ -183,8 +187,15 @@ pub struct UpdateLog {
     next_seq: u64,
     /// Highest appended seq per object — survives truncation, so updates
     /// can always be stamped with the object's latest log coordinate.
-    latest: BTreeMap<ObjectId, u64>,
+    latest: IdTable<u64>,
     snapshots: VecDeque<LogSnapshot>,
+    /// Changes noted since the last mark: `(object, tag at that mark)`,
+    /// in the order first noted. The next mark sorts and seals them.
+    unsealed: Vec<(ObjectId, (Epoch, Version))>,
+    /// The number of marks taken when each object was last noted, so only
+    /// an object's first change after a mark is recorded.
+    noted_at: IdTable<u64>,
+    marks: u64,
     appends_since_snapshot: u64,
     truncated: u64,
 }
@@ -201,8 +212,11 @@ impl UpdateLog {
             snapshots_retained: config.snapshots_retained.max(1),
             records: VecDeque::new(),
             next_seq: 1,
-            latest: BTreeMap::new(),
+            latest: IdTable::default(),
             snapshots: VecDeque::new(),
+            unsealed: Vec::new(),
+            noted_at: IdTable::default(),
+            marks: 0,
             appends_since_snapshot: 0,
             truncated: 0,
         }
@@ -242,7 +256,17 @@ impl UpdateLog {
     /// The newest appended seq for `object`, if it was ever logged.
     #[must_use]
     pub fn latest_seq(&self, object: ObjectId) -> Option<u64> {
-        self.latest.get(&object).copied()
+        self.latest.get(object).copied()
+    }
+
+    /// Notes that `object`'s freshness tag is about to move away from
+    /// `before` — a write, or a quarantine that resets the tag. Only the
+    /// first change after a mark is kept, so the noted tag is the one the
+    /// object had at that mark.
+    pub fn note_change(&mut self, object: ObjectId, before: (Epoch, Version)) {
+        if self.noted_at.insert(object, self.marks) != Some(self.marks) {
+            self.unsealed.push((object, before));
+        }
     }
 
     /// Appends a write, returning its sequence number. Drops the oldest
@@ -282,15 +306,20 @@ impl UpdateLog {
         self.appends_since_snapshot >= self.snapshot_interval
     }
 
-    /// Records a snapshot of the store's current freshness tags at the log
-    /// head, retires snapshots beyond the retained count, and truncates
-    /// records the oldest retained snapshot makes redundant.
+    /// Takes a snapshot mark at the log head: seals the changes noted
+    /// since the previous mark as one delta (see [`LogSnapshot`]), retires
+    /// marks beyond the retained count, and truncates records the oldest
+    /// retained mark makes redundant. Costs O(k log k) in the k objects
+    /// noted since the previous mark, whatever the store's size.
     ///
     /// Returns `(head_seq, records_retained_after_truncation)`.
-    pub fn take_snapshot(&mut self, tags: BTreeMap<ObjectId, (Epoch, Version)>) -> (u64, u64) {
+    pub fn take_snapshot(&mut self) -> (u64, u64) {
         let seq = self.head();
-        let crc = snapshot_crc(seq, &tags);
-        self.snapshots.push_back(LogSnapshot { seq, tags, crc });
+        let mut changed = std::mem::take(&mut self.unsealed);
+        changed.sort_unstable_by_key(|&(id, _)| id);
+        let crc = snapshot_crc(seq, &changed);
+        self.snapshots.push_back(LogSnapshot { seq, changed, crc });
+        self.marks += 1;
         while self.snapshots.len() > self.snapshots_retained {
             self.snapshots.pop_front();
         }
@@ -327,6 +356,37 @@ impl UpdateLog {
     #[must_use]
     pub fn snapshot_at_or_before(&self, seq: u64) -> Option<&LogSnapshot> {
         self.snapshots.iter().rev().find(|s| s.seq <= seq)
+    }
+
+    /// The retained snapshot marks, oldest first.
+    pub fn snapshots(&self) -> impl Iterator<Item = &LogSnapshot> + '_ {
+        self.snapshots.iter()
+    }
+
+    /// The tag each object changed since the mark at `base` had at that
+    /// mark: the deltas sealed after `base` merged with the unsealed
+    /// changes, the earliest recorded tag winning. An object absent from
+    /// the result holds the tag it had at `base`, and one registered
+    /// after `base` counts as the never-written tag there.
+    ///
+    /// # Errors
+    ///
+    /// The seq of the first delta read whose checksum fails; a diff built
+    /// from it could withhold objects the requester needs.
+    pub fn changed_since(&self, base: u64) -> Result<BTreeMap<ObjectId, (Epoch, Version)>, u64> {
+        let mut tags = BTreeMap::new();
+        for snap in self.snapshots.iter().filter(|s| s.seq > base) {
+            if !snap.verify() {
+                return Err(snap.seq);
+            }
+            for &(id, tag) in &snap.changed {
+                tags.entry(id).or_insert(tag);
+            }
+        }
+        for &(id, tag) in &self.unsealed {
+            tags.entry(id).or_insert(tag);
+        }
+        Ok(tags)
     }
 
     /// Fault-injection hook: flips `mask` into one byte of the retained
@@ -409,11 +469,11 @@ mod tests {
         let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(1_000, 4, 2));
         append_n(&mut log, 4);
         assert!(log.snapshot_due());
-        let (s1, _) = log.take_snapshot(BTreeMap::new());
+        let (s1, _) = log.take_snapshot();
         assert_eq!(s1, 4);
         assert!(!log.snapshot_due());
         append_n(&mut log, 4);
-        let (s2, _) = log.take_snapshot(BTreeMap::new());
+        let (s2, _) = log.take_snapshot();
         assert_eq!(s2, 8);
         // Two snapshots retained (at 4 and 8): records ≤ 4 truncated.
         assert_eq!(log.len(), 4);
@@ -421,28 +481,55 @@ mod tests {
         assert!(log.suffix_after(3).is_none());
         // A third snapshot retires the one at 4; floor moves to 8.
         append_n(&mut log, 4);
-        log.take_snapshot(BTreeMap::new());
+        log.take_snapshot();
         assert!(log.suffix_after(8).is_some());
         assert!(log.suffix_after(7).is_none());
         assert_eq!(log.snapshot_at_or_before(9).unwrap().seq(), 8);
         assert_eq!(log.snapshot_at_or_before(7).map(LogSnapshot::seq), None);
     }
 
+    fn tag(version: u64) -> (Epoch, Version) {
+        (Epoch::INITIAL, Version::new(version))
+    }
+
     #[test]
-    fn snapshot_tags_answer_freshness_queries() {
-        let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(8, 2, 2));
-        append_n(&mut log, 2);
-        let mut tags = BTreeMap::new();
-        tags.insert(ObjectId::new(0), (Epoch::INITIAL, Version::new(1)));
-        let (seq, _) = log.take_snapshot(tags);
-        let snap = log.snapshot_at_or_before(seq).unwrap();
-        assert_eq!(snap.len(), 1);
+    fn snapshots_seal_only_the_first_change_after_each_mark() {
+        let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(64, 1_000, 4));
+        let (a, b, c) = (ObjectId::new(0), ObjectId::new(1), ObjectId::new(2));
+        let mark = |log: &mut UpdateLog| {
+            append_n(log, 1);
+            log.take_snapshot().0
+        };
+        log.note_change(b, tag(4));
+        log.note_change(a, tag(7));
+        log.note_change(b, tag(5)); // second change since the mark: dropped
+        let first = mark(&mut log);
+        let snap = log.snapshot_at_or_before(first).unwrap();
+        assert_eq!(snap.len(), 2);
         assert!(!snap.is_empty());
+        log.note_change(b, tag(6));
+        log.note_change(c, tag(0));
+        let second = mark(&mut log);
+        assert_eq!(log.snapshot_at_or_before(second).unwrap().len(), 2);
+        log.note_change(c, tag(1));
+        log.note_change(a, tag(8));
+        // From the first mark: b and c from the second delta, a from the
+        // unsealed changes; from the second mark, only the unsealed ones.
+        let since_first = log.changed_since(first).unwrap();
         assert_eq!(
-            snap.tag(ObjectId::new(0)),
-            Some((Epoch::INITIAL, Version::new(1)))
+            since_first.into_iter().collect::<Vec<_>>(),
+            vec![(a, tag(8)), (b, tag(6)), (c, tag(0))]
         );
-        assert_eq!(snap.tag(ObjectId::new(1)), None);
+        let since_second = log.changed_since(second).unwrap();
+        assert_eq!(
+            since_second.into_iter().collect::<Vec<_>>(),
+            vec![(a, tag(8)), (c, tag(1))]
+        );
+        // Nothing noted since the previous mark: an empty delta.
+        mark(&mut log);
+        let last = mark(&mut log);
+        assert!(log.snapshot_at_or_before(last).unwrap().is_empty());
+        assert_eq!(log.snapshots().count(), 4);
     }
 
     #[test]
@@ -481,10 +568,9 @@ mod tests {
     #[test]
     fn snapshots_verify_their_tags() {
         let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(8, 2, 2));
-        append_n(&mut log, 2);
-        let mut tags = BTreeMap::new();
-        tags.insert(ObjectId::new(0), (Epoch::INITIAL, Version::new(1)));
-        let (seq, _) = log.take_snapshot(tags);
+        log.note_change(ObjectId::new(0), tag(1));
+        let (seq, _) = log.take_snapshot();
         assert!(log.snapshot_at_or_before(seq).unwrap().verify());
+        assert!(log.changed_since(0).is_ok());
     }
 }

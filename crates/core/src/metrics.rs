@@ -25,9 +25,10 @@
 //! Distance is piecewise linear with breakpoints only at write/apply
 //! events, so exact accounting is possible without sampling.
 
+use crate::table::IdTable;
 use rtpb_sim::Summary;
 use rtpb_types::{ObjectId, Time, TimeDelta, Version};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-object cap on the recent-write history used by the read-path
 /// staleness validator.
@@ -276,7 +277,7 @@ pub struct ObjectReport {
 /// Fed by the harness; read by the figure benches and by tests.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterMetrics {
-    objects: BTreeMap<ObjectId, ObjectMetrics>,
+    objects: IdTable<ObjectMetrics>,
     response_times: Summary,
     updates_sent: u64,
     updates_lost: u64,
@@ -306,7 +307,7 @@ impl ClusterMetrics {
 
     /// Records the completion of a client write at the primary.
     pub fn on_primary_write(&mut self, id: ObjectId, version: Version, now: Time) {
-        let Some(m) = self.objects.get_mut(&id) else {
+        let Some(m) = self.objects.get_mut(id) else {
             return;
         };
         m.writes += 1;
@@ -341,7 +342,7 @@ impl ClusterMetrics {
     /// [`StalenessCertificate`]: rtpb_types::StalenessCertificate
     #[must_use]
     pub fn earliest_write_after(&self, id: ObjectId, version: Version) -> Option<Time> {
-        let m = self.objects.get(&id)?;
+        let m = self.objects.get(id)?;
         m.recent_writes
             .iter()
             .find(|&&(v, _)| v > version)
@@ -351,7 +352,7 @@ impl ClusterMetrics {
     /// Records an update applied at the backup. `write_ts` is the
     /// primary-side timestamp carried by the update.
     pub fn on_backup_apply(&mut self, id: ObjectId, version: Version, write_ts: Time, now: Time) {
-        let Some(m) = self.objects.get_mut(&id) else {
+        let Some(m) = self.objects.get_mut(id) else {
             return;
         };
         m.applies += 1;
@@ -401,7 +402,7 @@ impl ClusterMetrics {
     /// Accounts open divergence intervals and refresh gaps up to the end
     /// of the run.
     pub fn finalize(&mut self, now: Time) {
-        for m in self.objects.values_mut() {
+        for (_, m) in self.objects.iter_mut() {
             m.advance(now);
             if let (Some(allow), Some(last)) = (m.refresh_allowance, m.last_refresh) {
                 let gap = now.saturating_since(last);
@@ -417,7 +418,7 @@ impl ClusterMetrics {
     /// The report for one object, if tracked.
     #[must_use]
     pub fn object_report(&self, id: ObjectId) -> Option<ObjectReport> {
-        let m = self.objects.get(&id)?;
+        let m = self.objects.get(id)?;
         Some(ObjectReport {
             window: m.window,
             writes: m.writes,
@@ -442,7 +443,7 @@ impl ClusterMetrics {
 
     /// Ids of all tracked objects.
     pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objects.keys().copied()
+        self.objects.iter().map(|(id, _)| id)
     }
 
     /// Client response-time summary.
@@ -484,7 +485,7 @@ impl ClusterMetrics {
     /// period in force plus the delay bound (and any slack). Arrival gaps
     /// beyond this count as §5.3 inconsistency.
     pub fn set_refresh_allowance(&mut self, id: ObjectId, allowance: TimeDelta) {
-        if let Some(m) = self.objects.get_mut(&id) {
+        if let Some(m) = self.objects.get_mut(id) {
             m.refresh_allowance = Some(allowance);
         }
     }
@@ -493,7 +494,7 @@ impl ClusterMetrics {
     /// backup's refresh clock resets either way, since even a duplicate
     /// proves currency as of its snapshot.
     pub fn on_backup_refresh(&mut self, id: ObjectId, now: Time) {
-        let Some(m) = self.objects.get_mut(&id) else {
+        let Some(m) = self.objects.get_mut(id) else {
             return;
         };
         if let (Some(allow), Some(last)) = (m.refresh_allowance, m.last_refresh) {

@@ -527,7 +527,8 @@ impl Primary {
         {
             return None;
         }
-        let next = self.store.get(id)?.version().next();
+        let before = self.store.get(id)?.tag();
+        let next = before.1.next();
         // Install from the borrowed payload first (reusing the slot's
         // existing buffer), then move the vec into the log — one write,
         // one buffer copy, zero extra allocations in steady state.
@@ -535,15 +536,11 @@ impl Primary {
             .store
             .apply_from_parts(id, next, now, &payload, self.epoch);
         debug_assert!(installed, "next version is always newer");
+        self.log.note_change(id, before);
         self.log.append(id, next, now, payload);
         self.writes_applied += 1;
         if self.log.snapshot_due() {
-            let tags = self
-                .store
-                .iter()
-                .map(|(oid, e)| (oid, (e.write_epoch(), e.version())))
-                .collect();
-            let mark = self.log.take_snapshot(tags);
+            let mark = self.log.take_snapshot();
             self.snapshot_marks.push(mark);
         }
         Some(next)
@@ -926,7 +923,10 @@ impl Primary {
         if now < self.next_scrub_at {
             return;
         }
-        for id in self.store.audit() {
+        for (id, before) in self.store.audit() {
+            // Quarantine resets the tag, so the snapshot chain notes it
+            // like a write.
+            self.log.note_change(id, before);
             self.integrity_events.push(IntegrityEvent::Violation {
                 source: IntegritySource::StoreEntry,
                 object: Some(id),
@@ -1037,36 +1037,39 @@ impl Primary {
 
     /// A partial state transfer against the newest retained snapshot at
     /// or before the requester's position: only objects whose
-    /// `(write_epoch, version)` tag moved since that snapshot ship. The
-    /// requester may already hold some of them (its position can be ahead
-    /// of the snapshot); replay through the store's ordering makes the
-    /// overshoot idempotent.
+    /// `(write_epoch, version)` tag moved past the one they had at that
+    /// snapshot ship, in id order. The snapshot delta chain names every
+    /// object whose tag changed since the mark, so the diff costs
+    /// O(changes), not O(store). The requester may already hold some of
+    /// them (its position can be ahead of the snapshot); replay through
+    /// the store's ordering makes the overshoot idempotent.
     ///
-    /// The snapshot's own checksum is re-verified first; a corrupt
-    /// snapshot is withheld (pushing an [`IntegrityEvent`]) and the
-    /// requester falls to the full-transfer rung.
+    /// Every delta the diff reads is re-verified first; a corrupt one is
+    /// withheld (pushing an [`IntegrityEvent`]) and the requester falls to
+    /// the full-transfer rung.
     fn snapshot_diff_reply(&mut self, position: Option<LogPosition>) -> Option<WireMessage> {
         let p = position?;
         if p.epoch() != self.log.epoch() {
             return None;
         }
-        let snap = self.log.snapshot_at_or_before(p.seq())?;
-        if !snap.verify() {
-            let seq = snap.seq();
-            self.integrity_events.push(IntegrityEvent::Violation {
-                source: IntegritySource::LogSnapshot,
-                object: None,
-                seq: Some(seq),
-            });
-            return None;
-        }
-        let entries = self
-            .store
-            .iter()
-            .filter_map(|(id, entry)| {
+        let base = self.log.snapshot_at_or_before(p.seq())?.seq();
+        let changed = match self.log.changed_since(base) {
+            Ok(changed) => changed,
+            Err(seq) => {
+                self.integrity_events.push(IntegrityEvent::Violation {
+                    source: IntegritySource::LogSnapshot,
+                    object: None,
+                    seq: Some(seq),
+                });
+                return None;
+            }
+        };
+        let entries = changed
+            .into_iter()
+            .filter_map(|(id, had)| {
+                let entry = self.store.get(id)?;
                 let value = entry.value()?;
-                let had = snap.tag(id).unwrap_or((Epoch::INITIAL, Version::INITIAL));
-                ((entry.write_epoch(), value.version()) > had).then(|| StateEntry {
+                (entry.tag() > had).then(|| StateEntry {
                     object: id,
                     version: value.version(),
                     timestamp: value.timestamp(),
@@ -1182,7 +1185,7 @@ impl Primary {
     /// new primary through the bounded-retry re-join path.
     #[must_use]
     pub fn demote(self, now: Time) -> Backup {
-        let send_periods: BTreeMap<ObjectId, TimeDelta> = self
+        let send_periods = self
             .store
             .iter()
             .filter_map(|(id, _)| self.schedule.period(id).map(|p| (id, p)))

@@ -1,7 +1,7 @@
 //! The replicated-object table held by each replica.
 
+use crate::table::IdTable;
 use rtpb_types::{Crc32c, Epoch, ObjectId, ObjectSpec, ObjectValue, Time, TimeDelta, Version};
-use std::collections::BTreeMap;
 
 /// One object's slot in a replica's store.
 #[derive(Debug, Clone)]
@@ -76,6 +76,13 @@ impl ObjectEntry {
             .map_or(Version::INITIAL, ObjectValue::version)
     }
 
+    /// The freshness tag `(write_epoch, version)`; a never-written slot
+    /// carries `(Epoch::INITIAL, Version::INITIAL)`.
+    #[must_use]
+    pub fn tag(&self) -> (Epoch, Version) {
+        (self.write_epoch, self.version())
+    }
+
     /// Image staleness `t - T_i(t)` at `now`, or `None` if never written.
     #[must_use]
     pub fn staleness(&self, now: Time) -> Option<TimeDelta> {
@@ -83,7 +90,7 @@ impl ObjectEntry {
     }
 }
 
-/// A replica's table of registered objects, keyed by [`ObjectId`].
+/// A replica's table of registered objects, indexed by [`ObjectId`].
 ///
 /// Both the primary and the backup hold one; the primary's is written by
 /// client updates, the backup's by update messages.
@@ -110,7 +117,7 @@ impl ObjectEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
-    entries: BTreeMap<ObjectId, ObjectEntry>,
+    entries: IdTable<ObjectEntry>,
     next_id: u32,
 }
 
@@ -166,7 +173,7 @@ impl ObjectStore {
 
     /// Removes an object from the table.
     pub fn deregister(&mut self, id: ObjectId) -> Option<ObjectEntry> {
-        self.entries.remove(&id)
+        self.entries.remove(id)
     }
 
     /// Applies a new image if it is newer than the current one, where
@@ -179,8 +186,8 @@ impl ObjectStore {
     /// (an older or equal tag — e.g. a retransmitted duplicate, or a
     /// divergent write from a deposed regime) or the object is unknown.
     pub fn apply(&mut self, id: ObjectId, value: ObjectValue, epoch: Epoch) -> bool {
-        match self.entries.get_mut(&id) {
-            Some(entry) if (epoch, value.version()) > (entry.write_epoch, entry.version()) => {
+        match self.entries.get_mut(id) {
+            Some(entry) if (epoch, value.version()) > entry.tag() => {
                 entry.value = Some(value);
                 entry.write_epoch = epoch;
                 entry.refresh_crc();
@@ -203,8 +210,8 @@ impl ObjectStore {
         payload: &[u8],
         epoch: Epoch,
     ) -> bool {
-        match self.entries.get_mut(&id) {
-            Some(entry) if (epoch, version) > (entry.write_epoch, entry.version()) => {
+        match self.entries.get_mut(id) {
+            Some(entry) if (epoch, version) > entry.tag() => {
                 match &mut entry.value {
                     Some(value) => value.overwrite(version, timestamp, payload),
                     slot => {
@@ -226,7 +233,7 @@ impl ObjectStore {
     /// split-brain counters — the successor's adopted tags dominate any
     /// version number a deposed primary minted under an older epoch.
     pub fn adopt_epoch(&mut self, epoch: Epoch) {
-        for entry in self.entries.values_mut() {
+        for (_, entry) in self.entries.iter_mut() {
             if entry.value.is_some() && epoch > entry.write_epoch {
                 entry.write_epoch = epoch;
                 entry.refresh_crc();
@@ -237,7 +244,7 @@ impl ObjectStore {
     /// The entry for `id`, if registered.
     #[must_use]
     pub fn get(&self, id: ObjectId) -> Option<&ObjectEntry> {
-        self.entries.get(&id)
+        self.entries.get(id)
     }
 
     /// Number of registered objects.
@@ -254,12 +261,12 @@ impl ObjectStore {
 
     /// Iterates over `(id, entry)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectEntry)> {
-        self.entries.iter().map(|(&id, e)| (id, e))
+        self.entries.iter()
     }
 
     /// All registered ids, in order.
     pub fn ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.entries.keys().copied()
+        self.entries.iter().map(|(id, _)| id)
     }
 
     /// Verifies every entry's checksum and **quarantines** the failures:
@@ -267,15 +274,16 @@ impl ObjectStore {
     /// reset to the never-written `(Epoch::INITIAL, Version::INITIAL)`,
     /// so the authoritative copy re-shipped by catch-up or anti-entropy
     /// repair passes the `(epoch, version)` install gate — a poisoned tag
-    /// must never outrank its own repair. Returns the quarantined ids.
-    pub fn audit(&mut self) -> Vec<ObjectId> {
+    /// must never outrank its own repair. Returns each quarantined id with
+    /// the tag it held before the reset, in id order.
+    pub fn audit(&mut self) -> Vec<(ObjectId, (Epoch, Version))> {
         let mut quarantined = Vec::new();
-        for (&id, entry) in &mut self.entries {
+        for (id, entry) in self.entries.iter_mut() {
             if !entry.verify() {
+                quarantined.push((id, entry.tag()));
                 entry.value = None;
                 entry.write_epoch = Epoch::INITIAL;
                 entry.crc = 0;
-                quarantined.push(id);
             }
         }
         quarantined
@@ -287,7 +295,7 @@ impl ObjectStore {
     /// corruption of retained state. Returns `false` when the slot holds
     /// no value to corrupt.
     pub fn corrupt_payload(&mut self, id: ObjectId, byte: usize, mask: u8) -> bool {
-        let Some(entry) = self.entries.get_mut(&id) else {
+        let Some(entry) = self.entries.get_mut(id) else {
             return false;
         };
         let Some(value) = &mut entry.value else {
@@ -325,7 +333,7 @@ impl ObjectStore {
         }
         let ranges = ranges.max(1);
         let mut h = FNV_OFFSET;
-        for (id, entry) in &self.entries {
+        for (id, entry) in self.entries.iter() {
             if id.index() % ranges != range {
                 continue;
             }
@@ -518,7 +526,7 @@ mod tests {
         assert!(s.corrupt_payload(bad, 0, 0x80));
         assert!(s.get(good).unwrap().verify());
         assert!(!s.get(bad).unwrap().verify());
-        assert_eq!(s.audit(), vec![bad]);
+        assert_eq!(s.audit(), vec![(bad, (Epoch::new(2), Version::new(5)))]);
         // Quarantine drops the image and resets the freshness tag so the
         // repair re-ship passes the (epoch, version) gate.
         let e = s.get(bad).unwrap();

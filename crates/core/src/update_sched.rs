@@ -33,6 +33,7 @@
 
 use crate::config::{ProtocolConfig, SchedulingMode};
 use crate::store::ObjectStore;
+use crate::table::IdTable;
 use rtpb_types::{InterObjectConstraint, ObjectId, TimeDelta};
 use std::collections::BTreeMap;
 
@@ -96,7 +97,7 @@ impl UpdateTask {
 /// aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateSchedule {
-    tasks: BTreeMap<ObjectId, UpdateTask>,
+    tasks: IdTable<UpdateTask>,
     utilization: f64,
     product: f64,
     /// `(num, den)` scaling every normal period under compressed mode;
@@ -116,7 +117,7 @@ impl UpdateSchedule {
     #[must_use]
     pub fn new() -> Self {
         UpdateSchedule {
-            tasks: BTreeMap::new(),
+            tasks: IdTable::default(),
             utilization: 0.0,
             product: 1.0,
             compression: None,
@@ -184,13 +185,14 @@ impl UpdateSchedule {
         debug_assert!(!self.stale, "rebuild a stale schedule before admitting");
         debug_assert!(self
             .tasks
-            .last_key_value()
-            .is_none_or(|(&last, _)| last < id));
+            .iter()
+            .next_back()
+            .is_none_or(|(last, _)| last < id));
         debug_assert!(partners.windows(2).all(|w| w[0].0 < w[1].0));
-        debug_assert!(partners.iter().all(|(p, _)| self.tasks.contains_key(p)));
+        debug_assert!(partners.iter().all(|&(p, _)| self.tasks.contains(p)));
         let retimed = partners
             .iter()
-            .any(|(p, t)| self.tasks[p].normal != t.normal);
+            .any(|&(p, t)| self.tasks.get(p).is_some_and(|old| old.normal != t.normal));
         let mut change = ScheduleChange {
             partners,
             newcomer: (id, task),
@@ -212,7 +214,9 @@ impl UpdateSchedule {
     /// for this schedule under the same `config`.
     pub fn apply(&mut self, change: ScheduleChange, config: &ProtocolConfig) {
         let (id, task) = change.newcomer;
-        self.tasks.extend(change.partners);
+        for (partner, retasked) in change.partners {
+            self.tasks.insert(partner, retasked);
+        }
         self.tasks.insert(id, task);
         self.utilization = change.utilization;
         self.product = change.product;
@@ -232,7 +236,7 @@ impl UpdateSchedule {
     /// Removes `id`'s own entry. Everything else keeps describing the set
     /// before the removal until the next admission rebuilds.
     pub(crate) fn remove(&mut self, id: ObjectId) {
-        self.stale |= self.tasks.remove(&id).is_some();
+        self.stale |= self.tasks.remove(id).is_some();
     }
 
     /// Whether an object was removed since the last build: the aggregates
@@ -247,7 +251,7 @@ impl UpdateSchedule {
     /// the compression ratio and floored at its cost and 1 ms.
     #[must_use]
     pub fn period(&self, id: ObjectId) -> Option<TimeDelta> {
-        self.tasks.get(&id).map(|task| self.compressed(task))
+        self.tasks.get(id).map(|task| self.compressed(task))
     }
 
     fn compressed(&self, task: &UpdateTask) -> TimeDelta {
@@ -264,7 +268,7 @@ impl UpdateSchedule {
     /// The update task of `id`, if scheduled.
     #[must_use]
     pub(crate) fn task(&self, id: ObjectId) -> Option<&UpdateTask> {
-        self.tasks.get(&id)
+        self.tasks.get(id)
     }
 
     /// Number of scheduled objects.
@@ -283,7 +287,7 @@ impl UpdateSchedule {
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, TimeDelta)> + '_ {
         self.tasks
             .iter()
-            .map(|(&id, task)| (id, self.compressed(task)))
+            .map(|(id, task)| (id, self.compressed(task)))
     }
 
     /// Every task as it would stand after `change`, in id order.
@@ -296,7 +300,7 @@ impl UpdateSchedule {
             .iter()
             .map(move |(id, &task)| {
                 partners
-                    .next_if(|(p, _)| p == id)
+                    .next_if(|&&(p, _)| p == id)
                     .map_or(task, |&(_, retasked)| retasked)
             })
             .chain(std::iter::once(change.newcomer.1))

@@ -9,7 +9,7 @@ use rtpb_types::{Time, TimeDelta};
 /// A simulated system: state plus an event handler.
 ///
 /// Implementations receive events one at a time, in `(time, scheduling
-/// order)` order, and may schedule or cancel further events through the
+/// order)` order, and may schedule further events through the
 /// [`Context`]. See the [crate docs](crate) for a complete example.
 pub trait World {
     /// The event type this world exchanges with the engine.
@@ -20,7 +20,7 @@ pub trait World {
 }
 
 /// The engine-side capabilities available to a [`World`] while it handles
-/// an event: the clock, event scheduling/cancellation, randomness, and
+/// an event: the clock, event scheduling, randomness, and
 /// structured-event emission.
 #[derive(Debug)]
 pub struct Context<'a, E> {
@@ -52,11 +52,6 @@ impl<E> Context<'_, E> {
     /// Schedules `event` after a delay of `delta`.
     pub fn schedule_in(&mut self, delta: TimeDelta, event: E) -> EventId {
         self.queue.push(self.now + delta, event)
-    }
-
-    /// Cancels a pending event; a no-op if it already fired.
-    pub fn cancel(&mut self, id: EventId) {
-        self.queue.cancel(id);
     }
 
     /// The simulation's random source.
@@ -173,11 +168,6 @@ impl<W: World> Simulation<W> {
     /// Schedules an event `delta` after the current time.
     pub fn schedule_in(&mut self, delta: TimeDelta, event: W::Event) -> EventId {
         self.queue.push(self.now + delta, event)
-    }
-
-    /// Cancels a pending event.
-    pub fn cancel(&mut self, id: EventId) {
-        self.queue.cancel(id);
     }
 
     /// Dispatches the next event, if any, advancing the clock to it.
@@ -337,15 +327,6 @@ mod tests {
         assert!(sim.is_stopped());
         assert_eq!(sim.world().ticks, 0);
         assert_eq!(sim.now(), Time::from_millis(1));
-    }
-
-    #[test]
-    fn cancellation_from_outside() {
-        let mut sim = Simulation::new(Counter::default(), 0);
-        let id = sim.schedule_at(Time::from_millis(1), Ev::Tick);
-        sim.cancel(id);
-        sim.run_to_completion();
-        assert_eq!(sim.world().ticks, 0);
     }
 
     #[test]

@@ -2,30 +2,11 @@
 
 use core::fmt;
 
-/// Handle to a scheduled event, usable for cancellation.
+/// Identity of a scheduled event.
 ///
-/// Ids are unique within one [`Simulation`](crate::Simulation) run and also
+/// Ids are unique within one [`Simulation`](crate::Simulation) run and
 /// serve as the tie-breaker that makes simultaneous events execute in
 /// scheduling order.
-///
-/// # Examples
-///
-/// ```
-/// use rtpb_sim::{Simulation, Context, World};
-/// use rtpb_types::{Time, TimeDelta};
-///
-/// struct W { fired: bool }
-/// impl World for W {
-///     type Event = ();
-///     fn handle(&mut self, _: &mut Context<'_, ()>, _: ()) { self.fired = true; }
-/// }
-///
-/// let mut sim = Simulation::new(W { fired: false }, 0);
-/// let id = sim.schedule_at(Time::from_millis(1), ());
-/// sim.cancel(id);
-/// sim.run_until(Time::from_millis(2));
-/// assert!(!sim.world().fired);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub(crate) u64);
 

@@ -11,8 +11,8 @@
 //!
 //! A simulation is a [`World`] (your state machine) plus a [`Simulation`]
 //! engine. The world handles one event at a time; inside the handler it can
-//! schedule future events, cancel pending ones, draw random numbers, and
-//! emit typed observability events through the [`Context`]. Two events never execute
+//! schedule future events, draw random numbers, and emit typed
+//! observability events through the [`Context`]. Two events never execute
 //! concurrently, and ties in time are broken by insertion order, so the
 //! whole run is a deterministic function of (world, seed, initial events).
 //!

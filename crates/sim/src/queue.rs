@@ -1,9 +1,9 @@
-//! Time-ordered event queue with stable tie-breaking and cancellation.
+//! Time-ordered event queue with stable tie-breaking.
 
 use crate::event::EventId;
 use rtpb_types::Time;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 struct Entry<E> {
     time: Time,
@@ -36,8 +36,7 @@ impl<E> Eq for Entry<E> {}
 
 /// A priority queue of timestamped events.
 ///
-/// Pops events in `(time, scheduling order)` order. Cancellation is lazy:
-/// cancelled ids are remembered and skipped when they surface.
+/// Pops events in `(time, scheduling order)` order.
 ///
 /// # Examples
 ///
@@ -46,19 +45,16 @@ impl<E> Eq for Entry<E> {}
 /// use rtpb_types::Time;
 ///
 /// let mut q = EventQueue::new();
-/// let _a = q.push(Time::from_millis(5), "late");
-/// let b = q.push(Time::from_millis(1), "early");
-/// let _c = q.push(Time::from_millis(3), "cancelled");
-/// q.cancel(_c);
+/// q.push(Time::from_millis(5), "late");
+/// q.push(Time::from_millis(1), "early");
+/// assert_eq!(q.len(), 2);
 /// assert_eq!(q.pop().map(|(t, _, e)| (t, e)), Some((Time::from_millis(1), "early")));
 /// assert_eq!(q.pop().map(|(t, _, e)| (t, e)), Some((Time::from_millis(5), "late")));
 /// assert!(q.pop().is_none());
-/// # let _ = b;
 /// ```
 #[derive(Debug, Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    cancelled: HashSet<EventId>,
     next_id: u64,
 }
 
@@ -77,12 +73,11 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             next_id: 0,
         }
     }
 
-    /// Schedules `event` at `time`, returning its cancellation handle.
+    /// Schedules `event` at `time`, returning its id.
     pub fn push(&mut self, time: Time, event: E) -> EventId {
         let id = EventId(self.next_id);
         self.next_id += 1;
@@ -90,54 +85,29 @@ impl<E> EventQueue<E> {
         id
     }
 
-    /// Cancels a pending event. Cancelling an already-fired or unknown id
-    /// is a no-op (the id space is unique, so this cannot misfire).
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
-    }
-
-    /// Removes and returns the earliest non-cancelled event.
+    /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Time, EventId, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            return Some((entry.time, entry.id, entry.event));
-        }
-        None
+        self.heap
+            .pop()
+            .map(|entry| (entry.time, entry.id, entry.event))
     }
 
-    /// The timestamp of the earliest non-cancelled event, without removing
-    /// it.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.id) {
-                let entry = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&entry.id);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
-    }
-
-    /// Number of events in the heap, including not-yet-skipped cancelled
-    /// ones. (`is_empty` needs `&mut self` to discard cancelled heads, so
-    /// the usual pairing lint is silenced.)
+    /// The timestamp of the earliest event, without removing it.
     #[must_use]
-    #[allow(clippy::len_without_is_empty)]
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|entry| entry.time)
+    }
+
+    /// Number of pending events.
+    #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len().min(self.heap.len())
+        self.heap.len()
     }
 
-    /// Whether no live events remain.
-    ///
-    /// Takes `&mut self` because answering may first discard cancelled
-    /// entries at the head of the heap (clippy's `len`/`is_empty` pairing
-    /// lint is silenced for that reason).
+    /// Whether no events remain.
     #[must_use]
-    pub fn is_empty(&mut self) -> bool {
-        self.peek_time().is_none()
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 }
 
@@ -168,47 +138,10 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_are_skipped() {
-        let mut q = EventQueue::new();
-        let a = q.push(Time::from_millis(1), "a");
-        let b = q.push(Time::from_millis(2), "b");
-        q.cancel(a);
-        assert_eq!(q.pop().map(|(_, id, e)| (id, e)), Some((b, "b")));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_noop() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        q.cancel(EventId(999));
-        q.push(Time::ZERO, "x");
-        assert!(q.pop().is_some());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.push(Time::from_millis(1), "a");
-        q.push(Time::from_millis(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(Time::from_millis(2)));
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.push(Time::from_millis(1), 1);
-        q.push(Time::from_millis(2), 2);
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn empty_queue_behaviour() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.peek_time(), None);
         assert!(q.pop().is_none());
     }
