@@ -1,9 +1,10 @@
 //! The hot-path microbench: per-operation cost of the encode / decode /
-//! apply loop the wire rewrite optimises.
+//! apply loop the wire rewrite optimises, and of the simulator's event
+//! queue that every experiment runs through.
 //!
-//! Eight scenarios, paired so every zero-copy path is measured against a
-//! reference implementation of the pre-change algorithm on identical
-//! inputs (asserted byte-identical before timing):
+//! The codec scenarios are paired so every zero-copy path is measured
+//! against a reference implementation of the pre-change algorithm on
+//! identical inputs (asserted byte-identical before timing):
 //!
 //! | scenario                | measures                                    |
 //! |-------------------------|---------------------------------------------|
@@ -17,6 +18,7 @@
 //! | `backup_apply`          | parse + `Backup::handle_frame`              |
 //! | `checksum_batch`        | raw CRC32C over one batch frame image       |
 //! | `decode_view_corrupt`   | borrowing parse *rejecting* a flipped bit   |
+//! | `event_queue`           | one push + one pop, ~15k events pending     |
 //!
 //! Every encode scenario seals the frame with its CRC32C trailer and
 //! every decode scenario verifies it (the codec has no unchecksummed
@@ -24,6 +26,12 @@
 //! honestly. The last two scenarios isolate that cost: the raw CRC pass
 //! over a batch image, and the price of *detecting* a corrupted frame
 //! (full checksum pass, then the typed error — never a panic).
+//!
+//! `event_queue` replays the `stream` workload's timer mix on
+//! [`EventQueue`] in steady state: 5,000 objects each with a client-write
+//! timer (50 ms, split by a 2 µs CPU completion), a send timer (120 ms)
+//! and a watchdog (72.5 ms), plus a few frames in flight with random
+//! link delays. A return of the `O(log n)` pop shows up here first.
 //!
 //! Each scenario reports ns/op and (when the caller supplies an
 //! allocation counter — the `hotpath` binary installs a counting global
@@ -35,12 +43,14 @@
 //!
 //! [`BufPool`]: rtpb_types::BufPool
 //! [`WireFrame`]: rtpb_core::wire::WireFrame
+//! [`EventQueue`]: rtpb_sim::EventQueue
 
 use rtpb_core::backup::Backup;
 use rtpb_core::config::ProtocolConfig;
 use rtpb_core::primary::Primary;
 use rtpb_core::wire::{WireFrame, WireMessage, CRC_LEN};
 use rtpb_obs::json::{parse_flat, JsonObject, JsonValue};
+use rtpb_sim::{EventQueue, SimRng};
 use rtpb_types::{crc32c, BufPool, Epoch, NodeId, ObjectId, ObjectSpec, Time, TimeDelta, Version};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -53,7 +63,7 @@ use std::time::Instant;
 pub type AllocCounter = fn() -> u64;
 
 /// Every scenario the suite runs, in report order.
-pub const SCENARIOS: [&str; 10] = [
+pub const SCENARIOS: [&str; 11] = [
     "encode_update_pooled",
     "encode_update_legacy",
     "encode_batch_pooled",
@@ -64,6 +74,7 @@ pub const SCENARIOS: [&str; 10] = [
     "backup_apply",
     "checksum_batch",
     "decode_view_corrupt",
+    "event_queue",
 ];
 
 /// Parameters of one suite run.
@@ -246,6 +257,97 @@ fn legacy_encode_batch_with(header: &[u8], messages: &[WireMessage]) -> Vec<u8> 
     buf
 }
 
+/// Objects in the `event_queue` scenario, each with three timers.
+const QUEUE_OBJECTS: usize = 5_000;
+
+/// Frames in flight in the `event_queue` scenario.
+const QUEUE_FRAMES: usize = 8;
+
+/// `stream`'s timer delays at 5k objects: the client-write period, the
+/// CPU service time of a write, the send period and the watchdog
+/// interval.
+const WRITE_PERIOD: TimeDelta = TimeDelta::from_millis(50);
+const CPU_SERVICE: TimeDelta = TimeDelta::from_micros(2);
+const SEND_PERIOD: TimeDelta = TimeDelta::from_millis(120);
+const WATCHDOG_INTERVAL: TimeDelta = TimeDelta::from_micros(72_500);
+
+/// One pending event of the `event_queue` scenario, padded to the
+/// simulator's 48-byte cluster event.
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    kind: TimerKind,
+    _pad: [u64; 5],
+}
+
+#[derive(Debug, Clone, Copy)]
+enum TimerKind {
+    ClientWrite,
+    CpuFinished,
+    Send,
+    Watchdog,
+    Deliver,
+}
+
+/// The `event_queue` state: the queue, its clock, and the random
+/// source of link delays.
+struct QueueState {
+    queue: EventQueue<Timer>,
+    now: Time,
+    rng: SimRng,
+}
+
+impl QueueState {
+    /// Fills the queue with phase-staggered timers and runs it past the
+    /// longest period, so every timer has re-armed with its own delay.
+    fn steady() -> Self {
+        let mut rng = SimRng::seed_from(7);
+        let mut queue = EventQueue::new();
+        let timers = [
+            (TimerKind::ClientWrite, WRITE_PERIOD),
+            (TimerKind::Send, SEND_PERIOD),
+            (TimerKind::Watchdog, WATCHDOG_INTERVAL),
+        ];
+        for (kind, period) in timers {
+            for _ in 0..QUEUE_OBJECTS {
+                let phase = rng.delay_between(TimeDelta::ZERO, period);
+                queue.push(Time::ZERO + phase, Timer { kind, _pad: [0; 5] });
+            }
+        }
+        for _ in 0..QUEUE_FRAMES {
+            let delay = Self::link_delay(&mut rng);
+            let kind = TimerKind::Deliver;
+            queue.push(Time::ZERO + delay, Timer { kind, _pad: [0; 5] });
+        }
+        let mut state = QueueState {
+            queue,
+            now: Time::ZERO,
+            rng,
+        };
+        while state.now < Time::from_millis(250) {
+            state.step();
+        }
+        state
+    }
+
+    fn link_delay(rng: &mut SimRng) -> TimeDelta {
+        rng.delay_between(TimeDelta::from_micros(100), TimeDelta::from_millis(10))
+    }
+
+    /// One operation: pop the earliest event and push its successor.
+    fn step(&mut self) {
+        let (now, timer) = self.queue.pop().expect("every event re-arms");
+        let (kind, delay) = match timer.kind {
+            TimerKind::ClientWrite => (TimerKind::CpuFinished, CPU_SERVICE),
+            TimerKind::CpuFinished => (TimerKind::ClientWrite, WRITE_PERIOD - CPU_SERVICE),
+            TimerKind::Send => (TimerKind::Send, SEND_PERIOD),
+            TimerKind::Watchdog => (TimerKind::Watchdog, WATCHDOG_INTERVAL),
+            TimerKind::Deliver => (TimerKind::Deliver, Self::link_delay(&mut self.rng)),
+        };
+        self.queue.push(now + delay, Timer { kind, ..timer });
+        self.now = now;
+    }
+}
+
 /// Runs the whole suite. Pass the binary's allocation counter to meter
 /// allocations/op; pass `None` (e.g. from unit tests, where no counting
 /// allocator is installed) to record timing only.
@@ -412,6 +514,16 @@ pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> Hotpa
         |bytes| {
             let err = WireFrame::parse(bytes).expect_err("flip must be detected");
             black_box(&err);
+        },
+    ));
+    scenarios.push(bench(
+        "event_queue",
+        config,
+        counter,
+        QueueState::steady,
+        |state| {
+            state.step();
+            black_box(state.now);
         },
     ));
 
@@ -709,6 +821,19 @@ mod tests {
             compare_reports(&legacy_blowup, &base, 25.0).unwrap(),
             Vec::<String>::new()
         );
+    }
+
+    #[test]
+    fn event_queue_scenario_keeps_every_timer_pending() {
+        let mut state = QueueState::steady();
+        let pending = 3 * QUEUE_OBJECTS + QUEUE_FRAMES;
+        assert_eq!(state.queue.len(), pending);
+        let before = state.now;
+        for _ in 0..1_000 {
+            state.step();
+        }
+        assert!(state.now > before);
+        assert_eq!(state.queue.len(), pending);
     }
 
     #[test]

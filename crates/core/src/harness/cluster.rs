@@ -469,14 +469,10 @@ impl ClusterWorld {
     /// delay for the whole frame, so a dropped batch drops every update
     /// it carries together (correlated loss).
     fn broadcast(&mut self, ctx: &mut Context<'_, Event>, msg: &WireMessage) {
-        let tracked: Vec<NodeId> = self
-            .primary
-            .as_ref()
-            .map(Primary::backups)
-            .unwrap_or_default();
         let frame = self.encode(msg);
         for host in 0..self.hosts.len() {
-            if tracked.contains(&self.hosts[host].node) {
+            let node = self.hosts[host].node;
+            if self.primary.as_ref().is_some_and(|p| p.tracks(node)) {
                 self.route(ctx, Peer::Primary, Peer::Backup(host), &frame);
             }
         }

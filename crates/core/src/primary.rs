@@ -245,6 +245,12 @@ impl Primary {
         self.peers.keys().copied().collect()
     }
 
+    /// Whether `backup` is tracked: [`Primary::backups`] without the
+    /// allocation.
+    pub(crate) fn tracks(&self, backup: NodeId) -> bool {
+        self.peers.contains_key(&backup)
+    }
+
     /// Rebuilds a primary from an existing store (used by backup
     /// promotion). The inherited images keep their versions so clients
     /// continue from the most recent replicated state. `epoch` is the

@@ -1,6 +1,5 @@
 //! The simulation engine: virtual clock + event dispatch loop.
 
-use crate::event::EventId;
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use rtpb_obs::{ClockDomain, EventKind, EventWriter};
@@ -44,14 +43,14 @@ impl<E> Context<'_, E> {
     ///
     /// Panics if `at` is earlier than [`Context::now`]: scheduling into the
     /// past would break causality.
-    pub fn schedule_at(&mut self, at: Time, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: Time, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.push(at, event)
+        self.queue.push(at, event);
     }
 
     /// Schedules `event` after a delay of `delta`.
-    pub fn schedule_in(&mut self, delta: TimeDelta, event: E) -> EventId {
-        self.queue.push(self.now + delta, event)
+    pub fn schedule_in(&mut self, delta: TimeDelta, event: E) {
+        self.queue.push(self.now + delta, event);
     }
 
     /// The simulation's random source.
@@ -160,24 +159,32 @@ impl<W: World> Simulation<W> {
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current time.
-    pub fn schedule_at(&mut self, at: Time, event: W::Event) -> EventId {
+    pub fn schedule_at(&mut self, at: Time, event: W::Event) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.push(at, event)
+        self.queue.push(at, event);
     }
 
     /// Schedules an event `delta` after the current time.
-    pub fn schedule_in(&mut self, delta: TimeDelta, event: W::Event) -> EventId {
-        self.queue.push(self.now + delta, event)
+    pub fn schedule_in(&mut self, delta: TimeDelta, event: W::Event) {
+        self.queue.push(self.now + delta, event);
     }
 
     /// Dispatches the next event, if any, advancing the clock to it.
     ///
     /// Returns `false` if the queue was empty or a stop was requested.
     pub fn step(&mut self) -> bool {
+        self.dispatch_due(Time::MAX)
+    }
+
+    /// Dispatches the next event if it is due at or before `deadline`,
+    /// advancing the clock to it: one queue scan per dispatched event.
+    ///
+    /// Returns `false` if no event was due or a stop was requested.
+    fn dispatch_due(&mut self, deadline: Time) -> bool {
         if self.stop_requested {
             return false;
         }
-        let Some((time, _, event)) = self.queue.pop() else {
+        let Some((time, event)) = self.queue.pop_due(deadline) else {
             return false;
         };
         debug_assert!(time >= self.now, "event queue went backwards");
@@ -200,14 +207,7 @@ impl<W: World> Simulation<W> {
     ///
     /// Events scheduled exactly at `deadline` are dispatched.
     pub fn run_until(&mut self, deadline: Time) {
-        while !self.stop_requested {
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
+        while self.dispatch_due(deadline) {}
         if !self.stop_requested && self.now < deadline {
             self.now = deadline;
         }

@@ -16,6 +16,15 @@
 //! concurrently, and ties in time are broken by insertion order, so the
 //! whole run is a deterministic function of (world, seed, initial events).
 //!
+//! The [`EventQueue`] is built for timers that re-arm with a fixed delay:
+//! periods, watchdog intervals, service times. A few such delays get a
+//! FIFO lane each, because a constant delay from a clock that never goes
+//! back keeps a lane sorted. A push joins its delay's lane only if the
+//! lane's tail is not later, and other events fall back to a binary heap.
+//! A pop takes the earliest of the lane heads and the heap top, so the
+//! order is exactly that of one heap, and recurring timers pop in `O(1)`.
+//! [`Simulation::run_until`] scans the queue once per dispatched event.
+//!
 //! # Examples
 //!
 //! A two-event ping-pong:
@@ -51,7 +60,6 @@
 
 mod clock;
 mod engine;
-mod event;
 pub mod propcheck;
 mod queue;
 mod rng;
@@ -59,7 +67,6 @@ mod stats;
 
 pub use clock::ClockModel;
 pub use engine::{Context, Simulation, World};
-pub use event::EventId;
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::Summary;
