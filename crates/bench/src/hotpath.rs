@@ -1,6 +1,7 @@
 //! The hot-path microbench: per-operation cost of the encode / decode /
-//! apply loop the wire rewrite optimises, and of the simulator's event
-//! queue that every experiment runs through.
+//! apply loop the wire rewrite optimises, of the simulator's event queue
+//! that every experiment runs through, and of the metrics ledger every
+//! write, apply and checked read updates.
 //!
 //! The codec scenarios are paired so every zero-copy path is measured
 //! against a reference implementation of the pre-change algorithm on
@@ -19,6 +20,7 @@
 //! | `checksum_batch`        | raw CRC32C over one batch frame image       |
 //! | `decode_view_corrupt`   | borrowing parse *rejecting* a flipped bit   |
 //! | `event_queue`           | one push + one pop, ~15k events pending     |
+//! | `ledger`                | write + apply + staleness query, 5k objects |
 //!
 //! Every encode scenario seals the frame with its CRC32C trailer and
 //! every decode scenario verifies it (the codec has no unchecksummed
@@ -33,6 +35,16 @@
 //! and a watchdog (72.5 ms), plus a few frames in flight with random
 //! link delays. A return of the `O(log n)` pop shows up here first.
 //!
+//! `ledger` drives [`ClusterMetrics`] at `stream`'s 5,000 objects. One
+//! operation is a primary write to the next object round-robin, the
+//! backup apply of the write made 10 ms earlier, and read_fleet's ground
+//! truth query, `earliest_write_after` one version back. Every object's
+//! history window is full before the clock starts. The timed operations
+//! fall between two compactions of the write journal (one per 320k
+//! writes here), so the row prices the per-write path; a return of the
+//! per-object history rings, whose query scans 1 KB per object, shows up
+//! here.
+//!
 //! Each scenario reports ns/op and (when the caller supplies an
 //! allocation counter — the `hotpath` binary installs a counting global
 //! allocator) allocations/op, both taken as the minimum across repeats
@@ -44,11 +56,13 @@
 //! [`BufPool`]: rtpb_types::BufPool
 //! [`WireFrame`]: rtpb_core::wire::WireFrame
 //! [`EventQueue`]: rtpb_sim::EventQueue
+//! [`ClusterMetrics`]: rtpb_core::ClusterMetrics
 
 use rtpb_core::backup::Backup;
 use rtpb_core::config::ProtocolConfig;
 use rtpb_core::primary::Primary;
 use rtpb_core::wire::{WireFrame, WireMessage, CRC_LEN};
+use rtpb_core::ClusterMetrics;
 use rtpb_obs::json::{parse_flat, JsonObject, JsonValue};
 use rtpb_sim::{EventQueue, SimRng};
 use rtpb_types::{crc32c, BufPool, Epoch, NodeId, ObjectId, ObjectSpec, Time, TimeDelta, Version};
@@ -63,7 +77,7 @@ use std::time::Instant;
 pub type AllocCounter = fn() -> u64;
 
 /// Every scenario the suite runs, in report order.
-pub const SCENARIOS: [&str; 11] = [
+pub const SCENARIOS: [&str; 12] = [
     "encode_update_pooled",
     "encode_update_legacy",
     "encode_batch_pooled",
@@ -75,6 +89,7 @@ pub const SCENARIOS: [&str; 11] = [
     "checksum_batch",
     "decode_view_corrupt",
     "event_queue",
+    "ledger",
 ];
 
 /// Parameters of one suite run.
@@ -348,6 +363,70 @@ impl QueueState {
     }
 }
 
+/// Objects the `ledger` scenario tracks: `stream`'s object count.
+const LEDGER_OBJECTS: u64 = 5_000;
+
+/// The `ledger` scenario's virtual time per write: one write per object
+/// per 50 ms, `stream`'s write period.
+const LEDGER_WRITE_GAP: TimeDelta = TimeDelta::from_micros(10);
+
+/// How many writes an apply trails its write by in the `ledger`
+/// scenario: 10 ms, about `stream`'s coalescing window.
+const LEDGER_APPLY_LAG: u64 = 1_000;
+
+/// Writes per object before the `ledger` clock starts: past a full
+/// history window and the journal's first compaction.
+const LEDGER_WARMUP_ROUNDS: u64 = 130;
+
+/// The `ledger` state: the metrics ledger and the number of writes made.
+struct LedgerState {
+    metrics: ClusterMetrics,
+    writes: u64,
+}
+
+impl LedgerState {
+    fn steady() -> Self {
+        let mut state = LedgerState {
+            metrics: ClusterMetrics::new(),
+            writes: 0,
+        };
+        for i in 0..LEDGER_OBJECTS {
+            let id = ObjectId::new(i as u32);
+            let window = TimeDelta::from_millis(100);
+            let bound = TimeDelta::from_millis(150);
+            state
+                .metrics
+                .track_object(id, window, bound, bound + window);
+        }
+        while state.writes < LEDGER_WARMUP_ROUNDS * LEDGER_OBJECTS {
+            state.step();
+        }
+        state
+    }
+
+    /// The `n`th write: round-robin over the objects, each write one
+    /// version past the object's previous one.
+    fn write(n: u64) -> (ObjectId, Version, Time) {
+        let id = ObjectId::new((n % LEDGER_OBJECTS) as u32);
+        let version = Version::new(n / LEDGER_OBJECTS + 1);
+        (id, version, Time::ZERO + LEDGER_WRITE_GAP * n)
+    }
+
+    /// One operation; returns the query's answer.
+    fn step(&mut self) -> Option<Time> {
+        let (id, version, now) = Self::write(self.writes);
+        self.metrics.on_primary_write(id, version, now);
+        if let Some(earlier) = self.writes.checked_sub(LEDGER_APPLY_LAG) {
+            let (applied, applied_version, written) = Self::write(earlier);
+            self.metrics
+                .on_backup_apply(applied, applied_version, written, now);
+        }
+        self.writes += 1;
+        let behind = Version::new(version.value() - 1);
+        self.metrics.earliest_write_after(id, behind)
+    }
+}
+
 /// Runs the whole suite. Pass the binary's allocation counter to meter
 /// allocations/op; pass `None` (e.g. from unit tests, where no counting
 /// allocator is installed) to record timing only.
@@ -524,6 +603,15 @@ pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> Hotpa
         |state| {
             state.step();
             black_box(state.now);
+        },
+    ));
+    scenarios.push(bench(
+        "ledger",
+        config,
+        counter,
+        LedgerState::steady,
+        |state| {
+            black_box(state.step());
         },
     ));
 
@@ -834,6 +922,18 @@ mod tests {
         }
         assert!(state.now > before);
         assert_eq!(state.queue.len(), pending);
+    }
+
+    #[test]
+    fn ledger_scenario_answers_with_the_write_just_made() {
+        let mut state = LedgerState::steady();
+        for _ in 0..1_000 {
+            let (id, _, now) = LedgerState::write(state.writes);
+            assert_eq!(state.step(), Some(now));
+            let report = state.metrics.object_report(id).expect("tracked");
+            // Every earlier write to the object has been applied.
+            assert_eq!(report.applies + 1, report.writes);
+        }
     }
 
     #[test]

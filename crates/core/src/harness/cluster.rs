@@ -2164,19 +2164,29 @@ impl SimCluster {
                 return Err(ReadError::UnknownObject(object));
             }
             let mut chosen = None;
+            let mut saw_eligible = false;
             let mut saw_behind = false;
             let mut saw_bound_unmet = false;
             let mut saw_unsound = false;
-            let mut order: Vec<usize> = Vec::new();
             if !matches!(consistency, ReadConsistency::Strong) {
-                order = (0..world.hosts.len())
+                // Least-loaded first: each pass picks the eligible host
+                // with the least key above the previous pick's. Nothing
+                // in the loop changes a key, and keys are unique (they end
+                // in the index), so this is the sorted order without
+                // collecting it. The first pick usually serves.
+                let mut last = None;
+                while let Some(key) = (0..world.hosts.len())
                     .filter(|&i| world.read_eligible(i))
-                    .collect();
-                order.sort_by_key(|&i| {
-                    let h = &world.hosts[i];
-                    (h.busy_until.max(now), h.reads_served, i)
-                });
-                for &i in &order {
+                    .map(|i| {
+                        let h = &world.hosts[i];
+                        (h.busy_until.max(now), h.reads_served, i)
+                    })
+                    .filter(|&key| last < Some(key))
+                    .min()
+                {
+                    last = Some(key);
+                    saw_eligible = true;
+                    let i = key.2;
                     let local = world.backup_local(i, now);
                     let Some(backup) = world.hosts[i].backup.as_ref() else {
                         continue;
@@ -2220,7 +2230,7 @@ impl SimCluster {
             } else {
                 let reason = if matches!(consistency, ReadConsistency::Strong) {
                     "strong"
-                } else if order.is_empty() {
+                } else if !saw_eligible {
                     "no_replica"
                 } else if saw_unsound {
                     // An explicit unsound refusal: the replica's clock

@@ -24,15 +24,167 @@
 //!
 //! Distance is piecewise linear with breakpoints only at write/apply
 //! events, so exact accounting is possible without sampling.
+//!
+//! # The write journal
+//!
+//! The read path's ground truth ([`ClusterMetrics::earliest_write_after`])
+//! needs each object's last 64 (`RECENT_WRITE_HISTORY`) primary writes. They
+//! live in one journal shared by all objects, appended in commit order:
+//! an entry is `(version, time, index of the same object's previous
+//! entry)`, and an object keeps only the index of its newest entry. A
+//! write therefore touches the journal's tail, one hot cache line, not a
+//! 1 KB per-object history in a table that outgrows the cache at a few
+//! thousand objects.
+//!
+//! An object's *live* entries are its last `RECENT_WRITE_HISTORY` writes.
+//! Once the journal holds more than twice its live entries plus
+//! `JOURNAL_SLACK`, a backward marking pass and a forward sweep keep
+//! exactly the entries reachable from each object's newest entry within
+//! that window, in commit order, and relink them. Reachability, not the id an entry was written
+//! for, decides what survives: re-tracking an id starts a fresh chain, so
+//! the old chain becomes unreachable and its history never comes back. The
+//! journal thus never holds more than `2 × live + JOURNAL_SLACK` entries
+//! (24 bytes each), a compaction costs O(journal) once per at least
+//! `live + JOURNAL_SLACK` appends, and capacity reserved at each
+//! compaction covers the appends until the next, so the steady state
+//! allocates nothing.
 
 use crate::table::IdTable;
 use rtpb_sim::Summary;
 use rtpb_types::{ObjectId, Time, TimeDelta, Version};
 use std::collections::VecDeque;
 
-/// Per-object cap on the recent-write history used by the read-path
-/// staleness validator.
+/// How many of an object's most recent primary writes the read-path
+/// staleness validator ([`ClusterMetrics::earliest_write_after`]) sees.
+///
+/// They are the object's live entries in the shared write journal. A
+/// query walks back from the newest entry over at most this many, so its
+/// cost is bounded however many writes the object has had. Older writes
+/// only make the validator more lenient once dropped, never produce a
+/// false violation.
 const RECENT_WRITE_HISTORY: usize = 64;
+
+/// Entries the write journal may hold beyond twice its live ones before
+/// it is compacted, so that a cluster of a few objects does not compact
+/// every few writes.
+const JOURNAL_SLACK: usize = 256;
+
+/// The `prev` link that ends an object's chain in the write journal. It
+/// lies past the end of every journal (appends stay below it), so looking
+/// it up finds nothing.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// One primary write in the [`WriteJournal`].
+#[derive(Debug, Clone, Copy)]
+struct JournalEntry {
+    version: Version,
+    time: Time,
+    /// The journal index of the same object's previous write, or
+    /// [`NO_ENTRY`].
+    prev: u32,
+}
+
+/// Every object's recent primary writes, in commit order, chained per
+/// object from the newest entry backwards (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct WriteJournal {
+    entries: Vec<JournalEntry>,
+    /// Σ over tracked objects of `min(writes, RECENT_WRITE_HISTORY)`: the
+    /// entries a compaction keeps.
+    live: usize,
+    /// Compaction scratch, one slot per entry: `NO_ENTRY` for a dead
+    /// entry, otherwise its depth in its chain while marking and its
+    /// index after the sweep. Kept to reuse its capacity.
+    remap: Vec<u32>,
+}
+
+impl WriteJournal {
+    /// Appends a write to the chain whose newest entry is `*newest`, and
+    /// makes it the newest.
+    fn append(&mut self, newest: &mut u32, version: Version, time: Time) {
+        let at = u32::try_from(self.entries.len())
+            .ok()
+            .filter(|&at| at != NO_ENTRY)
+            .expect("the write journal stays below u32::MAX entries");
+        self.entries.push(JournalEntry {
+            version,
+            time,
+            prev: *newest,
+        });
+        *newest = at;
+    }
+
+    /// The object's last writes, newest first: at most
+    /// [`RECENT_WRITE_HISTORY`] entries of the chain that starts at
+    /// `newest`.
+    fn history(&self, newest: u32) -> impl Iterator<Item = &JournalEntry> + '_ {
+        std::iter::successors(self.entries.get(newest as usize), |e| {
+            self.entries.get(e.prev as usize)
+        })
+        .take(RECENT_WRITE_HISTORY)
+    }
+
+    /// Compacts the journal once it holds more than `2 × live +
+    /// JOURNAL_SLACK` entries: keeps each object's live window, in commit
+    /// order, and rewrites every link and every object's newest index to
+    /// match.
+    fn compact_if_due(&mut self, objects: &mut IdTable<ObjectMetrics>) {
+        if self.entries.len() <= 2 * self.live + JOURNAL_SLACK {
+            return;
+        }
+        // Mark the entries reachable within each object's window with
+        // their depth: an object's newest entry is at depth 0, and an
+        // entry passes its depth plus one to the entry it links to. Links
+        // point backwards and no two entries link to the same one, so a
+        // single pass from the newest entry down marks every chain
+        // without walking any of them.
+        self.remap.clear();
+        self.remap.resize(self.entries.len(), NO_ENTRY);
+        for m in objects.values() {
+            if let Some(depth) = self.remap.get_mut(m.newest as usize) {
+                *depth = 0;
+            }
+        }
+        let last_depth = RECENT_WRITE_HISTORY as u32 - 1;
+        for at in (0..self.entries.len()).rev() {
+            let depth = self.remap[at];
+            if depth < last_depth {
+                if let Some(older) = self.remap.get_mut(self.entries[at].prev as usize) {
+                    *older = depth + 1;
+                }
+            }
+        }
+        // Sweep: slide the marked entries down in commit order. A link
+        // always points at an older entry, so its target is already
+        // renumbered, or dead (past its object's window) and ends the
+        // chain.
+        let mut kept = 0;
+        for at in 0..self.entries.len() {
+            if self.remap[at] == NO_ENTRY {
+                continue;
+            }
+            let mut entry = self.entries[at];
+            entry.prev = self.relinked(entry.prev);
+            self.entries[kept as usize] = entry;
+            self.remap[at] = kept;
+            kept += 1;
+        }
+        self.entries.truncate(kept as usize);
+        debug_assert_eq!(self.entries.len(), self.live);
+        for (_, m) in objects.iter_mut() {
+            m.newest = self.relinked(m.newest);
+        }
+        // Room for the appends until the next compaction, if no object
+        // joins the live set meanwhile.
+        self.entries.reserve(self.live + JOURNAL_SLACK + 1);
+    }
+
+    /// Where the sweep moved the entry at `at`, or [`NO_ENTRY`] if it was
+    /// dropped (or `at` ends a chain).
+    fn relinked(&self, at: u32) -> u32 {
+        self.remap.get(at as usize).copied().unwrap_or(NO_ENTRY)
+    }
+}
 
 /// Per-object metric state.
 #[derive(Debug, Clone)]
@@ -50,12 +202,11 @@ struct ObjectMetrics {
     // known to have reached the backup, oldest first. The distance at
     // time t is `t - front.timestamp` (zero when empty).
     pending: VecDeque<(Version, Time)>,
-    // Bounded history of recent primary writes, oldest first. Lets the
-    // read-path validator recover the true staleness of a served
-    // certificate (the age of the earliest write the reader missed).
-    // Evicting old entries only makes the validator more lenient, never
-    // produces a false violation.
-    recent_writes: VecDeque<(Version, Time)>,
+    // The object's newest entry in the shared write journal (`NO_ENTRY`
+    // before the first write), and the ordinal (`writes` after it) of the
+    // last write whose version fell below its predecessor's, 0 if none.
+    newest: u32,
+    regressed_at: u64,
     last_event: Time,
     in_violation: bool,
     max_distance: TimeDelta,
@@ -89,7 +240,8 @@ impl ObjectMetrics {
             backup_version: Version::INITIAL,
             backup_ts: None,
             pending: VecDeque::new(),
-            recent_writes: VecDeque::new(),
+            newest: NO_ENTRY,
+            regressed_at: 0,
             last_event: Time::ZERO,
             in_violation: false,
             max_distance: TimeDelta::ZERO,
@@ -131,6 +283,18 @@ impl ObjectMetrics {
             }
         }
         self.last_event = now;
+    }
+
+    /// The object's live entries in the write journal: its last
+    /// [`RECENT_WRITE_HISTORY`] writes.
+    fn history_len(&self) -> usize {
+        self.writes.min(RECENT_WRITE_HISTORY as u64) as usize
+    }
+
+    /// Whether the versions of the object's last
+    /// [`RECENT_WRITE_HISTORY`] writes never decrease, oldest to newest.
+    fn history_is_monotone(&self) -> bool {
+        self.regressed_at <= self.writes.saturating_sub(RECENT_WRITE_HISTORY as u64 - 1)
     }
 
     /// Pops every pending write the backup has now covered (version ≤ the
@@ -278,6 +442,7 @@ pub struct ObjectReport {
 #[derive(Debug, Clone, Default)]
 pub struct ClusterMetrics {
     objects: IdTable<ObjectMetrics>,
+    journal: WriteJournal,
     response_times: Summary,
     updates_sent: u64,
     updates_lost: u64,
@@ -293,7 +458,8 @@ impl ClusterMetrics {
         ClusterMetrics::default()
     }
 
-    /// Starts tracking an object.
+    /// Starts tracking an object. Tracking an id again restarts its
+    /// metrics and its write history.
     pub fn track_object(
         &mut self,
         id: ObjectId,
@@ -301,8 +467,11 @@ impl ClusterMetrics {
         primary_bound: TimeDelta,
         backup_bound: TimeDelta,
     ) {
-        self.objects
-            .insert(id, ObjectMetrics::new(window, primary_bound, backup_bound));
+        let fresh = ObjectMetrics::new(window, primary_bound, backup_bound);
+        if let Some(old) = self.objects.insert(id, fresh) {
+            self.journal.live -= old.history_len();
+            self.journal.compact_if_due(&mut self.objects);
+        }
     }
 
     /// Records the completion of a client write at the primary.
@@ -318,35 +487,54 @@ impl ClusterMetrics {
                 m.primary_violations += 1;
             }
         }
+        if version < m.primary_version {
+            m.regressed_at = m.writes;
+        }
         m.primary_version = version;
         m.primary_ts = Some(now);
         m.advance(now);
         m.pending.push_back((version, now));
-        if m.recent_writes.len() >= RECENT_WRITE_HISTORY {
-            m.recent_writes.pop_front();
+        if m.writes <= RECENT_WRITE_HISTORY as u64 {
+            self.journal.live += 1;
         }
-        m.recent_writes.push_back((version, now));
+        self.journal.append(&mut m.newest, version, now);
+        self.journal.compact_if_due(&mut self.objects);
     }
 
-    /// Timestamp of the earliest recorded write to `id` with a version
-    /// strictly greater than `version`, if any is still in the bounded
-    /// history.
+    /// Timestamp of the earliest of the object's last 64 writes
+    /// (`RECENT_WRITE_HISTORY`) with a version strictly greater than
+    /// `version`, if any.
     ///
     /// This is the ground truth a [`StalenessCertificate`] is checked
     /// against: a read served at version `v` at time `t` is truly
     /// `t - earliest_write_after(id, v)` stale (zero when no newer write
-    /// exists). History eviction can only under-report true staleness,
-    /// so a validator built on this accessor never raises a false
-    /// violation.
+    /// exists). Forgetting older writes can only under-report true
+    /// staleness, so a validator built on this accessor never raises a
+    /// false violation.
+    ///
+    /// The walk goes back from the newest write in the shared write
+    /// journal. While the window's versions never decrease, the writes
+    /// newer than `version` form a suffix of it, so the walk stops at the
+    /// first version ≤ `version`. A successor primary that renumbers after
+    /// failover can make versions go backwards; while such a step lies
+    /// inside the window, the walk scans all of it. Either way the answer
+    /// is the oldest qualifying write of the window, exactly what a
+    /// 64-entry ring scanned from its oldest entry returns.
     ///
     /// [`StalenessCertificate`]: rtpb_types::StalenessCertificate
     #[must_use]
     pub fn earliest_write_after(&self, id: ObjectId, version: Version) -> Option<Time> {
         let m = self.objects.get(id)?;
-        m.recent_writes
-            .iter()
-            .find(|&&(v, _)| v > version)
-            .map(|&(_, ts)| ts)
+        let monotone = m.history_is_monotone();
+        let mut earliest = None;
+        for write in self.journal.history(m.newest) {
+            if write.version > version {
+                earliest = Some(write.time);
+            } else if monotone {
+                break;
+            }
+        }
+        earliest
     }
 
     /// Records an update applied at the backup. `write_ts` is the
@@ -737,6 +925,64 @@ mod tests {
         m.finalize(t(400)); // gap 300 → 185 ms excess
         assert_eq!(m.object_report(id).unwrap().inconsistency_episodes, 1);
         assert_eq!(m.mean_inconsistency_duration(), Some(ms(185)));
+    }
+
+    #[test]
+    fn journal_stays_within_twice_its_live_entries_plus_slack() {
+        const OBJECTS: u32 = 12;
+        let mut m = ClusterMetrics::new();
+        for i in 0..OBJECTS {
+            m.track_object(ObjectId::new(i), ms(400), ms(150), ms(550));
+        }
+        let mut rng = rtpb_sim::SimRng::seed_from(11);
+        let mut versions = [0u64; OBJECTS as usize];
+        // Checks the bound and reports whether the call compacted.
+        fn compacted(m: &ClusterMetrics, before: usize) -> bool {
+            let live: usize = m.objects.values().map(ObjectMetrics::history_len).sum();
+            assert_eq!(m.journal.live, live);
+            let len = m.journal.entries.len();
+            assert!(
+                len <= 2 * live + JOURNAL_SLACK,
+                "{len} entries, {live} live"
+            );
+            len < before
+        }
+        let mut compactions = 0;
+        // Random writes, regressions and re-tracks.
+        for step in 0..30_000u64 {
+            let i = rng.index(OBJECTS as usize);
+            let id = ObjectId::new(i as u32);
+            let before = m.journal.entries.len();
+            if rng.chance(0.002) {
+                m.track_object(id, ms(400), ms(150), ms(550));
+                versions[i] = 0;
+            } else {
+                versions[i] = if rng.chance(0.05) {
+                    versions[i].saturating_sub(3)
+                } else {
+                    versions[i] + 1
+                };
+                m.on_primary_write(id, Version::new(versions[i]), t(step));
+            }
+            compactions += usize::from(compacted(&m, before));
+        }
+        assert!(compactions >= 20, "only {compactions} compactions");
+        // Round-robin writes: once every window is full and one compaction
+        // has reserved room, the journal's buffer never grows again.
+        let mut capacity = None;
+        for step in 0..20_000u64 {
+            let i = (step % u64::from(OBJECTS)) as usize;
+            versions[i] += 1;
+            let before = m.journal.entries.len();
+            m.on_primary_write(ObjectId::new(i as u32), Version::new(versions[i]), t(step));
+            if compacted(&m, before) && step >= 64 * u64::from(OBJECTS) {
+                capacity.get_or_insert(m.journal.entries.capacity());
+            }
+            if let Some(c) = capacity {
+                assert_eq!(m.journal.entries.capacity(), c, "steady state reallocated");
+            }
+        }
+        assert!(capacity.is_some(), "no compaction in steady state");
     }
 
     #[test]
