@@ -6,7 +6,7 @@
 
 use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
 use rtpb::obs::{validate_line, EventBus, EventKind, MetricsRegistry};
-use rtpb::types::{AdmissionError, ObjectSpec, Time, TimeDelta};
+use rtpb::types::{crc32c, AdmissionError, ObjectSpec, Time, TimeDelta};
 use rtpb::RtpbClient;
 
 fn ms(v: u64) -> TimeDelta {
@@ -21,6 +21,13 @@ fn spec(name: &str, period: u64) -> ObjectSpec {
         .backup_bound(ms(period + 450))
         .build()
         .unwrap()
+}
+
+/// `(byte length, crc32c)` of an exported stream, pinned across commits:
+/// a change that alters a seeded trace must update the constant and say
+/// why.
+fn digest(text: &str) -> (usize, u32) {
+    (text.len(), crc32c(text.as_bytes()))
 }
 
 fn batched_config(window_ms: u64, seed: u64) -> ClusterConfig {
@@ -199,6 +206,16 @@ fn batched_runs_are_deterministic_and_distinct_from_unbatched() {
         "same seed + same window must replay identically"
     );
     assert_eq!(a.registry().snapshot(), b.registry().snapshot());
+    assert_eq!(
+        digest(&a.export_jsonl()),
+        (48_706, 0xb9f6_dfe1),
+        "pinned trace"
+    );
+    assert_eq!(
+        digest(&a.registry().snapshot().to_jsonl()),
+        (1_488, 0xf999_6ad7),
+        "pinned registry snapshot"
+    );
 
     let unbatched = run(0);
     assert_ne!(

@@ -7,7 +7,7 @@ use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
 use rtpb::core::metrics::InjectedFault;
 use rtpb::obs::{EventBus, EventKind, MetricsRegistry};
 use rtpb::sim::propcheck::run_cases;
-use rtpb::types::{NodeId, ObjectId, ObjectSpec, ReadError, ReadOutcome, Time, TimeDelta};
+use rtpb::types::{crc32c, NodeId, ObjectId, ObjectSpec, ReadError, ReadOutcome, Time, TimeDelta};
 use rtpb::{ReadConsistency, RtpbClient};
 
 fn ms(v: u64) -> TimeDelta {
@@ -317,6 +317,13 @@ fn chaos_runs_are_deterministic() {
 /// while it keeps running. Two replicas must never both act as primary
 /// against the same store, so the promotion mints a fresh fencing epoch
 /// and every frame from the deposed regime is rejected on arrival.
+/// `(byte length, crc32c)` of an exported stream, pinned across commits:
+/// a change that alters a seeded trace must update the constant and say
+/// why.
+fn digest(text: &str) -> (usize, u32) {
+    (text.len(), crc32c(text.as_bytes()))
+}
+
 fn split_brain_cluster(seed: u64) -> RtpbClient {
     let config = ClusterConfig {
         seed,
@@ -451,12 +458,18 @@ fn split_brain_replays_byte_identically() {
         let mut cluster = split_brain_cluster(31);
         cluster.register(spec(50)).unwrap();
         cluster.run_for(TimeDelta::from_secs(8));
-        (cluster.export_jsonl(), cluster.fault_report().to_vec())
+        (
+            cluster.export_jsonl(),
+            cluster.fault_report().to_vec(),
+            cluster.registry().snapshot().to_jsonl(),
+        )
     };
-    let (jsonl_a, faults_a) = run();
-    let (jsonl_b, faults_b) = run();
+    let (jsonl_a, faults_a, registry_a) = run();
+    let (jsonl_b, faults_b, _) = run();
     assert_eq!(jsonl_a, jsonl_b, "same seed must replay byte-identically");
     assert_eq!(faults_a, faults_b);
+    assert_eq!(digest(&jsonl_a), (85_168, 0xaea0_4aa5), "pinned trace");
+    assert_eq!(digest(&registry_a), (1_492, 0xb94a_6001), "pinned registry");
     assert!(jsonl_a.contains("stale_epoch_rejected"));
     assert!(jsonl_a.contains("primary_demoted"));
     assert!(jsonl_a.contains("resync_completed"));
@@ -882,12 +895,18 @@ fn clock_chaos_replays_byte_identically() {
         let mut cluster = RtpbClient::new(config);
         cluster.register(spec(50)).unwrap();
         cluster.run_for(TimeDelta::from_secs(8));
-        (cluster.export_jsonl(), cluster.fault_report().to_vec())
+        (
+            cluster.export_jsonl(),
+            cluster.fault_report().to_vec(),
+            cluster.registry().snapshot().to_jsonl(),
+        )
     };
-    let (jsonl_a, faults_a) = run();
-    let (jsonl_b, faults_b) = run();
+    let (jsonl_a, faults_a, registry_a) = run();
+    let (jsonl_b, faults_b, _) = run();
     assert_eq!(jsonl_a, jsonl_b, "same seed must replay byte-identically");
     assert_eq!(faults_a, faults_b);
+    assert_eq!(digest(&jsonl_a), (53_678, 0xc580_8e4b), "pinned trace");
+    assert_eq!(digest(&registry_a), (1_488, 0x1c7f_bca4), "pinned registry");
     assert_eq!(faults_a.len(), 3);
     assert_eq!(faults_a[0].kind, InjectedFault::ClockStep);
     assert_eq!(faults_a[1].kind, InjectedFault::ClockDrift);

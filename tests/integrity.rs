@@ -11,7 +11,7 @@ use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
 use rtpb::core::log::CatchUpPath;
 use rtpb::core::metrics::InjectedFault;
 use rtpb::obs::{EventBus, EventKind, MetricsRegistry};
-use rtpb::types::{NodeId, ObjectId, ObjectSpec, ReadOutcome, Time, TimeDelta};
+use rtpb::types::{crc32c, NodeId, ObjectId, ObjectSpec, ReadOutcome, Time, TimeDelta};
 use rtpb::{ReadConsistency, RtpbClient};
 
 fn ms(v: u64) -> TimeDelta {
@@ -323,6 +323,13 @@ fn scrubber_finds_silent_rot_and_repairs_via_resync() {
 
 /// The §15 acceptance plan: frame corruption, store rot across a
 /// kill-restart, a crash and a loss burst, all in one run.
+/// `(byte length, crc32c)` of an exported stream, pinned across commits:
+/// a change that alters a seeded trace must update the constant and say
+/// why.
+fn digest(text: &str) -> (usize, u32) {
+    (text.len(), crc32c(text.as_bytes()))
+}
+
 fn acceptance_cluster(seed: u64) -> RtpbClient {
     let config = ClusterConfig {
         seed,
@@ -462,10 +469,13 @@ fn corruption_chaos_replays_byte_identically() {
             cluster.fault_report().to_vec(),
             cluster.cluster().corrupt_messages(),
             counter(&cluster, "cluster.integrity_violations"),
+            cluster.registry().snapshot().to_jsonl(),
         )
     };
-    let (jsonl_a, faults_a, corrupted_a, violations_a) = run();
-    let (jsonl_b, faults_b, corrupted_b, violations_b) = run();
+    let (jsonl_a, faults_a, corrupted_a, violations_a, registry_a) = run();
+    let (jsonl_b, faults_b, corrupted_b, violations_b, _) = run();
+    assert_eq!(digest(&jsonl_a), (87_705, 0xc9dd_b035), "pinned trace");
+    assert_eq!(digest(&registry_a), (1_510, 0xe338_ac3b), "pinned registry");
     assert_eq!(jsonl_a, jsonl_b, "same seed must replay byte-identically");
     assert_eq!(faults_a, faults_b);
     assert_eq!(corrupted_a, corrupted_b);

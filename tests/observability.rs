@@ -5,7 +5,7 @@
 
 use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
 use rtpb::obs::{validate_line, EventBus, EventKind, MetricsRegistry};
-use rtpb::types::{ObjectSpec, Time, TimeDelta};
+use rtpb::types::{crc32c, ObjectSpec, Time, TimeDelta};
 use rtpb::RtpbClient;
 
 fn ms(v: u64) -> TimeDelta {
@@ -19,6 +19,13 @@ fn spec(name: &str, period: u64) -> ObjectSpec {
         .backup_bound(ms(period + 450))
         .build()
         .unwrap()
+}
+
+/// `(byte length, crc32c)` of an exported stream, pinned across commits:
+/// a change that alters a seeded trace must update the constant and say
+/// why.
+fn digest(text: &str) -> (usize, u32) {
+    (text.len(), crc32c(text.as_bytes()))
 }
 
 /// A stormy schedule: loss, a partition, a backup crash/restart, and a
@@ -88,6 +95,12 @@ fn seeded_runs_export_byte_identical_event_streams() {
         a.registry().snapshot(),
         b.registry().snapshot(),
         "metrics must replay exactly"
+    );
+    assert_eq!(digest(&jsonl_a), (70_278, 0x907f_a719), "pinned trace");
+    assert_eq!(
+        digest(&a.registry().snapshot().to_jsonl()),
+        (1_538, 0x24da_8ef5),
+        "pinned registry snapshot"
     );
 
     // A different seed gives a different storm.

@@ -11,7 +11,7 @@ use rtpb::core::config::ProtocolConfig;
 use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan, MAX_DATAGRAM_BYTES};
 use rtpb::core::log::CatchUpPath;
 use rtpb::obs::{EventBus, EventKind, MetricsRegistry};
-use rtpb::types::{ObjectSpec, Time, TimeDelta};
+use rtpb::types::{crc32c, ObjectSpec, Time, TimeDelta};
 use rtpb::{ReadConsistency, RtpbClient};
 
 fn ms(v: u64) -> TimeDelta {
@@ -33,6 +33,13 @@ fn spec(period: u64) -> ObjectSpec {
 
 /// A kill-restart plan for backup `host`: fail-stop at `crash_ms`,
 /// durable-storage restart at `restart_ms`.
+/// `(byte length, crc32c)` of an exported stream, pinned across commits:
+/// a change that alters a seeded trace must update the constant and say
+/// why.
+fn digest(text: &str) -> (usize, u32) {
+    (text.len(), crc32c(text.as_bytes()))
+}
+
 fn kill_restart(host: usize, crash_ms: u64, restart_ms: u64) -> FaultPlan {
     FaultPlan::new()
         .at(at_ms(crash_ms), FaultEvent::CrashBackup { host })
@@ -296,6 +303,7 @@ fn seeded_kill_restart_replays_byte_identical() {
     assert!(!plans_a.is_empty());
     assert_eq!(plans_a, plans_b, "catch-up decisions must replay");
     assert_eq!(trace_a, trace_b, "traces must be byte-identical");
+    assert_eq!(digest(&trace_a), (33_203, 0x4d5b_0296), "pinned trace");
 }
 
 /// A frame lost on the recovery path is not fatal: catch-up frames ride
