@@ -19,13 +19,13 @@ use crate::config::{ConfigError, ProtocolConfig};
 use crate::harness::cpu::{CpuQueue, Work};
 use crate::harness::faults::{FaultEvent, FaultLedger, FaultPlan, Pending, Watch};
 use crate::metrics::{ClusterMetrics, FaultRecord, InjectedFault};
-use crate::monitor::MonitorEvent;
 use crate::name_service::NameService;
 use crate::primary::{CatchUpDecision, Primary};
+use crate::steps::{self, Coalescer, Driver, Fact, Route, Timer};
 use crate::table::IdTable;
 use crate::telemetry::Instruments;
-use crate::wire::{WireFrame, WireMessage};
-use rtpb_net::{FaultKind, FaultWindow, LinkConfig, LinkOutcome, LossyLink};
+use crate::wire::WireMessage;
+use rtpb_net::{FaultKind, FaultWindow, LinkConfig, LossyLink};
 use rtpb_obs::{EventBus, EventKind, MetricsRegistry, Role};
 use rtpb_sim::{ClockModel, Context, Simulation, World};
 use rtpb_types::{
@@ -34,12 +34,6 @@ use rtpb_types::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// The largest frame the simulated network carries, in bytes: the 16-bit
-/// length limit of the paper's UDP datagrams (§4.1). A larger frame is
-/// refused at the sender with an [`EventKind::SendRejected`] and never
-/// reaches a link.
-pub const MAX_DATAGRAM_BYTES: usize = 65_535;
 
 /// Per-object `(write_epoch, version)` freshness tags of a replica's
 /// store, used to rank failover candidates.
@@ -295,17 +289,9 @@ struct ClusterWorld {
     primary_partition: Option<(usize, Time)>,
     /// When the last overload shed happened (rate-limits shedding).
     last_shed_at: Option<Time>,
-    /// Objects whose send timers fired inside the open coalescing window,
-    /// awaiting the [`Event::FlushBatch`] that will carry them in one
-    /// frame (insertion order; only populated when
+    /// The serving primary's coalescing window (only used when
     /// [`ProtocolConfig::batching_enabled`] holds).
-    pending_batch: Vec<ObjectId>,
-    /// The ids in `pending_batch`, so parking an object costs one lookup
-    /// however full the window is.
-    parked: IdTable<()>,
-    /// Whether a [`Event::FlushBatch`] is already scheduled for the open
-    /// coalescing window.
-    batch_flush_scheduled: bool,
+    coalescer: Coalescer,
     /// Every catch-up decision the serving primary made this run, in
     /// order. The same decisions ride the event bus as `catch_up_plan`
     /// events, but the bus is a bounded ring — this list survives
@@ -333,23 +319,6 @@ struct ClusterWorld {
     scrub_repair: BTreeSet<usize>,
 }
 
-/// The bytes one arrival of `outcome` delivers: the shared frame as sent,
-/// or a copy with the link's in-transit bit flip applied. The link is
-/// payload-oblivious — it picks a bit within the frame
-/// ([`LinkOutcome::Corrupted`]) and the harness, which owns the bytes,
-/// flips it; the receiver then sees a frame whose CRC trailer no longer
-/// matches.
-fn arrival_bytes(frame: &Arc<[u8]>, outcome: LinkOutcome) -> Arc<[u8]> {
-    match outcome.corrupted_bit() {
-        Some(bit) => {
-            let mut copy = frame.to_vec();
-            copy[(bit / 8) as usize] ^= 1 << (bit % 8);
-            copy.into()
-        }
-        None => Arc::clone(frame),
-    }
-}
-
 impl ClusterWorld {
     /// The clock model of role slot `slot`, growing the table with
     /// identity clocks on first faulted access.
@@ -370,32 +339,15 @@ impl ClusterWorld {
         self.clocks.get(1 + i).map_or(global, |c| c.local(global))
     }
 
-    /// Surfaces a node's drained monitor events through the shared
-    /// telemetry step, one at a time: a violation also detects every
-    /// still-open clock fault right after it is emitted (the first
-    /// violation is the protocol's reaction to the injected fault).
-    fn forward_monitor(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        node: NodeId,
-        events: Vec<MonitorEvent>,
-    ) {
-        for event in events {
-            let violation = matches!(event, MonitorEvent::Violation(_));
-            self.instruments
-                .monitor_events(node, [event], |kind| ctx.emit(kind));
-            if violation {
-                self.faults.timing_violation(ctx);
-            }
+    /// `host` running a step, with the event context.
+    fn at<'a, 'c>(&'a mut self, ctx: &'a mut Context<'c, Event>, host: Peer) -> At<'a, 'c> {
+        At {
+            world: self,
+            ctx,
+            host,
+            sender: host,
+            rot: None,
         }
-    }
-
-    /// Counts and emits one frame whose checksum (or framing) failed on
-    /// receive. The frame is dropped before any field is interpreted;
-    /// the retransmission machinery repairs the gap like a loss.
-    fn note_corrupt_frame(&mut self, ctx: &mut Context<'_, Event>, node: NodeId) {
-        self.corrupt_messages += 1;
-        self.instruments.corrupt_frame(node, |kind| ctx.emit(kind));
     }
 
     /// The serving primary. Callers guard on `self.primary` being `Some`
@@ -406,12 +358,6 @@ impl ClusterWorld {
     /// Panics if no primary is serving.
     fn serving(&self) -> &Primary {
         self.primary.as_ref().expect("no serving primary")
-    }
-
-    /// Mutable access to the serving primary; same contract as
-    /// [`ClusterWorld::serving`].
-    fn serving_mut(&mut self) -> &mut Primary {
-        self.primary.as_mut().expect("no serving primary")
     }
 
     /// The index of the backup host whose deliveries feed the per-object
@@ -486,15 +432,16 @@ impl ClusterWorld {
     /// - a partition: frames to or from the serving primary die inside a
     ///   [`FaultEvent::PartitionPrimary`] cut, and frames to or from the
     ///   deposed primary die until its side heals;
-    /// - the datagram cap: a frame over [`MAX_DATAGRAM_BYTES`] is refused
-    ///   with an [`EventKind::SendRejected`] and a `cluster.send_rejected`
+    /// - the datagram cap: a frame over
+    ///   [`MAX_DATAGRAM_BYTES`](steps::MAX_DATAGRAM_BYTES) is refused with
+    ///   an [`EventKind::SendRejected`] and a `cluster.send_rejected`
     ///   count;
     /// - a crashed destination: a frame to a crashed backup host is never
     ///   put on a link, so it draws no randomness. Heartbeat probes are
     ///   the exception.
     ///
     /// Update-carrying frames are counted as they leave, through the
-    /// shared telemetry step, and in the per-object ledger when the
+    /// shared [`steps::transmit`], and in the per-object ledger when the
     /// destination feeds the metrics.
     fn route(&mut self, ctx: &mut Context<'_, Event>, from: Peer, to: Peer, frame: &Encoded<'_>) {
         let now = ctx.now();
@@ -519,38 +466,38 @@ impl ClusterWorld {
             (host_node, end_node)
         };
         let bytes = frame.bytes.len();
-        if bytes > MAX_DATAGRAM_BYTES {
-            self.instruments.send_rejected.inc();
-            ctx.emit(EventKind::SendRejected {
-                from: from_node,
-                to: to_node,
-                bytes: bytes as u64,
-            });
-            return;
-        }
-        // A heartbeat probe goes out even to a crashed host: the detector
-        // sends it because it cannot see the crash, and the probe dies at
-        // the dead host.
-        let probe = matches!(frame.msg, WireMessage::Ping { .. });
-        if outbound && !probe && self.hosts[host].backup.is_none() {
-            return;
-        }
         let data = frame.msg.rides_data_link() || !self.config.control_loss_exempt;
-        let h = &mut self.hosts[host];
-        let link = match (outbound, data) {
-            (true, true) => &mut h.data_link,
-            (true, false) => &mut h.ctrl_link,
-            (false, true) => &mut h.rev_data_link,
-            (false, false) => &mut h.rev_ctrl_link,
+        let sent = steps::transmit(
+            &self.instruments,
+            from_node,
+            to_node,
+            frame.msg,
+            bytes,
+            |kind| ctx.emit(kind),
+            || {
+                let h = &mut self.hosts[host];
+                // A heartbeat probe goes out even to a crashed host: the
+                // detector sends it because it cannot see the crash, and
+                // the probe dies at the dead host.
+                let probe = matches!(frame.msg, WireMessage::Ping { .. });
+                if outbound && !probe && h.backup.is_none() {
+                    return None;
+                }
+                let link = match (outbound, data) {
+                    (true, true) => &mut h.data_link,
+                    (true, false) => &mut h.ctrl_link,
+                    (false, true) => &mut h.rev_data_link,
+                    (false, false) => &mut h.rev_ctrl_link,
+                };
+                Some(link.transmit(now, bytes))
+            },
+        );
+        let Some((outcome, carried)) = sent else {
+            return;
         };
-        let outcome = link.transmit(now, bytes);
-        let lost = outcome.is_lost();
-        let carried = self
-            .instruments
-            .frame_sent(to_node, frame.msg, lost, |kind| ctx.emit(kind));
         if carried > 0 && self.metrics_host() == Some(host) {
             for _ in 0..carried {
-                self.metrics.record_update_sent(lost);
+                self.metrics.record_update_sent(outcome.is_lost());
             }
         }
         for at in outcome.arrivals() {
@@ -559,7 +506,7 @@ impl ClusterWorld {
                 Event::Deliver {
                     from,
                     to,
-                    frame: arrival_bytes(&frame.bytes, outcome),
+                    frame: steps::arrival_bytes(&frame.bytes, outcome),
                 },
             );
         }
@@ -575,12 +522,8 @@ impl ClusterWorld {
     }
 
     fn watchdog_interval(&self, object: ObjectId) -> TimeDelta {
-        let period = self
-            .primary
-            .as_ref()
-            .and_then(|p| p.send_period(object))
-            .unwrap_or(TimeDelta::from_millis(100));
-        (self.config.protocol.refresh_allowance(period) / 2).max(TimeDelta::from_millis(1))
+        let period = self.primary.as_ref().and_then(|p| p.send_period(object));
+        steps::watchdog_interval(&self.config.protocol, period)
     }
 
     /// Restarts every per-object timer under a fresh epoch (after
@@ -600,7 +543,7 @@ impl ClusterWorld {
         for (id, _) in self.specs.iter() {
             if let Some(period) = self.primary.as_ref().and_then(|p| p.send_period(id)) {
                 timers.push((
-                    send_phase(id, period),
+                    steps::send_phase(id, period),
                     Event::SendTimer { object: id, epoch },
                 ));
                 self.metrics
@@ -700,16 +643,10 @@ impl ClusterWorld {
             return;
         };
         let now = ctx.now();
-        ctx.emit(EventKind::RoleTransition {
-            node: self.hosts[host].node,
-            from: Role::Backup,
-            to: Role::Primary,
-        });
-        self.instruments.failovers.inc();
         // The promoting replica stamps the takeover with its own (possibly
         // faulted) backup clock; from here on it reads the primary role's
         // clock slot.
-        let new_primary = backup.promote(self.backup_local(host, now));
+        let new_primary = steps::promote(&mut self.at(ctx, Peer::Backup(host)), backup);
         // §4.4: "The new primary changes the address in the name file to
         // its own internet address, invokes a backup version of the
         // client application ... and then waits to recruit a new backup."
@@ -717,31 +654,13 @@ impl ClusterWorld {
         self.primary = Some(new_primary);
         self.cpu.clear();
         self.epoch += 1; // invalidate the dead primary's timers
-        self.metrics.record_failover_complete(now);
-        if let Some(duration) = self.metrics.failover_duration() {
-            self.instruments.failover_time.record(duration);
-        }
-        // Failover completion ends the primary-crash fault: the service
-        // is serving again.
+                         // Failover completion ends the primary-crash fault: the service
+                         // is serving again.
         self.faults.recover_pending(ctx, Pending::PrimaryCrash);
         // Surviving backups track the new primary and re-join (the
         // multi-backup extension).
-        let survivors: Vec<usize> = self
-            .hosts
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.backup.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        for i in survivors {
-            let local = self.backup_local(i, now);
-            let join = self.hosts[i].backup.as_mut().map(|b| {
-                b.rearm(local);
-                b.begin_join(local)
-            });
-            if let Some(join) = join {
-                self.send(ctx, Peer::Backup(i), Peer::Primary, &join);
-            }
+        for i in 0..self.hosts.len() {
+            steps::join(&mut self.at(ctx, Peer::Backup(i)));
         }
         if self.live_backup_count() == 0 {
             if let Some(delay) = self.config.recruit_backup_after {
@@ -768,7 +687,7 @@ impl ClusterWorld {
             record,
         });
         ctx.schedule_in(
-            self.config.protocol.heartbeat_period / 2,
+            steps::heartbeat_tick(&self.config.protocol),
             Event::DeposedTick,
         );
         self.do_failover(ctx, detector);
@@ -825,228 +744,121 @@ impl ClusterWorld {
     }
 
     /// A frame arrives at `to`. A crashed destination loses it; otherwise
-    /// the bytes go straight to [`WireFrame::parse`], which checks the
-    /// CRC trailer before reading any field, and a frame that fails is
+    /// the bytes go straight to [`steps::parse`], which checks the CRC
+    /// trailer before reading any field, and a frame that fails is
     /// counted and dropped.
     fn deliver(&mut self, ctx: &mut Context<'_, Event>, from: Peer, to: Peer, bytes: &[u8]) {
         let Some(node) = self.live_node(to) else {
             return;
         };
-        let Ok(frame) = WireFrame::parse(bytes) else {
-            self.note_corrupt_frame(ctx, node);
+        let mut at = self.at(ctx, to);
+        at.sender = from;
+        let Some(frame) = steps::parse(&mut at, node, bytes) else {
+            self.corrupt_messages += 1;
             return;
         };
         match (from, to) {
-            (_, Peer::Backup(host)) => self.backup_receives(ctx, from, host, node, &frame),
+            (_, Peer::Backup(_)) => steps::backup_receive(&mut at, &frame),
             (Peer::Backup(host), Peer::Primary) => {
-                self.primary_receives(ctx, host, node, &frame.to_owned());
+                let sender = at.world.hosts[host].node;
+                steps::primary_receive(&mut at, sender, &frame.to_owned());
             }
-            (_, Peer::Deposed) => self.deposed_receives(ctx, &frame.to_owned()),
+            (_, Peer::Deposed) => {
+                if steps::deposed_receive(&mut at, &frame.to_owned()) {
+                    self.demote_deposed(ctx);
+                }
+            }
             _ => unreachable!("every link has a backup host at one end"),
         }
     }
 
-    /// Backup host `host` handles a frame from `from`. The receive hot
-    /// path stays on the borrowed decode view: the frame's payload slices
-    /// point into the delivered bytes and flow straight into the backup's
-    /// store, with no owned [`WireMessage`] for updates or batches.
-    fn backup_receives(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        from: Peer,
-        host: usize,
-        node: NodeId,
-        frame: &WireFrame<'_>,
-    ) {
-        let report_metrics = self.metrics_host() == Some(host);
-        let local_now = self.backup_local(host, ctx.now());
-        let backup = self.hosts[host]
-            .backup
-            .as_mut()
-            .expect("deliver hands frames to live hosts only");
-        if report_metrics {
-            // Fresh or duplicate, an arrival resets the §5.3 refresh
-            // clock — even a duplicate proves currency at snapshot
-            // time. A batch refreshes every update it carries.
-            let now = ctx.now();
-            frame.for_each_update(|object, _| self.metrics.on_backup_refresh(object, now));
+    /// A catch-up frame (full transfer, anti-entropy diff, or log suffix)
+    /// landed at backup host `host`: a recovering replica is consistent
+    /// again, so its re-integration records close.
+    fn catch_up_landed(&mut self, ctx: &mut Context<'_, Event>, host: usize) {
+        let node = self.hosts[host].node;
+        if let Some(record) = self.faults.take(Pending::Recovery(host)) {
+            let injected = self.faults.records()[record].injected_at;
+            self.instruments
+                .recovery_time
+                .record(ctx.now().saturating_since(injected));
+            self.faults.recover(ctx, record);
         }
-        let out = backup.handle_frame(frame, local_now);
-        let local_epoch = backup.epoch();
-        let monitor_events = backup.drain_monitor_events();
-        let integrity_events = backup.drain_integrity_events();
-        self.forward_monitor(ctx, node, monitor_events);
-        self.instruments
-            .integrity_events(node, integrity_events, |k| ctx.emit(k));
-        self.instruments
-            .fenced(node, local_epoch, &out.stale_rejected, |k| ctx.emit(k));
-        if matches!(
-            frame,
-            WireFrame::StateTransfer { .. }
-                | WireFrame::ResyncDiff { .. }
-                | WireFrame::LogSuffix { .. }
-        ) {
-            // Any catch-up frame (full transfer, anti-entropy diff, or
-            // log suffix) completes re-integration: a recovering replica
-            // is consistent again once it lands.
-            if let Some(record) = self.faults.take(Pending::Recovery(host)) {
-                let injected = self.faults.records()[record].injected_at;
-                self.instruments
-                    .recovery_time
-                    .record(ctx.now().saturating_since(injected));
-                self.faults.recover(ctx, record);
-            }
-            if let Some(record) = self.faults.take(Pending::Resync(host)) {
-                ctx.emit(EventKind::ResyncCompleted { node });
-                self.faults.recover(ctx, record);
-            }
-            if self.scrub_repair.remove(&host) {
-                // The diff landed: the scrub-triggered anti-entropy
-                // repair is complete.
-                ctx.emit(EventKind::ResyncCompleted { node });
-            }
-            // The catch-up frame re-shipped the quarantined objects: the
-            // store rot is repaired.
-            self.faults.recover_pending(ctx, Pending::Rot(host));
+        if let Some(record) = self.faults.take(Pending::Resync(host)) {
+            ctx.emit(EventKind::ResyncCompleted { node });
+            self.faults.recover(ctx, record);
         }
-        for (object, version, write_ts) in &out.applied {
-            ctx.emit(EventKind::UpdateApplied {
-                object: *object,
-                version: *version,
-                node,
-            });
-            if report_metrics {
-                self.metrics
-                    .on_backup_apply(*object, *version, *write_ts, ctx.now());
-            }
+        if self.scrub_repair.remove(&host) {
+            // The diff landed: the scrub-triggered anti-entropy repair is
+            // complete.
+            ctx.emit(EventKind::ResyncCompleted { node });
         }
-        for reply in out.replies {
-            // A resync request from a live backup that is neither a
-            // demoted ex-primary nor already mid-repair is the scrub
-            // check kicking off anti-entropy (DESIGN.md §15).
-            if let WireMessage::ResyncRequest { versions, .. } = &reply {
-                if from != Peer::Deposed
-                    && self.faults.pending(Pending::Resync(host)).is_none()
-                    && self.scrub_repair.insert(host)
-                {
-                    ctx.emit(EventKind::ResyncStarted {
-                        node,
-                        objects: versions.len() as u64,
-                    });
-                }
-            }
-            // Replies go back to the sender: a frame from the deposed
-            // primary is answered there (the reply carries this replica's
-            // newer epoch), not at the serving primary.
-            self.send(ctx, Peer::Backup(host), from, &reply);
+        // The catch-up frame re-shipped the quarantined objects: the store
+        // rot is repaired.
+        self.faults.recover_pending(ctx, Pending::Rot(host));
+    }
+
+    /// Backup host `host`'s detector declared the primary dead.
+    fn primary_declared_dead(&mut self, ctx: &mut Context<'_, Event>, host: usize) {
+        self.metrics.record_failover_started(ctx.now());
+        self.faults.detect_pending(ctx, Pending::PrimaryCrash);
+        self.faults.detect_pending(ctx, Pending::Partition(host));
+        if let Some((record, _)) = self.primary_partition {
+            self.faults.detect(ctx, record);
+        }
+        if self.config.auto_failover && self.primary.is_none() {
+            // First detector to fire takes over.
+            self.do_failover(ctx, host);
+        } else if self.config.auto_failover && self.primary_partition.is_some() {
+            // The primary is alive but unreachable: promote anyway
+            // (split-brain). The fencing epoch minted at promotion is what
+            // keeps the deposed primary's frames out of every store.
+            self.depose_and_failover(ctx, host);
+        } else if self.primary.is_some() {
+            // A sibling already promoted (or this was a false alarm):
+            // re-join the serving primary with bounded retries — even with
+            // auto-failover off, a severed replica must find its way back
+            // once the cut heals.
+            steps::join(&mut self.at(ctx, Peer::Backup(host)));
         }
     }
 
-    /// The deposed primary handles a frame. A ping ack bearing the
-    /// successor's higher epoch is what deposes it for good: it demotes
-    /// itself and starts resync.
-    fn deposed_receives(&mut self, ctx: &mut Context<'_, Event>, msg: &WireMessage) {
-        let dep = self
-            .deposed
-            .as_mut()
-            .expect("deliver hands frames to a present deposed primary only");
-        // The deposed primary reads the undisturbed global clock: clock
-        // faults address role slots (primary, backup host i), and a
-        // deposed ex-primary holds neither until it demotes into a new
-        // backup host.
-        let out = dep.primary.handle_message(msg, ctx.now());
-        let node = dep.primary.node();
-        let local_epoch = dep.primary.epoch();
-        let superseded = dep.primary.is_deposed();
-        self.instruments
-            .fenced(node, local_epoch, &out.stale_rejected, |k| ctx.emit(k));
-        if superseded {
-            self.demote_deposed(ctx);
+    /// The primary's detector declared backup `node` dead.
+    fn backup_declared_dead(&mut self, ctx: &mut Context<'_, Event>, node: NodeId) {
+        if let Some(i) = self.hosts.iter().position(|h| h.node == node) {
+            self.faults.detect_pending(ctx, Pending::BackupCrash(i));
+            self.faults.detect_pending(ctx, Pending::Partition(i));
+        }
+        if self.primary.as_ref().is_some_and(|p| !p.is_backup_alive()) {
+            if let Some(delay) = self.config.recruit_backup_after {
+                ctx.schedule_in(delay, Event::RecruitBackup);
+            }
         }
     }
 
-    /// The serving primary, node `p_node`, handles a frame from backup
-    /// host `host`.
-    fn primary_receives(
-        &mut self,
-        ctx: &mut Context<'_, Event>,
-        host: usize,
-        p_node: NodeId,
-        msg: &WireMessage,
-    ) {
-        if let WireMessage::RetransmitRequest { object, .. } = msg {
-            self.metrics.record_retransmit_request();
-            self.instruments.retransmit_requests.inc();
-            if let Some(h) = self.hosts.get(host) {
-                ctx.emit(EventKind::RetransmitRequested {
-                    object: *object,
-                    node: h.node,
-                });
-            }
-            self.faults.retransmit_requested(ctx, host);
-        }
-        let local_now = self.primary_local(ctx.now());
-        let (out, p_epoch, monitor_events, integrity_events) = {
-            let primary = self.serving_mut();
-            let out = primary.handle_message(msg, local_now);
-            let events = primary.drain_monitor_events();
-            let integrity = primary.drain_integrity_events();
-            (out, primary.epoch(), events, integrity)
-        };
-        self.forward_monitor(ctx, p_node, monitor_events);
-        self.instruments
-            .integrity_events(p_node, integrity_events, |k| ctx.emit(k));
-        self.instruments
-            .fenced(p_node, p_epoch, &out.stale_rejected, |k| ctx.emit(k));
-        if let Some(plan) = &out.catch_up {
-            self.instruments.catch_up_plan(plan, |kind| ctx.emit(kind));
-            self.catch_up_plans.push(plan.clone());
-        }
-        for reply in out.replies {
-            // Update retransmissions consume primary CPU like any other
-            // transmission (under overload they queue too — there is no
-            // free path to the backup); control replies go out directly.
-            if matches!(reply, WireMessage::Update { .. }) {
-                let cost = self.config.protocol.send_cost(reply.encoded_len());
-                self.submit(ctx, Work::SendUpdate { message: reply }, cost);
-            } else {
-                // Acks and state transfers are addressed to the sender.
-                self.send(ctx, Peer::Primary, Peer::Backup(host), &reply);
-            }
-        }
-        if out.backup_joined {
-            let now = ctx.now();
-            if let Some(h) = self.hosts.get(host) {
-                ctx.emit(EventKind::RoleTransition {
-                    node: h.node,
-                    from: Role::Joining,
-                    to: Role::Backup,
-                });
-            }
-            // The primary accepted the recovering replica back; the
-            // recovery itself completes when the state transfer lands.
-            self.faults.detect_pending(ctx, Pending::Recovery(host));
-            self.faults.recover_pending(ctx, Pending::Partition(host));
-            self.faults.recover_pending(ctx, Pending::BackupCrash(host));
-            // Re-sync registrations the joining host missed while it was
-            // crashed or partitioned away (object *state* arrives via the
-            // state-transfer reply already in flight).
-            let registry = self.serving().registry();
-            let local = self.backup_local(host, now);
-            if let Some(h) = self.hosts.get_mut(host) {
-                if let Some(backup) = h.backup.as_mut() {
-                    for (id, spec, period) in registry {
-                        if backup.store().get(id).is_none() {
-                            backup.sync_registration(id, spec, period, local);
-                        } else {
-                            backup.sync_send_period(id, period);
-                        }
-                    }
+    /// The serving primary admitted backup host `host` back.
+    fn backup_joined(&mut self, ctx: &mut Context<'_, Event>, host: usize) {
+        let now = ctx.now();
+        // The recovery itself completes when the catch-up frame lands.
+        self.faults.detect_pending(ctx, Pending::Recovery(host));
+        self.faults.recover_pending(ctx, Pending::Partition(host));
+        self.faults.recover_pending(ctx, Pending::BackupCrash(host));
+        // Re-sync registrations the joining host missed while it was
+        // crashed or partitioned away (object *state* arrives via the
+        // catch-up reply already in flight).
+        let registry = self.serving().registry();
+        let local = self.backup_local(host, now);
+        if let Some(backup) = self.hosts.get_mut(host).and_then(|h| h.backup.as_mut()) {
+            for (id, spec, period) in registry {
+                if backup.store().get(id).is_none() {
+                    backup.sync_registration(id, spec, period, local);
+                } else {
+                    backup.sync_send_period(id, period);
                 }
             }
-            for (delay, event) in self.restart_object_timers() {
-                ctx.schedule_in(delay, event);
-            }
+        }
+        for (delay, event) in self.restart_object_timers() {
+            ctx.schedule_in(delay, event);
         }
     }
 
@@ -1100,48 +912,25 @@ impl ClusterWorld {
     /// re-integrates through the normal join / state-transfer path with
     /// bounded retries.
     fn recover_backup(&mut self, ctx: &mut Context<'_, Event>, host: usize) {
-        let now = ctx.now();
-        let local = self.backup_local(host, now);
-        let join = {
-            let Some(h) = self.hosts.get_mut(host) else {
-                return;
-            };
-            if h.backup.is_some() {
-                return;
-            }
-            // Cold recovery: whatever state the crash left behind is gone.
-            h.parked = None;
-            let mut backup = Backup::new(h.node, self.config.protocol.clone());
-            // Registry sync rides the reliable control channel; the
-            // object *state* arrives via the StateTransfer reply to the
-            // join request.
-            if let Some(primary) = self.primary.as_ref() {
-                for (id, spec, period) in primary.registry() {
-                    backup.sync_registration(id, spec, period, local);
-                }
-            }
-            let join = backup.begin_join(local);
-            h.backup = Some(backup);
-            join
+        let local = self.backup_local(host, ctx.now());
+        let Some(h) = self.hosts.get_mut(host) else {
+            return;
         };
-        self.rejoin(ctx, host, &join);
-    }
-
-    /// A restarted backup host re-joins the serving primary: opens the
-    /// restart's fault record, which the host's catch-up frame closes, and
-    /// sends the join request.
-    fn rejoin(&mut self, ctx: &mut Context<'_, Event>, host: usize, join: &WireMessage) {
-        self.faults.inject(
-            ctx,
-            InjectedFault::BackupRecovery,
-            Watch::Step(Pending::Recovery(host)),
-        );
-        ctx.emit(EventKind::RoleTransition {
-            node: self.hosts[host].node,
-            from: Role::Down,
-            to: Role::Joining,
-        });
-        self.send(ctx, Peer::Backup(host), Peer::Primary, join);
+        if h.backup.is_some() {
+            return;
+        }
+        // Cold recovery: whatever state the crash left behind is gone.
+        h.parked = None;
+        let mut backup = Backup::new(h.node, self.config.protocol.clone());
+        // Registry sync rides the reliable control channel; the object
+        // *state* arrives via the StateTransfer reply to the join request.
+        if let Some(primary) = self.primary.as_ref() {
+            for (id, spec, period) in primary.registry() {
+                backup.sync_registration(id, spec, period, local);
+            }
+        }
+        h.backup = Some(backup);
+        steps::restart(&mut self.at(ctx, Peer::Backup(host)), false);
     }
 
     /// Restarts a crashed backup host with its pre-crash state intact
@@ -1152,10 +941,8 @@ impl ClusterWorld {
     /// outlived the log's retention. A host with nothing parked (never
     /// crashed, or already recovered cold) recovers cold instead.
     fn restart_backup(&mut self, ctx: &mut Context<'_, Event>, host: usize) {
-        let now = ctx.now();
-        let local = self.backup_local(host, now);
         let rot = self.pending_state_rot.remove(&host);
-        let (join, integrity_events, node, rotted) = {
+        let rotted = {
             let Some(h) = self.hosts.get_mut(host) else {
                 return;
             };
@@ -1187,23 +974,29 @@ impl ClusterWorld {
                 }
                 rotted = !backup.audit_integrity().is_empty();
             }
-            let integrity_events = backup.drain_integrity_events();
-            backup.rearm(local);
-            let join = backup.begin_join(local);
-            let node = h.node;
             h.backup = Some(backup);
-            (join, integrity_events, node, rotted)
+            rotted
         };
-        self.instruments
-            .integrity_events(node, integrity_events, |k| ctx.emit(k));
-        if let Some((_, rot_record)) = rot.filter(|_| rotted) {
-            // The restart audit caught the rot: detection is this
-            // instant; recovery is the catch-up frame that re-ships the
+        let mut at = self.at(ctx, Peer::Backup(host));
+        at.rot = rot.filter(|_| rotted).map(|(_, record)| record);
+        steps::restart(&mut at, true);
+    }
+
+    /// A restarted backup host is about to announce its rejoin: the
+    /// restart audit's catch of `rot` (a record) is detected now, and the
+    /// restart opens a fault record that the host's catch-up frame closes.
+    fn rejoining(&mut self, ctx: &mut Context<'_, Event>, host: usize, rot: Option<usize>) {
+        if let Some(record) = rot {
+            // Recovery is the catch-up frame that re-ships the
             // quarantined objects.
-            self.faults.detect(ctx, rot_record);
-            self.faults.watch(Pending::Rot(host), rot_record);
+            self.faults.detect(ctx, record);
+            self.faults.watch(Pending::Rot(host), record);
         }
-        self.rejoin(ctx, host, &join);
+        self.faults.inject(
+            ctx,
+            InjectedFault::BackupRecovery,
+            Watch::Step(Pending::Recovery(host)),
+        );
     }
 
     /// Opens a time-windowed fault of `kind` on the primary→backup data
@@ -1395,44 +1188,16 @@ impl ClusterWorld {
                 arrival,
                 payload,
             } => {
-                let now = ctx.now();
-                let local = self.primary_local(now);
-                let Some(primary) = self.primary.as_mut() else {
-                    return;
-                };
-                if let Some(version) = primary.apply_write(object, payload, local) {
-                    let node = primary.node();
-                    for (head, log_len) in primary.take_snapshot_marks() {
-                        ctx.emit(EventKind::StoreSnapshot {
-                            node,
-                            head,
-                            log_len,
-                        });
-                    }
-                    let response = now.saturating_since(arrival);
-                    self.metrics.record_response(response);
-                    self.metrics.on_primary_write(object, version, now);
-                    self.instruments.client_writes.inc();
-                    self.instruments.response_time.record(response);
-                    ctx.emit(EventKind::ClientWrite {
-                        object,
-                        version,
-                        response,
-                    });
-                    // Coupled-replication ablation: transmit on every
-                    // write (the design the paper's decoupling avoids).
-                    if self.config.protocol.eager_send {
-                        let cost = self
-                            .config
-                            .protocol
-                            .send_cost(self.specs.get(object).map_or(64, ObjectSpec::size_bytes));
-                        let update = self
-                            .primary
-                            .as_mut()
-                            .and_then(|p| p.make_update(object, local));
-                        if let Some(message) = update {
-                            self.submit(ctx, Work::SendUpdate { message }, cost);
-                        }
+                let response = ctx.now().saturating_since(arrival);
+                let mut at = self.at(ctx, Peer::Primary);
+                // Coupled-replication ablation: transmit on every write
+                // (the design the paper's decoupling avoids).
+                if steps::client_write(&mut at, object, payload, Some(response)).is_some()
+                    && at.world.config.protocol.eager_send
+                {
+                    let local = at.local();
+                    if let Some(update) = at.primary().and_then(|p| p.make_update(object, local)) {
+                        at.send(Route::Update(object), update);
                     }
                 }
             }
@@ -1518,71 +1283,14 @@ impl World for ClusterWorld {
                 self.finish_work(ctx, work);
             }
             Event::SendTimer { object, epoch } => {
-                if epoch != self.epoch {
-                    return;
-                }
-                let Some(primary) = self.primary.as_ref() else {
-                    return;
-                };
-                // §4.4: update events are cancelled while no backup is
-                // alive; they restart (new epoch) when one rejoins.
-                if !primary.is_backup_alive() {
-                    return;
-                }
-                let Some(period) = primary.send_period(object) else {
-                    return;
-                };
-                ctx.schedule_in(period, Event::SendTimer { object, epoch });
-                if self.config.protocol.batching_enabled() {
-                    // Coalescing pipeline: park the object and flush the
-                    // whole set one coalescing window later, as a single
-                    // frame through a single CPU transmission.
-                    if self.parked.insert(object, ()).is_none() {
-                        self.pending_batch.push(object);
-                    }
-                    if !self.batch_flush_scheduled {
-                        self.batch_flush_scheduled = true;
-                        ctx.schedule_in(self.config.protocol.coalesce_window, Event::FlushBatch);
-                    }
-                    return;
-                }
-                let cost = self
-                    .config
-                    .protocol
-                    .send_cost(self.specs.get(object).map_or(64, ObjectSpec::size_bytes));
-                let local = self.primary_local(ctx.now());
-                let update = self
-                    .primary
-                    .as_mut()
-                    .and_then(|p| p.make_update(object, local));
-                if let Some(message) = update {
-                    self.submit(ctx, Work::SendUpdate { message }, cost);
+                if epoch == self.epoch {
+                    steps::send_timer(&mut self.at(ctx, Peer::Primary), object);
                 }
             }
-            Event::FlushBatch => {
-                // One-shot: no epoch guard. After a failover or re-join
-                // the parked ids simply snapshot whatever still exists;
-                // objects gone from the store contribute nothing.
-                self.batch_flush_scheduled = false;
-                let ids = std::mem::take(&mut self.pending_batch);
-                for &id in &ids {
-                    self.parked.remove(id);
-                }
-                let local = self.primary_local(ctx.now());
-                let Some(primary) = self.primary.as_mut() else {
-                    return;
-                };
-                if !primary.is_backup_alive() {
-                    return;
-                }
-                let Some(message) = primary.make_batch(&ids, local) else {
-                    return;
-                };
-                // The frame costs one base overhead for the whole batch —
-                // the amortization that buys the throughput win.
-                let cost = self.config.protocol.send_cost(message.encoded_len());
-                self.submit(ctx, Work::SendUpdate { message }, cost);
-            }
+            // One-shot: no epoch guard. After a failover or re-join the
+            // parked ids simply snapshot whatever still exists; objects
+            // gone from the store contribute nothing.
+            Event::FlushBatch => steps::flush(&mut self.at(ctx, Peer::Primary)),
             Event::WatchdogTimer { object, epoch } => {
                 if epoch != self.epoch {
                     return;
@@ -1590,129 +1298,26 @@ impl World for ClusterWorld {
                 let interval = self.watchdog_interval(object);
                 ctx.schedule_in(interval, Event::WatchdogTimer { object, epoch });
                 for i in 0..self.hosts.len() {
-                    let local = self.backup_local(i, ctx.now());
-                    let request = self.hosts[i]
-                        .backup
-                        .as_mut()
-                        .and_then(|b| b.tick_watchdog(object, local));
-                    if let Some(request) = request {
-                        self.send(ctx, Peer::Backup(i), Peer::Primary, &request);
-                    }
+                    steps::watchdog(&mut self.at(ctx, Peer::Backup(i)), object);
                 }
             }
             Event::PrimaryHeartbeat => {
                 ctx.schedule_in(
-                    self.config.protocol.heartbeat_period / 2,
+                    steps::heartbeat_tick(&self.config.protocol),
                     Event::PrimaryHeartbeat,
                 );
-                let local = self.primary_local(ctx.now());
-                let Some(primary) = self.primary.as_mut() else {
-                    return;
-                };
-                let primary_node = primary.node();
-                let round = primary.tick_heartbeat(local);
-                let monitor_events = primary.drain_monitor_events();
-                let integrity_events = primary.drain_integrity_events();
-                self.forward_monitor(ctx, primary_node, monitor_events);
-                self.instruments
-                    .integrity_events(primary_node, integrity_events, |k| ctx.emit(k));
-                for (dest, ping) in round.pings {
-                    ctx.emit(EventKind::HeartbeatSent {
-                        from: primary_node,
-                        to: dest,
-                    });
-                    // Route each probe to its peer only.
-                    if let Some(i) = self.hosts.iter().position(|h| h.node == dest) {
-                        self.send(ctx, Peer::Primary, Peer::Backup(i), &ping);
-                    }
-                }
-                for dead in round.died {
-                    ctx.emit(EventKind::HeartbeatMissed {
-                        from: primary_node,
-                        peer: dead,
-                    });
-                    if let Some(i) = self.hosts.iter().position(|h| h.node == dead) {
-                        self.faults.detect_pending(ctx, Pending::BackupCrash(i));
-                        self.faults.detect_pending(ctx, Pending::Partition(i));
-                    }
-                    if self.primary.as_ref().is_some_and(|p| !p.is_backup_alive()) {
-                        if let Some(delay) = self.config.recruit_backup_after {
-                            ctx.schedule_in(delay, Event::RecruitBackup);
-                        }
-                    }
-                }
+                steps::primary_heartbeat(&mut self.at(ctx, Peer::Primary));
             }
             Event::BackupHeartbeat => {
                 ctx.schedule_in(
-                    self.config.protocol.heartbeat_period / 2,
+                    steps::heartbeat_tick(&self.config.protocol),
                     Event::BackupHeartbeat,
                 );
-                let primary_node = self.names.resolve();
+                // Every probe this tick names the primary bound when the
+                // tick began, even if a detector promotes a sibling midway.
+                let primary = self.names.resolve();
                 for i in 0..self.hosts.len() {
-                    let local = self.backup_local(i, ctx.now());
-                    let Some(backup) = self.hosts[i].backup.as_mut() else {
-                        continue;
-                    };
-                    let (ping, primary_died) = backup.tick_heartbeat(local);
-                    let monitor_events = backup.drain_monitor_events();
-                    let integrity_events = backup.drain_integrity_events();
-                    let backup_node = self.hosts[i].node;
-                    self.forward_monitor(ctx, backup_node, monitor_events);
-                    self.instruments
-                        .integrity_events(backup_node, integrity_events, |k| ctx.emit(k));
-                    if let Some(ping) = ping {
-                        ctx.emit(EventKind::HeartbeatSent {
-                            from: self.hosts[i].node,
-                            to: primary_node,
-                        });
-                        self.send(ctx, Peer::Backup(i), Peer::Primary, &ping);
-                    }
-                    if primary_died {
-                        ctx.emit(EventKind::HeartbeatMissed {
-                            from: self.hosts[i].node,
-                            peer: primary_node,
-                        });
-                        self.metrics.record_failover_started(ctx.now());
-                        self.faults.detect_pending(ctx, Pending::PrimaryCrash);
-                        self.faults.detect_pending(ctx, Pending::Partition(i));
-                        if let Some((record, _)) = self.primary_partition {
-                            self.faults.detect(ctx, record);
-                        }
-                        if self.config.auto_failover && self.primary.is_none() {
-                            // First detector to fire takes over.
-                            self.do_failover(ctx, i);
-                        } else if self.config.auto_failover && self.primary_partition.is_some() {
-                            // The primary is alive but unreachable:
-                            // promote anyway (split-brain). The
-                            // fencing epoch minted at promotion is
-                            // what keeps the deposed primary's
-                            // frames out of every store.
-                            self.depose_and_failover(ctx, i);
-                        } else if self.primary.is_some() {
-                            // A sibling already promoted (or this was
-                            // a false alarm): re-join the serving
-                            // primary with bounded retries — even with
-                            // auto-failover off, a severed replica must
-                            // find its way back once the cut heals.
-                            let join = self.hosts[i].backup.as_mut().map(|b| {
-                                b.rearm(local);
-                                b.begin_join(local)
-                            });
-                            if let Some(join) = join {
-                                self.send(ctx, Peer::Backup(i), Peer::Primary, &join);
-                            }
-                        }
-                    }
-                    // Drive pending join cycles (re-integration retries
-                    // with exponential backoff).
-                    let retry = self.hosts[i]
-                        .backup
-                        .as_mut()
-                        .and_then(|b| b.tick_join(local));
-                    if let Some(join) = retry {
-                        self.faults.join_retried(i);
-                        self.send(ctx, Peer::Backup(i), Peer::Primary, &join);
-                    }
+                    steps::backup_heartbeat(&mut self.at(ctx, Peer::Backup(i)), primary);
                 }
             }
             Event::DeposedTick => {
@@ -1720,7 +1325,7 @@ impl World for ClusterWorld {
                     return;
                 }
                 ctx.schedule_in(
-                    self.config.protocol.heartbeat_period / 2,
+                    steps::heartbeat_tick(&self.config.protocol),
                     Event::DeposedTick,
                 );
                 // The deposed primary probes its last-known cluster; a
@@ -1822,16 +1427,152 @@ impl World for ClusterWorld {
     }
 }
 
-/// A deterministic per-object phase within `(0, period]`, spreading the
-/// first firings of periodic send tasks across the period.
-fn send_phase(id: ObjectId, period: TimeDelta) -> TimeDelta {
-    let h = (u64::from(id.index())).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-    let frac = h % 64;
-    let offset = period.mul_ratio(frac, 64);
-    if offset.is_zero() {
-        period
-    } else {
-        offset
+/// One host of the simulated cluster running a [`steps`] step: the
+/// world, the event context, the host and the sender of the frame the
+/// step handles.
+struct At<'a, 'c> {
+    world: &'a mut ClusterWorld,
+    ctx: &'a mut Context<'c, Event>,
+    host: Peer,
+    sender: Peer,
+    /// The fault record of store rot a durable restart's audit caught,
+    /// detected when the rejoin is announced.
+    rot: Option<usize>,
+}
+
+impl Driver for At<'_, '_> {
+    fn now(&self) -> Time {
+        self.ctx.now()
+    }
+
+    fn local(&self) -> Time {
+        let now = self.ctx.now();
+        match self.host {
+            Peer::Primary => self.world.primary_local(now),
+            Peer::Backup(i) => self.world.backup_local(i, now),
+            // A deposed ex-primary holds no clock slot: clock faults
+            // address the primary role and the backup hosts.
+            Peer::Deposed => now,
+        }
+    }
+
+    fn instruments(&self) -> &Instruments {
+        &self.world.instruments
+    }
+
+    fn ledger(&mut self, feed: impl FnOnce(&mut ClusterMetrics)) {
+        feed(&mut self.world.metrics);
+    }
+
+    fn ledger_replica(&self) -> bool {
+        matches!(self.host, Peer::Backup(i) if self.world.metrics_host() == Some(i))
+    }
+
+    fn emit(&mut self, kind: EventKind) {
+        self.ctx.emit(kind);
+    }
+
+    fn primary(&mut self) -> Option<&mut Primary> {
+        match self.host {
+            Peer::Primary => self.world.primary.as_mut(),
+            Peer::Deposed => self.world.deposed.as_mut().map(|d| &mut d.primary),
+            Peer::Backup(_) => None,
+        }
+    }
+
+    fn backup(&mut self) -> Option<&mut Backup> {
+        match self.host {
+            Peer::Backup(i) => self.world.hosts.get_mut(i)?.backup.as_mut(),
+            _ => None,
+        }
+    }
+
+    fn coalescer(&mut self) -> &mut Coalescer {
+        &mut self.world.coalescer
+    }
+
+    /// Update transmissions consume primary CPU (under overload they
+    /// queue too: there is no free path to the backups); everything else
+    /// goes straight to its link.
+    fn send(&mut self, route: Route, msg: WireMessage) {
+        let world = &mut *self.world;
+        let protocol = &world.config.protocol;
+        let (to, cost) = match route {
+            Route::Primary => (Peer::Primary, None),
+            Route::Node(node) => match world.hosts.iter().position(|h| h.node == node) {
+                Some(i) => (Peer::Backup(i), None),
+                None => return,
+            },
+            Route::Update(object) => {
+                let size = world.specs.get(object).map_or(64, ObjectSpec::size_bytes);
+                (Peer::Primary, Some(protocol.send_cost(size)))
+            }
+            Route::Batch => (Peer::Primary, Some(protocol.send_cost(msg.encoded_len()))),
+            Route::Reply if self.host == Peer::Primary => {
+                let cost = matches!(msg, WireMessage::Update { .. })
+                    .then(|| protocol.send_cost(msg.encoded_len()));
+                (self.sender, cost)
+            }
+            Route::Reply => {
+                // A resync request from a live backup that is neither a
+                // demoted ex-primary nor already mid-repair is the scrub
+                // check kicking off anti-entropy (DESIGN.md §15).
+                if let (Peer::Backup(host), WireMessage::ResyncRequest { versions, .. }) =
+                    (self.host, &msg)
+                {
+                    if self.sender != Peer::Deposed
+                        && world.faults.pending(Pending::Resync(host)).is_none()
+                        && world.scrub_repair.insert(host)
+                    {
+                        self.ctx.emit(EventKind::ResyncStarted {
+                            node: world.hosts[host].node,
+                            objects: versions.len() as u64,
+                        });
+                    }
+                }
+                // Replies go back to the sender: a frame from the deposed
+                // primary is answered there (the reply carries this
+                // replica's newer epoch), not at the serving primary.
+                (self.sender, None)
+            }
+        };
+        match cost {
+            Some(cost) => world.submit(self.ctx, Work::SendUpdate { message: msg }, cost),
+            None => world.send(self.ctx, self.host, to, &msg),
+        }
+    }
+
+    fn arm(&mut self, after: TimeDelta, timer: Timer) {
+        let event = match timer {
+            Timer::Send(object) => Event::SendTimer {
+                object,
+                epoch: self.world.epoch,
+            },
+            Timer::Flush => Event::FlushBatch,
+        };
+        self.ctx.schedule_in(after, event);
+    }
+
+    fn react(&mut self, fact: Fact) {
+        let (world, ctx) = (&mut *self.world, &mut *self.ctx);
+        match (fact, self.host, self.sender) {
+            (Fact::TimingViolation, ..) => world.faults.timing_violation(ctx),
+            (Fact::RetransmitRequested, _, Peer::Backup(host)) => {
+                world.faults.retransmit_requested(ctx, host);
+            }
+            (Fact::CatchUpPlanned(plan), ..) => world.catch_up_plans.push(plan),
+            (Fact::CatchUpLanded { .. }, Peer::Backup(host), _) => {
+                world.catch_up_landed(ctx, host);
+            }
+            (Fact::PeerDead { peer }, Peer::Primary, _) => world.backup_declared_dead(ctx, peer),
+            (Fact::PeerDead { .. }, Peer::Backup(host), _) => {
+                world.primary_declared_dead(ctx, host);
+            }
+            (Fact::BackupJoined { .. }, _, Peer::Backup(host)) => world.backup_joined(ctx, host),
+            (Fact::JoinRetried, Peer::Backup(host), _) => world.faults.join_retried(host),
+            (Fact::Rejoining, Peer::Backup(host), _) => world.rejoining(ctx, host, self.rot),
+            _ => {}
+        }
     }
 }
 
@@ -1917,9 +1658,7 @@ impl SimCluster {
             faults,
             primary_partition: None,
             last_shed_at: None,
-            pending_batch: Vec::new(),
-            parked: IdTable::default(),
-            batch_flush_scheduled: false,
+            coalescer: Coalescer::default(),
             catch_up_plans: Vec::new(),
             send_pool: BufPool::new(),
             clocks: Vec::new(),
@@ -2087,40 +1826,19 @@ impl SimCluster {
         object: ObjectId,
         payload: Vec<u8>,
     ) -> Result<(Version, LogPosition), WriteError> {
-        let now = self.sim.now();
-        let (version, position, node, marks) = {
-            let world = self.sim.world_mut();
+        self.sim.with_context(|world, ctx| {
             if !world.specs.contains(object) {
                 return Err(WriteError::UnknownObject(object));
             }
             let serving = world.names.resolve();
-            let local = world.primary_local(now);
-            let Some(primary) = world.primary.as_mut().filter(|p| p.node() == serving) else {
+            if world.primary.as_ref().is_none_or(|p| p.node() != serving) {
                 return Err(WriteError::Unavailable);
-            };
-            let Some(version) = primary.apply_write(object, payload, local) else {
-                return Err(WriteError::Unavailable);
-            };
-            let node = primary.node();
-            let position = primary.position();
-            let marks = primary.take_snapshot_marks();
-            world.metrics.on_primary_write(object, version, now);
-            world.instruments.client_writes.inc();
-            (version, position, node, marks)
-        };
-        for (head, log_len) in marks {
-            self.sim.emit(EventKind::StoreSnapshot {
-                node,
-                head,
-                log_len,
-            });
-        }
-        self.sim.emit(EventKind::ClientWrite {
-            object,
-            version,
-            response: TimeDelta::ZERO,
-        });
-        Ok((version, position))
+            }
+            let version =
+                steps::client_write(&mut world.at(ctx, Peer::Primary), object, payload, None)
+                    .ok_or(WriteError::Unavailable)?;
+            Ok((version, world.serving().position()))
+        })
     }
 
     /// Routes a client read — the path behind

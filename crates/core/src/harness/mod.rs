@@ -10,6 +10,7 @@ mod cluster;
 mod cpu;
 mod faults;
 
-pub use cluster::{ClusterConfig, SimCluster, MAX_DATAGRAM_BYTES};
+pub use crate::steps::MAX_DATAGRAM_BYTES;
+pub use cluster::{ClusterConfig, SimCluster};
 pub use cpu::{CpuQueue, Work};
 pub use faults::{FaultEvent, FaultPlan};

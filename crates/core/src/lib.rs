@@ -19,8 +19,8 @@
 //! The protocol cores ([`Primary`], [`Backup`]) are sans-io state
 //! machines; drive them through the [`RtpbClient`] session facade (which
 //! owns the deterministic simulation harness, [`harness::SimCluster`])
-//! or the real-clock thread runtime in `rtpb-rt`. Both drivers count and
-//! emit what the cores report through the same steps ([`telemetry`]).
+//! or the real-clock thread runtime in `rtpb-rt`. Both drivers run each
+//! host's reaction to each input through the same [`steps`].
 //!
 //! # Examples
 //!
@@ -61,6 +61,7 @@ pub mod metrics;
 pub mod monitor;
 pub mod name_service;
 pub mod primary;
+pub mod steps;
 pub mod store;
 mod table;
 pub mod telemetry;

@@ -247,7 +247,8 @@ impl Primary {
 
     /// Whether `backup` is tracked: [`Primary::backups`] without the
     /// allocation.
-    pub(crate) fn tracks(&self, backup: NodeId) -> bool {
+    #[must_use]
+    pub fn tracks(&self, backup: NodeId) -> bool {
         self.peers.contains_key(&backup)
     }
 

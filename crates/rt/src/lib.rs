@@ -6,21 +6,42 @@
 //! protocol depends on simulation. The paper's prototype ran as threads on
 //! the MK 7.2 microkernel; this is the equivalent on a modern OS.
 //!
-//! Topology (one process, three threads plus two link threads):
+//! Topology (one process): a primary and `N` backups, one thread each,
+//! plus a client thread and an optional reader thread.
 //!
 //! ```text
-//! client thread ──writes──▶ primary thread ══lossy link══▶ backup thread
-//!                                  ◀══════lossy link══════════╛
+//!                      ┌──▶ node 1 (backup) ──┐
+//! client ──writes──▶ node 0 (primary)          ├─ heartbeats, requests ─▶ primary
+//!   (name service)     └──▶ node N (backup) ──┘
 //! ```
 //!
-//! The client channel is MPMC: when the backup promotes itself after the
-//! primary's death, it simply starts consuming client writes — that is the
-//! failover.
+//! - **One driver.** Each node thread runs one loop over the shared
+//!   [`rtpb_core::steps`] — the simulator's per-host reactions — and
+//!   moves between primary, backup and down. Its one
+//!   [`rtpb_sim::EventQueue`] holds its timers and the frames in flight
+//!   to it.
+//! - **Ids.** As in the simulator, the primary is node 0 and the backups
+//!   are nodes 1 to `N`; the reader takes node `N + 1`.
+//! - **Failover.** The [`NameService`](rtpb_core::name_service::NameService)
+//!   decides which node serves; the client sends every write there. The
+//!   first backup to declare the primary dead while the name still binds
+//!   it rebinds the name to itself and promotes; every other backup
+//!   re-joins the new primary.
+//! - **Links.** Every frame's fate — loss, duplication, reordering,
+//!   corruption, bursts — is drawn from [`rtpb_net::LossyLink`] at send
+//!   time, on the data or control lane
+//!   [`WireMessage::rides_data_link`] names, as in the simulator. A
+//!   corrupted arrival carries its flipped bit to the receiver's CRC
+//!   check.
 //!
-//! Each direction is a lossy data link plus a lossless control link; a
-//! frame takes the one [`WireMessage::rides_data_link`] names, as in the
-//! simulator. Counters and events come from the same telemetry steps the
-//! simulator runs ([`rtpb_core::telemetry`]).
+//! [`RtConfig`] is a simulator [`ClusterConfig`](rtpb_core::ClusterConfig)
+//! plus the objects to register and the reader's cadence. The fault plan
+//! runs at wall-clock offsets. [`RtCluster::run`] refuses, with a typed
+//! [`RtError`], what it cannot execute rather than ignore it: an invalid
+//! configuration, zero backups, `recruit_backup_after`, and every fault
+//! other than `CrashPrimary`, and `CrashBackup`, `RecoverBackup` and
+//! `RestartBackup` on an existing host — so no split brain, partitions,
+//! clock faults, link-window faults or loss knobs.
 //!
 //! [`WireMessage::rides_data_link`]: rtpb_core::wire::WireMessage::rides_data_link
 //!
@@ -33,6 +54,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut config = RtConfig::default();
+//! config.cluster.num_backups = 2;
 //! config.objects.push(
 //!     ObjectSpec::builder("altitude")
 //!         .update_period(TimeDelta::from_millis(50))
@@ -51,8 +73,6 @@
 #![warn(missing_docs)]
 
 pub mod chan;
-mod link;
 mod runtime;
 
-pub use link::spawn_link;
 pub use runtime::{RtCluster, RtConfig, RtError, RtReport};

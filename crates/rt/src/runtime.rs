@@ -1,83 +1,45 @@
 //! The thread-based cluster runtime.
 
 use crate::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crate::link::spawn_link;
 use rtpb_core::backup::Backup;
-use rtpb_core::config::ProtocolConfig;
+use rtpb_core::config::ConfigError;
+use rtpb_core::harness::{ClusterConfig, FaultEvent};
 use rtpb_core::metrics::ClusterMetrics;
+use rtpb_core::name_service::NameService;
 use rtpb_core::primary::Primary;
+use rtpb_core::steps::{self, Coalescer, Driver, Fact, Route, Timer};
 use rtpb_core::telemetry::Instruments;
-use rtpb_core::wire::{ReadStatus, WireFrame, WireMessage};
-use rtpb_net::LinkConfig;
-use rtpb_obs::{ClockDomain, EventBus, EventKind, EventWriter, MetricsRegistry, Role};
-use rtpb_types::{AdmissionError, Epoch, NodeId, ObjectId, ObjectSpec, Time, TimeDelta};
-use std::collections::BinaryHeap;
+use rtpb_core::wire::{ReadStatus, WireMessage};
+use rtpb_net::{LinkConfig, LossyLink};
+use rtpb_obs::{ClockDomain, EventKind, EventWriter, MetricsRegistry, Role};
+use rtpb_sim::EventQueue;
+use rtpb_types::{AdmissionError, BufPool, Epoch, NodeId, ObjectId, ObjectSpec, Time, TimeDelta};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Configuration for a real-clock run.
-#[derive(Debug, Clone)]
+/// Configuration for a real-clock run: a simulator [`ClusterConfig`],
+/// plus what the simulator takes through its API instead.
+///
+/// `num_backups`, `link`, `seed`, `auto_failover`,
+/// `control_loss_exempt`, `bus` and `registry` mean what they mean in the
+/// simulator. The fault plan runs at wall-clock offsets from the start
+/// of the run; [`RtCluster::run`] refuses what the runtime cannot
+/// execute.
+#[derive(Debug, Clone, Default)]
 pub struct RtConfig {
-    /// RTPB protocol parameters.
-    pub protocol: ProtocolConfig,
-    /// Link behaviour in both directions.
-    pub link: LinkConfig,
-    /// Random seed for link loss/delay.
-    pub seed: u64,
+    /// The cluster to run.
+    pub cluster: ClusterConfig,
     /// Objects to register before the run starts.
     pub objects: Vec<ObjectSpec>,
-    /// If set, the primary thread exits this long into the run, and the
-    /// backup is expected to detect the failure and take over.
-    pub crash_primary_after: Option<Duration>,
-    /// If set, the backup crashes this long into the run: it loses its
-    /// volatile state and stops acking heartbeats until (and unless)
-    /// [`RtConfig::recover_backup_after`] fires.
-    pub crash_backup_after: Option<Duration>,
-    /// If set (with [`RtConfig::crash_backup_after`]), the backup restarts
-    /// this long into the run and re-integrates through the bounded-retry
-    /// join / catch-up path.
-    pub recover_backup_after: Option<Duration>,
-    /// Whether the backup's storage survives a scheduled crash. When
-    /// `true` the restarted backup keeps its object store and last
-    /// applied log position and advertises that position in its
-    /// `JoinRequest`, so the primary can reply with just the update-log
-    /// suffix it missed (DESIGN.md §11). When `false` the restart is
-    /// cold — fresh state machine, full state transfer.
-    pub durable_restart: bool,
-    /// Structured-event bus; each runtime thread takes its own writer
-    /// (rings never contend) and stamps events with the monotonic
-    /// real clock ([`ClockDomain::Real`]).
-    pub bus: EventBus,
     /// If set, a reader thread issues one replica read per period
     /// (round-robin over the objects) as wire-level
-    /// [`WireMessage::ReadRequest`] frames: first to the backup, and —
-    /// when the backup answers `Behind`/`Unknown` or not at all — again
-    /// to the primary (counted as a redirect).
+    /// [`WireMessage::ReadRequest`] frames: first to the first live
+    /// backup, and — when it answers `Behind`/`Unknown` or not at all —
+    /// again to the primary (counted as a redirect).
     pub read_period: Option<Duration>,
-}
-
-impl Default for RtConfig {
-    fn default() -> Self {
-        RtConfig {
-            protocol: ProtocolConfig::default(),
-            link: LinkConfig {
-                delay_min: TimeDelta::from_micros(200),
-                delay_max: TimeDelta::from_millis(5),
-                ..LinkConfig::default()
-            },
-            seed: 0,
-            objects: Vec::new(),
-            crash_primary_after: None,
-            crash_backup_after: None,
-            recover_backup_after: None,
-            durable_restart: false,
-            bus: EventBus::disabled(),
-            read_period: None,
-        }
-    }
 }
 
 /// The outcome of a real-clock run.
@@ -85,9 +47,10 @@ impl Default for RtConfig {
 pub struct RtReport {
     /// Client writes applied by a serving primary.
     pub writes: u64,
-    /// Updates transmitted toward the backup.
+    /// Updates transmitted toward the backups.
     pub updates_sent: u64,
-    /// Updates installed at the backup.
+    /// Updates installed at the backup the ledger follows (the first
+    /// live one).
     pub updates_applied: u64,
     /// Backup-initiated retransmission requests observed.
     pub retransmit_requests: u64,
@@ -97,16 +60,16 @@ pub struct RtReport {
     pub average_max_distance: Option<TimeDelta>,
     /// Out-of-window episodes across all objects.
     pub inconsistency_episodes: u64,
-    /// Whether the backup promoted itself during the run.
+    /// Whether a backup promoted itself during the run.
     pub failed_over: bool,
-    /// Catch-up frames (state transfer or log suffix) completing a backup
-    /// re-integration after a scheduled crash/recovery.
+    /// Catch-up frames (state transfer, resync diff or log suffix) that
+    /// landed at a backup re-joining a primary.
     pub backup_rejoins: u64,
     /// The subset of [`RtReport::backup_rejoins`] completed by a log
     /// suffix instead of a full state transfer (durable restarts whose
     /// gap the primary's update log still covered).
     pub suffix_rejoins: u64,
-    /// Replica reads answered locally by the backup (with a staleness
+    /// Replica reads answered locally by a backup (with a staleness
     /// certificate); 0 unless [`RtConfig::read_period`] is set.
     pub reads_served: u64,
     /// Reads the backup could not serve that were redirected to (and
@@ -116,10 +79,9 @@ pub struct RtReport {
     /// monitors (DESIGN.md §14). Zero on a healthy host: the real clock
     /// is monotone and the default envelope absorbs scheduler jitter.
     pub timing_violations: u64,
-    /// Checksum verification failures detected by either node — wire
+    /// Checksum verification failures detected by any node — wire
     /// frames, retained log records, log snapshots, or stored object
-    /// images (DESIGN.md §15). Zero on healthy hardware: in-process
-    /// channels do not flip bits.
+    /// images (DESIGN.md §15).
     pub integrity_violations: u64,
 }
 
@@ -128,6 +90,15 @@ pub struct RtReport {
 pub enum RtError {
     /// No objects were configured.
     NoObjects,
+    /// The cluster has no backup.
+    NoBackups,
+    /// The configuration contradicts itself.
+    Config(ConfigError),
+    /// The configuration asks for something the runtime does not execute:
+    /// a fault-plan event other than `CrashPrimary`, `CrashBackup`,
+    /// `RecoverBackup` and `RestartBackup` on an existing host, or
+    /// backup recruitment.
+    Unsupported(String),
     /// An object failed admission control.
     Rejected(AdmissionError),
 }
@@ -136,6 +107,9 @@ impl fmt::Display for RtError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RtError::NoObjects => write!(f, "no objects configured"),
+            RtError::NoBackups => write!(f, "the cluster needs at least one backup"),
+            RtError::Config(e) => write!(f, "invalid configuration: {e}"),
+            RtError::Unsupported(what) => write!(f, "the runtime cannot execute {what}"),
             RtError::Rejected(e) => write!(f, "object rejected by admission control: {e}"),
         }
     }
@@ -154,45 +128,78 @@ impl From<AdmissionError> for RtError {
 #[derive(Debug)]
 pub struct RtCluster;
 
-#[derive(Debug)]
-struct Deadline {
-    due: Instant,
-    object: Option<ObjectId>, // None = heartbeat
+/// The longest a thread blocks before it re-checks the stop flag.
+const MAX_WAIT: Duration = Duration::from_millis(5);
+
+/// What a node's inbox carries.
+enum Input {
+    /// A frame from node `from` that arrives at `due`.
+    Frame {
+        from: NodeId,
+        due: Time,
+        bytes: Arc<[u8]>,
+    },
+    /// A client write sent at `sent`.
+    Write {
+        object: ObjectId,
+        payload: Vec<u8>,
+        sent: Time,
+    },
+    /// A fault-plan event aimed at this node.
+    Fault(FaultEvent),
 }
 
-impl PartialEq for Deadline {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.object == other.object
-    }
-}
-impl Eq for Deadline {}
-impl PartialOrd for Deadline {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Deadline {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due) // min-heap
-    }
-}
+/// A node's role, as published for routing and ledger attribution.
+const DOWN: u8 = 0;
+const PRIMARY: u8 = 1;
+const BACKUP: u8 = 2;
 
 struct Shared {
-    metrics: Mutex<ClusterMetrics>,
-    /// The `cluster.*` counters and histograms, counted by the same
-    /// telemetry steps the simulator runs.
-    instruments: Instruments,
+    start: Instant,
     stop: AtomicBool,
+    names: Mutex<NameService>,
+    /// Each node's role code, indexed by node id.
+    roles: Vec<AtomicU8>,
+    /// Each node's inbox, indexed by node id; the reader's comes last.
+    inboxes: Vec<Sender<Input>>,
+    metrics: Mutex<ClusterMetrics>,
+    instruments: Instruments,
     failed_over: AtomicBool,
     rejoins: AtomicU64,
     suffix_rejoins: AtomicU64,
-    epoch: Instant,
 }
 
 impl Shared {
     fn now(&self) -> Time {
-        Time::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+        Time::from_nanos(self.start.elapsed().as_nanos() as u64)
     }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    fn serving(&self) -> NodeId {
+        self.names.lock().expect("names poisoned").resolve()
+    }
+
+    /// The first node holding a backup state machine: the replica the
+    /// ledger follows and the reader asks first.
+    fn ledger_replica(&self) -> Option<NodeId> {
+        self.roles
+            .iter()
+            .position(|r| r.load(Ordering::SeqCst) == BACKUP)
+            .map(node_id)
+    }
+}
+
+fn node_id(index: usize) -> NodeId {
+    NodeId::new(u16::try_from(index).expect("node ids fit u16"))
+}
+
+/// Sleeps until `due` on the run's clock, at most [`MAX_WAIT`].
+fn nap_until(shared: &Shared, due: Time) {
+    let wait = due.saturating_since(shared.now());
+    std::thread::sleep(Duration::from(wait).min(MAX_WAIT));
 }
 
 impl RtCluster {
@@ -200,212 +207,173 @@ impl RtCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`RtError`] if no objects are configured or admission
-    /// control rejects one of them.
+    /// Returns [`RtError`] if no objects are configured, the
+    /// configuration is invalid or asks for something the runtime does
+    /// not execute, or admission control rejects an object.
     pub fn run(config: RtConfig, duration: Duration) -> Result<RtReport, RtError> {
-        if config.objects.is_empty() {
+        let RtConfig {
+            cluster,
+            objects,
+            read_period,
+        } = config;
+        if objects.is_empty() {
             return Err(RtError::NoObjects);
         }
+        cluster.validate().map_err(RtError::Config)?;
+        if cluster.num_backups == 0 {
+            return Err(RtError::NoBackups);
+        }
+        if cluster.recruit_backup_after.is_some() {
+            return Err(RtError::Unsupported("recruit_backup_after".into()));
+        }
+        let plan = cluster.fault_plan.events();
+        for (_, event) in &plan {
+            match *event {
+                FaultEvent::CrashPrimary => {}
+                FaultEvent::CrashBackup { host }
+                | FaultEvent::RecoverBackup { host }
+                | FaultEvent::RestartBackup { host }
+                    if host < cluster.num_backups => {}
+                other => return Err(RtError::Unsupported(format!("{other:?}"))),
+            }
+        }
+
+        // Count into the configured registry, or into a private one so
+        // the report reads real counts either way.
+        let registry = if cluster.registry.is_enabled() {
+            cluster.registry.clone()
+        } else {
+            MetricsRegistry::new()
+        };
+        let nodes = 1 + cluster.num_backups;
+        let reader = node_id(nodes);
+        let mut receivers = Vec::new();
+        let mut inboxes = Vec::new();
+        for _ in 0..=nodes {
+            let (tx, rx) = unbounded();
+            inboxes.push(tx);
+            receivers.push(rx);
+        }
+        let start = Instant::now();
+        let mut primary = Primary::new(node_id(0), cluster.protocol.clone());
+        let mut metrics = ClusterMetrics::new();
+        let mut ids = Vec::new();
+        for backup in 1..nodes {
+            primary.add_backup(node_id(backup), Time::ZERO);
+        }
+        for spec in objects {
+            let id = primary.register(spec.clone(), Time::ZERO)?;
+            metrics.track_object(id, spec.window(), spec.primary_bound(), spec.backup_bound());
+            ids.push((id, spec));
+        }
+        let registry_snapshot: Arc<[(ObjectId, ObjectSpec, TimeDelta)]> = primary.registry().into();
+        for (id, _, period) in registry_snapshot.iter() {
+            metrics.set_refresh_allowance(*id, cluster.protocol.refresh_allowance(*period));
+        }
         let shared = Arc::new(Shared {
-            metrics: Mutex::new(ClusterMetrics::new()),
-            instruments: Instruments::from_registry(&MetricsRegistry::new()),
+            start,
             stop: AtomicBool::new(false),
+            names: Mutex::new(NameService::new(node_id(0))),
+            roles: (0..nodes)
+                .map(|i| AtomicU8::new(if i == 0 { PRIMARY } else { BACKUP }))
+                .collect(),
+            inboxes,
+            metrics: Mutex::new(metrics),
+            instruments: Instruments::from_registry(&registry),
             failed_over: AtomicBool::new(false),
             rejoins: AtomicU64::new(0),
             suffix_rejoins: AtomicU64::new(0),
-            epoch: Instant::now(),
         });
+        let cluster = Arc::new(cluster);
 
-        // Build and populate the primary (one backup peer: node#1).
-        let mut primary = Primary::new(NodeId::new(0), config.protocol.clone());
-        primary.add_backup(NodeId::new(1), shared.now());
-        let mut ids = Vec::new();
-        for spec in &config.objects {
-            let id = primary.register(spec.clone(), shared.now())?;
-            shared.metrics.lock().unwrap().track_object(
-                id,
-                spec.window(),
-                spec.primary_bound(),
-                spec.backup_bound(),
+        let mut hosts = vec![Host::Primary(Box::new(primary))];
+        for index in 1..nodes {
+            let backup = fresh_backup(node_id(index), &cluster, &registry_snapshot, Time::ZERO);
+            hosts.push(Host::Backup(Box::new(backup)));
+        }
+        let mut threads = Vec::new();
+        let mut receivers = receivers.into_iter();
+        for (index, host) in hosts.into_iter().enumerate() {
+            let inbox = receivers.next().expect("one inbox per node");
+            let node = Node::new(
+                node_id(index),
+                host,
+                Arc::clone(&shared),
+                Arc::clone(&cluster),
+                Arc::clone(&registry_snapshot),
             );
-            ids.push((id, spec.clone()));
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("rtpb-node-{index}"))
+                    .spawn(move || node.run(&inbox))
+                    .expect("spawn node"),
+            );
         }
-        let primary_registry = primary.registry();
-        let mut backup = Backup::new(NodeId::new(1), config.protocol.clone());
-        for (id, spec, period) in primary_registry.clone() {
-            backup.sync_registration(id, spec, period, shared.now());
-            shared
-                .metrics
-                .lock()
-                .expect("metrics lock poisoned")
-                .set_refresh_allowance(id, config.protocol.refresh_allowance(period));
-        }
-
-        // Channels: client→primary (MPMC so the promoted backup can take
-        // over), and a lossy data link plus a lossless control link per
-        // direction, chosen per frame by `WireMessage::rides_data_link`.
-        let (client_tx, client_rx) = unbounded::<(ObjectId, Vec<u8>, Instant)>();
-        let (to_backup_tx, backup_in) = unbounded::<Vec<u8>>();
-        let (to_primary_tx, primary_in) = unbounded::<Vec<u8>>();
-        // Control traffic (heartbeats, retransmission requests) rides a
-        // physically-redundant path with the same delays but no loss —
-        // matching the paper's §4.1 assumptions and the simulation
-        // harness.
-        let lossless = LinkConfig {
-            loss_probability: 0.0,
-            ..config.link
-        };
-        // The reader's request paths (reliable, delayed like control
-        // traffic) and the reply path the serving loops route
-        // `ReadReply` frames onto.
-        let (read_reply_tx, read_reply_rx) = unbounded::<Vec<u8>>();
-        let read_to_backup =
-            spawn_link(lossless, config.seed.wrapping_add(5), to_backup_tx.clone());
-        let read_to_primary =
-            spawn_link(lossless, config.seed.wrapping_add(6), to_primary_tx.clone());
-        let read_replies = spawn_link(lossless, config.seed.wrapping_add(7), read_reply_tx);
-        let p2b = Links {
-            data: spawn_link(
-                config.link,
-                config.seed.wrapping_add(1),
-                to_backup_tx.clone(),
-            ),
-            control: spawn_link(lossless, config.seed.wrapping_add(3), to_backup_tx),
-        };
-        let b2p = Links {
-            data: spawn_link(
-                config.link,
-                config.seed.wrapping_add(2),
-                to_primary_tx.clone(),
-            ),
-            control: spawn_link(lossless, config.seed.wrapping_add(4), to_primary_tx),
-        };
-
-        // Client thread.
-        let client = {
+        {
             let shared = Arc::clone(&shared);
             let objects = ids.clone();
-            let tx = client_tx.clone();
-            std::thread::Builder::new()
-                .name("rtpb-client".into())
-                .spawn(move || client_loop(&shared, &objects, &tx))
-                .expect("spawn client")
-        };
-
-        // Primary thread.
-        let primary_thread = {
+            threads.push(
+                std::thread::Builder::new()
+                    .name("rtpb-client".into())
+                    .spawn(move || client_loop(&shared, &objects))
+                    .expect("spawn client"),
+            );
+        }
+        let reader_inbox = receivers.next().expect("the reader's inbox");
+        if let Some(period) = read_period {
             let shared = Arc::clone(&shared);
-            let client_rx = client_rx.clone();
-            let p2b = p2b.clone();
-            let crash_after = config.crash_primary_after;
-            let obs = config.bus.writer();
-            let read_replies = read_replies.clone();
-            std::thread::Builder::new()
-                .name("rtpb-primary".into())
-                .spawn(move || {
-                    primary_loop(
-                        &shared,
-                        primary,
-                        &client_rx,
-                        &primary_in,
-                        &p2b,
-                        &read_replies,
-                        crash_after,
-                        &obs,
-                    );
-                })
-                .expect("spawn primary")
-        };
-
-        // Backup thread (may become the primary).
-        let backup_thread = {
-            let shared = Arc::clone(&shared);
-            let client_rx = client_rx.clone();
-            let protocol = config.protocol.clone();
-            let registry: Vec<(ObjectId, ObjectSpec, TimeDelta)> = primary_registry;
-            let crash = BackupCrashSchedule {
-                crash_after: config.crash_backup_after,
-                recover_after: config.recover_backup_after,
-                durable: config.durable_restart,
-            };
-            let obs = config.bus.writer();
-            let read_replies = read_replies.clone();
-            std::thread::Builder::new()
-                .name("rtpb-backup".into())
-                .spawn(move || {
-                    backup_loop(
-                        &shared,
-                        backup,
-                        &client_rx,
-                        &backup_in,
-                        &b2p,
-                        &read_replies,
-                        &protocol,
-                        &registry,
-                        crash,
-                        &obs,
-                    );
-                })
-                .expect("spawn backup")
-        };
-
-        // Reader thread (only when a read cadence is configured).
-        let reader_thread = config.read_period.map(|period| {
-            let shared = Arc::clone(&shared);
-            let object_ids: Vec<ObjectId> = ids.iter().map(|(id, _)| *id).collect();
-            let obs = config.bus.writer();
-            std::thread::Builder::new()
-                .name("rtpb-reader".into())
-                .spawn(move || {
-                    reader_loop(
-                        &shared,
-                        &object_ids,
-                        &read_to_backup,
-                        &read_to_primary,
-                        &read_reply_rx,
-                        period,
-                        &obs,
-                    );
-                })
-                .expect("spawn reader")
-        });
-
-        std::thread::sleep(duration);
-        shared.stop.store(true, Ordering::SeqCst);
-        drop(client_tx);
-        client.join().expect("client thread");
-        primary_thread.join().expect("primary thread");
-        backup_thread.join().expect("backup thread");
-        if let Some(reader) = reader_thread {
-            reader.join().expect("reader thread");
+            let objects: Vec<ObjectId> = ids.iter().map(|(id, _)| *id).collect();
+            let obs = cluster.bus.writer();
+            threads.push(
+                std::thread::Builder::new()
+                    .name("rtpb-reader".into())
+                    .spawn(move || {
+                        reader_loop(&shared, reader, &objects, &reader_inbox, period, &obs);
+                    })
+                    .expect("spawn reader"),
+            );
         }
 
-        let mut metrics = shared.metrics.lock().unwrap().clone();
-        let counters = &shared.instruments;
+        // The fault plan, at wall-clock offsets from the start.
+        let end = Time::ZERO + TimeDelta::from(duration);
+        for (at, event) in plan {
+            if at >= end {
+                break;
+            }
+            while shared.now() < at {
+                nap_until(&shared, at);
+            }
+            let target = match event {
+                FaultEvent::CrashBackup { host }
+                | FaultEvent::RecoverBackup { host }
+                | FaultEvent::RestartBackup { host } => node_id(1 + host),
+                _ => shared.serving(),
+            };
+            let _ = shared.inboxes[usize::from(target.index())].send(Input::Fault(event));
+        }
+        while shared.now() < end {
+            nap_until(&shared, end);
+        }
+        shared.stop.store(true, Ordering::SeqCst);
+        for thread in threads {
+            thread.join().expect("runtime thread");
+        }
+
+        let mut metrics = shared.metrics.lock().expect("metrics poisoned").clone();
         metrics.finalize(shared.now());
-        let episodes: u64 = metrics
+        let reports: Vec<_> = metrics
             .object_ids()
             .filter_map(|id| metrics.object_report(id))
-            .map(|r| r.inconsistency_episodes)
-            .sum();
-        let writes: u64 = metrics
-            .object_ids()
-            .filter_map(|id| metrics.object_report(id))
-            .map(|r| r.writes)
-            .sum();
-        let applies: u64 = metrics
-            .object_ids()
-            .filter_map(|id| metrics.object_report(id))
-            .map(|r| r.applies)
-            .sum();
+            .collect();
+        let counters = &shared.instruments;
         Ok(RtReport {
-            writes,
+            writes: reports.iter().map(|r| r.writes).sum(),
             updates_sent: counters.updates_sent.get(),
-            updates_applied: applies,
+            updates_applied: reports.iter().map(|r| r.applies).sum(),
             retransmit_requests: counters.retransmit_requests.get(),
             mean_response: metrics.response_times().mean(),
             average_max_distance: metrics.average_max_distance(),
-            inconsistency_episodes: episodes,
+            inconsistency_episodes: reports.iter().map(|r| r.inconsistency_episodes).sum(),
             failed_over: shared.failed_over.load(Ordering::SeqCst),
             backup_rejoins: shared.rejoins.load(Ordering::SeqCst),
             suffix_rejoins: shared.suffix_rejoins.load(Ordering::SeqCst),
@@ -417,109 +385,115 @@ impl RtCluster {
     }
 }
 
-fn client_loop(
-    shared: &Shared,
-    objects: &[(ObjectId, ObjectSpec)],
-    tx: &Sender<(ObjectId, Vec<u8>, Instant)>,
-) {
-    let mut heap: BinaryHeap<Deadline> = BinaryHeap::new();
-    let start = Instant::now();
-    for (i, (id, _)) in objects.iter().enumerate() {
-        heap.push(Deadline {
-            due: start + Duration::from_micros(997 * (i as u64 + 1)),
-            object: Some(*id),
-        });
+/// A backup that holds the registry but no object state yet.
+fn fresh_backup(
+    node: NodeId,
+    cluster: &ClusterConfig,
+    registry: &[(ObjectId, ObjectSpec, TimeDelta)],
+    now: Time,
+) -> Backup {
+    let mut backup = Backup::new(node, cluster.protocol.clone());
+    for (id, spec, period) in registry {
+        backup.sync_registration(*id, spec.clone(), *period, now);
+    }
+    backup
+}
+
+/// The client thread: each object's writes at its update period, sent to
+/// whichever node the name service binds.
+fn client_loop(shared: &Shared, objects: &[(ObjectId, ObjectSpec)]) {
+    let mut due = EventQueue::new();
+    for (i, _) in objects.iter().enumerate() {
+        due.push(Time::ZERO + TimeDelta::from_micros(997 * (i as u64 + 1)), i);
     }
     let mut counter: u64 = 0;
-    while !shared.stop.load(Ordering::SeqCst) {
-        let Some(next) = heap.peek() else { return };
-        let wait = next.due.saturating_duration_since(Instant::now());
-        if !wait.is_zero() {
-            std::thread::sleep(wait.min(Duration::from_millis(20)));
+    while !shared.stopped() {
+        let now = shared.now();
+        let Some((at, i)) = due.pop_due(now) else {
+            nap_until(shared, due.peek_time().unwrap_or(now));
             continue;
-        }
-        let d = heap.pop().expect("peeked");
-        let id = d.object.expect("client deadlines carry objects");
-        let spec = &objects
-            .iter()
-            .find(|(oid, _)| *oid == id)
-            .expect("registered")
-            .1;
+        };
+        let (id, spec) = &objects[i];
         counter += 1;
         let mut payload = vec![0u8; spec.size_bytes()];
         let stamp = counter.to_be_bytes();
         let n = stamp.len().min(payload.len());
         payload[..n].copy_from_slice(&stamp[..n]);
-        if tx.send((id, payload, Instant::now())).is_err() {
-            return;
-        }
-        heap.push(Deadline {
-            due: d.due + Duration::from(spec.update_period()),
-            object: Some(id),
+        let serving = shared.serving();
+        let _ = shared.inboxes[usize::from(serving.index())].send(Input::Write {
+            object: *id,
+            payload,
+            sent: now,
         });
+        due.push(at + spec.update_period(), i);
     }
 }
 
 /// The reader thread: one replica read per `period`, round-robin over
-/// the objects. Reads go to the backup first; a backup that answers
-/// `Behind`/`Unknown` (or not at all within the reply deadline) costs a
-/// redirect to the primary — the wire-level twin of the simulation
-/// facade's routing.
+/// the objects. Reads go to the first live backup; a backup that answers
+/// `Behind`/`Unknown`/`Unsound` (or not at all within the reply deadline)
+/// costs a redirect to the primary.
 fn reader_loop(
     shared: &Shared,
+    reader: NodeId,
     objects: &[ObjectId],
-    to_backup: &Sender<Vec<u8>>,
-    to_primary: &Sender<Vec<u8>>,
-    replies: &Receiver<Vec<u8>>,
+    replies: &Receiver<Input>,
     period: Duration,
     obs: &EventWriter,
 ) {
     let emit = |kind: EventKind| obs.emit(ClockDomain::Real, shared.now(), kind);
-    let reader_node = NodeId::new(2);
     let reply_deadline = Duration::from_millis(50);
-    let mut index = 0usize;
-    // Wait for a `ReadReply` (discarding stale leftovers is unnecessary:
-    // requests are strictly sequential, one outstanding at a time).
-    let await_reply = |deadline: Duration| -> Option<WireMessage> {
-        let due = Instant::now() + deadline;
+    // Requests are strictly sequential, one outstanding at a time.
+    let ask = |node: NodeId, request: &WireMessage| -> Option<WireMessage> {
+        let frame = Input::Frame {
+            from: reader,
+            due: shared.now(),
+            bytes: request.encode().into(),
+        };
+        shared.inboxes[usize::from(node.index())].send(frame).ok()?;
+        let deadline = Instant::now() + reply_deadline;
         loop {
-            let left = due.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            match replies.recv_timeout(left.min(Duration::from_millis(5))) {
-                Ok(bytes) => {
-                    if let Ok(msg @ WireMessage::ReadReply { .. }) = WireMessage::decode(&bytes) {
-                        return Some(msg);
+            let left = deadline.saturating_duration_since(Instant::now());
+            match replies.recv_timeout(left.min(MAX_WAIT)) {
+                Ok(Input::Frame { due, bytes, .. }) => {
+                    while shared.now() < due {
+                        nap_until(shared, due);
+                    }
+                    if let Ok(reply @ WireMessage::ReadReply { .. }) = WireMessage::decode(&bytes) {
+                        return Some(reply);
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return None,
+                Ok(_) | Err(RecvTimeoutError::Timeout) if !left.is_zero() => {}
+                _ => return None,
             }
         }
     };
-    while !shared.stop.load(Ordering::SeqCst) {
-        let object = objects[index % objects.len()];
-        index += 1;
+    for object in objects.iter().cycle() {
+        if shared.stopped() {
+            return;
+        }
         let request = WireMessage::ReadRequest {
             epoch: Epoch::INITIAL,
-            from: reader_node,
-            object,
+            from: reader,
+            object: *object,
             floor: None,
         };
-        let _ = to_backup.send(request.encode());
-        let served = await_reply(reply_deadline);
-        match served {
-            Some(WireMessage::ReadReply {
-                status: ReadStatus::Served,
-                version,
-                age_bound,
-                ..
-            }) => {
+        let replica = shared.ledger_replica();
+        let answer = replica.and_then(|node| ask(node, &request).map(|reply| (node, reply)));
+        match answer {
+            Some((
+                served_by,
+                WireMessage::ReadReply {
+                    status: ReadStatus::Served,
+                    version,
+                    age_bound,
+                    ..
+                },
+            )) => {
                 shared.instruments.reads_served.inc();
                 emit(EventKind::ReadServed {
-                    object,
-                    served_by: NodeId::new(1),
+                    object: *object,
+                    served_by,
                     version,
                     age_bound,
                     consistency: "bounded",
@@ -528,25 +502,27 @@ fn reader_loop(
             other => {
                 // Redirect: ask the primary (the authoritative copy). An
                 // `Unsound` refusal means the backup's monitor disowned
-                // its certificates (DESIGN.md §14) — distinguish it from
-                // an ordinary miss in the redirect reason.
+                // its certificates (DESIGN.md §14).
                 let reason = match &other {
-                    Some(WireMessage::ReadReply {
-                        status: ReadStatus::Unsound,
-                        ..
-                    }) => "replica_unsound",
+                    Some((
+                        _,
+                        WireMessage::ReadReply {
+                            status: ReadStatus::Unsound,
+                            ..
+                        },
+                    )) => "replica_unsound",
                     _ => "replica_unavailable",
                 };
-                let _ = to_primary.send(request.encode());
+                let primary = shared.serving();
                 if let Some(WireMessage::ReadReply {
                     status: ReadStatus::Served,
                     ..
-                }) = await_reply(reply_deadline)
+                }) = ask(primary, &request)
                 {
                     shared.instruments.read_redirects.inc();
                     emit(EventKind::ReadRedirected {
-                        object,
-                        primary: NodeId::new(0),
+                        object: *object,
+                        primary,
                         consistency: "bounded",
                         reason,
                     });
@@ -557,446 +533,425 @@ fn reader_loop(
     }
 }
 
-/// One direction of the network: a lossy data path plus a reliable
-/// control path.
-#[derive(Clone)]
-struct Links {
-    data: Sender<Vec<u8>>,
-    control: Sender<Vec<u8>>,
+/// What a node runs: a primary, a backup, or nothing (a crashed host,
+/// holding the retained state machine a durable restart brings back).
+enum Host {
+    Primary(Box<Primary>),
+    Backup(Box<Backup>),
+    Down(Option<Box<Backup>>),
 }
 
-fn send_wire(link: &Links, msg: &WireMessage) {
-    let chosen = if msg.rides_data_link() {
-        &link.data
-    } else {
-        &link.control
-    };
-    let _ = chosen.send(msg.encode());
+/// A node timer, tagged with the role generation that armed it.
+enum Tick {
+    Step(Timer),
+    Heartbeat,
+    Watchdog(ObjectId),
 }
 
-#[allow(clippy::needless_pass_by_value, clippy::too_many_arguments)]
-fn primary_loop(
-    shared: &Shared,
-    mut primary: Primary,
-    client_rx: &Receiver<(ObjectId, Vec<u8>, Instant)>,
-    network: &Receiver<Vec<u8>>,
-    link: &Links,
-    read_replies: &Sender<Vec<u8>>,
-    crash_after: Option<Duration>,
-    obs: &EventWriter,
-) {
-    let emit = |kind: EventKind| obs.emit(ClockDomain::Real, shared.now(), kind);
-    let tel = &shared.instruments;
-    let node = primary.node();
-    // Every frame leaves through here: update-carrying frames are counted
-    // (loss is decided downstream in the link thread, so the sender always
-    // reports `false`) before they go on the wire.
-    let send = |msg: &WireMessage| {
-        tel.frame_sent(NodeId::new(1), msg, false, &emit);
-        send_wire(link, msg);
-    };
-    let start = Instant::now();
-    let batching = primary.config().batching_enabled();
-    let coalesce_window = Duration::from(primary.config().coalesce_window);
-    let mut pending: Vec<ObjectId> = Vec::new();
-    let mut flush_at: Option<Instant> = None;
-    let mut timers: BinaryHeap<Deadline> = BinaryHeap::new();
-    for (id, _, period) in primary.registry() {
-        timers.push(Deadline {
-            due: start + Duration::from(period),
-            object: Some(id),
-        });
+/// What a node's timer queue holds.
+enum Due {
+    /// A timer armed in role generation `generation`.
+    Timer { generation: u32, tick: Tick },
+    /// A frame in flight from `from`, delivered when due.
+    Arrival { from: NodeId, bytes: Arc<[u8]> },
+}
+
+/// The data and control lanes of one outbound link.
+struct Lanes {
+    data: LossyLink,
+    control: LossyLink,
+}
+
+/// One node thread: a host running the shared steps over one timer
+/// queue, moving between primary, backup and down.
+struct Node {
+    id: NodeId,
+    host: Host,
+    shared: Arc<Shared>,
+    cluster: Arc<ClusterConfig>,
+    registry: Arc<[(ObjectId, ObjectSpec, TimeDelta)]>,
+    obs: EventWriter,
+    queue: EventQueue<Due>,
+    /// Bumped on every role change; timers of an older role lapse.
+    generation: u32,
+    coalescer: Coalescer,
+    /// Outbound links, indexed by destination node id.
+    links: Vec<Lanes>,
+    send_pool: BufPool,
+    /// The sender of the frame being handled.
+    sender: NodeId,
+    /// The primary this node follows as a backup: the one its failure
+    /// detector watches and its requests go to.
+    primary: NodeId,
+}
+
+impl Node {
+    fn new(
+        id: NodeId,
+        host: Host,
+        shared: Arc<Shared>,
+        cluster: Arc<ClusterConfig>,
+        registry: Arc<[(ObjectId, ObjectSpec, TimeDelta)]>,
+    ) -> Self {
+        // Control traffic rides a physically redundant path with the
+        // same delays but none of the faults (§4.1).
+        let control = LinkConfig {
+            loss_probability: 0.0,
+            duplicate_probability: 0.0,
+            reorder_probability: 0.0,
+            corrupt_probability: 0.0,
+            burst: None,
+            ..cluster.link
+        };
+        let links = (0..shared.inboxes.len() as u64)
+            .map(|to| {
+                let base = cluster
+                    .seed
+                    .wrapping_add(100 + 64 * u64::from(id.index()) + 2 * to);
+                Lanes {
+                    data: LossyLink::new(cluster.link, base),
+                    control: LossyLink::new(control, base.wrapping_add(1)),
+                }
+            })
+            .collect();
+        Node {
+            id,
+            host,
+            obs: cluster.bus.writer(),
+            primary: shared.serving(),
+            shared,
+            cluster,
+            registry,
+            queue: EventQueue::new(),
+            generation: 0,
+            coalescer: Coalescer::default(),
+            links,
+            send_pool: BufPool::new(),
+            sender: id,
+        }
     }
-    timers.push(Deadline {
-        due: start,
-        object: None,
-    });
 
-    while !shared.stop.load(Ordering::SeqCst) {
-        if crash_after.is_some_and(|c| start.elapsed() >= c) {
-            return; // crash: silently stop serving
-        }
-        // Fire due timers.
-        let now_i = Instant::now();
-        while timers.peek().is_some_and(|d| d.due <= now_i) {
-            let d = timers.pop().expect("peeked");
-            match d.object {
-                Some(id) => {
-                    if batching {
-                        // Coalesce: park the object, flush one window out.
-                        if !pending.contains(&id) {
-                            pending.push(id);
-                        }
-                        if flush_at.is_none() {
-                            flush_at = Some(Instant::now() + coalesce_window);
-                        }
-                    } else if let Some(update) = primary.make_update(id, shared.now()) {
-                        send(&update);
-                    }
-                    if let Some(period) = primary.send_period(id) {
-                        timers.push(Deadline {
-                            due: d.due + Duration::from(period),
-                            object: Some(id),
-                        });
-                    }
+    fn run(mut self, inbox: &Receiver<Input>) {
+        self.arm_role();
+        while !self.shared.stopped() {
+            let now = self.shared.now();
+            while let Some((_, due)) = self.queue.pop_due(now) {
+                self.fire(due);
+            }
+            let wait = self
+                .queue
+                .peek_time()
+                .map_or(MAX_WAIT, |t| Duration::from(t.saturating_since(now)))
+                .min(MAX_WAIT);
+            match inbox.recv_timeout(wait) {
+                Ok(Input::Frame { from, due, bytes }) => {
+                    self.queue.push(due, Due::Arrival { from, bytes });
                 }
-                None => {
-                    let round = primary.tick_heartbeat(shared.now());
-                    tel.monitor_events(node, primary.drain_monitor_events(), &emit);
-                    tel.integrity_events(node, primary.drain_integrity_events(), &emit);
-                    for (dest, ping) in round.pings {
-                        emit(EventKind::HeartbeatSent {
-                            from: node,
-                            to: dest,
-                        });
-                        send(&ping);
-                    }
-                    timers.push(Deadline {
-                        due: d.due + Duration::from(primary.config().heartbeat_period / 2),
-                        object: None,
-                    });
+                Ok(Input::Write {
+                    object,
+                    payload,
+                    sent,
+                }) => {
+                    let response = self.shared.now().saturating_since(sent);
+                    steps::client_write(&mut self, object, payload, Some(response));
                 }
+                Ok(Input::Fault(fault)) => self.fault(fault),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
             }
         }
-        // Flush an expired coalescing window as one batch frame.
-        if flush_at.is_some_and(|f| f <= Instant::now()) {
-            flush_at = None;
-            let ids = std::mem::take(&mut pending);
-            if let Some(batch) = primary.make_batch(&ids, shared.now()) {
-                send(&batch);
-            }
-        }
-        let mut until_next = timers.peek().map_or(Duration::from_millis(10), |d| {
-            d.due.saturating_duration_since(Instant::now())
-        });
-        if let Some(f) = flush_at {
-            until_next = until_next.min(f.saturating_duration_since(Instant::now()));
-        }
-        let timeout = until_next.min(Duration::from_millis(10));
+    }
 
-        // Poll both inputs until the next timer is due: client writes
-        // first (latency-sensitive), then the network, then a short sleep.
-        let deadline = Instant::now() + timeout;
-        loop {
-            let mut progressed = false;
-            while let Ok(write) = client_rx.try_recv() {
-                progressed = true;
-                serve_write(shared, &mut primary, write, &emit);
-            }
-            while let Ok(bytes) = network.try_recv() {
-                progressed = true;
-                let Ok(msg) = WireMessage::decode(&bytes) else {
-                    tel.corrupt_frame(node, emit);
-                    continue;
-                };
-                if let WireMessage::RetransmitRequest { object, .. } = &msg {
-                    tel.retransmit_requests.inc();
-                    emit(EventKind::RetransmitRequested {
-                        object: *object,
-                        node: NodeId::new(1),
-                    });
-                }
-                let out = primary.handle_message(&msg, shared.now());
-                tel.monitor_events(node, primary.drain_monitor_events(), &emit);
-                tel.integrity_events(node, primary.drain_integrity_events(), &emit);
-                tel.fenced(node, primary.epoch(), &out.stale_rejected, &emit);
-                if let Some(plan) = &out.catch_up {
-                    tel.catch_up_plan(plan, emit);
-                }
-                for reply in &out.replies {
-                    if matches!(reply, WireMessage::ReadReply { .. }) {
-                        let _ = read_replies.send(reply.encode());
+    fn fire(&mut self, due: Due) {
+        match due {
+            Due::Arrival { from, bytes } => self.receive(from, &bytes),
+            Due::Timer { generation, tick } if generation == self.generation => match tick {
+                Tick::Step(Timer::Send(object)) => steps::send_timer(self, object),
+                Tick::Step(Timer::Flush) => steps::flush(self),
+                Tick::Heartbeat => {
+                    self.schedule(
+                        steps::heartbeat_tick(&self.cluster.protocol),
+                        Tick::Heartbeat,
+                    );
+                    if matches!(self.host, Host::Primary(_)) {
+                        steps::primary_heartbeat(self);
                     } else {
-                        send(reply);
+                        steps::backup_heartbeat(self, self.primary);
                     }
                 }
-            }
-            if progressed || Instant::now() >= deadline {
-                break;
-            }
-            let nap = deadline
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_micros(500));
-            std::thread::sleep(nap);
-        }
-    }
-}
-
-/// A serving primary applies one client write: it feeds the per-object
-/// ledger, counts the write and its response time, and emits
-/// `client_write` after any store snapshot the write triggered.
-fn serve_write(
-    shared: &Shared,
-    primary: &mut Primary,
-    (id, payload, sent_at): (ObjectId, Vec<u8>, Instant),
-    emit: &impl Fn(EventKind),
-) {
-    let now = shared.now();
-    // The runtime is a harness-level driver of the sans-io core; clients
-    // go through `RtpbClient`.
-    #[allow(deprecated)]
-    let applied = primary.apply_client_write(id, payload, now);
-    let Some(version) = applied else {
-        return;
-    };
-    for (head, log_len) in primary.take_snapshot_marks() {
-        emit(EventKind::StoreSnapshot {
-            node: primary.node(),
-            head,
-            log_len,
-        });
-    }
-    let response = TimeDelta::from(sent_at.elapsed());
-    let mut m = shared.metrics.lock().expect("metrics lock poisoned");
-    m.record_response(response);
-    m.on_primary_write(id, version, now);
-    drop(m);
-    shared.instruments.client_writes.inc();
-    shared.instruments.response_time.record(response);
-    emit(EventKind::ClientWrite {
-        object: id,
-        version,
-        response,
-    });
-}
-
-/// The backup thread's crash/recovery schedule (mirrors the simulation's
-/// `FaultPlan` crash knobs under a real clock).
-#[derive(Debug, Clone, Copy)]
-struct BackupCrashSchedule {
-    crash_after: Option<Duration>,
-    recover_after: Option<Duration>,
-    durable: bool,
-}
-
-#[allow(clippy::needless_pass_by_value, clippy::too_many_arguments)]
-fn backup_loop(
-    shared: &Shared,
-    mut backup: Backup,
-    client_rx: &Receiver<(ObjectId, Vec<u8>, Instant)>,
-    network: &Receiver<Vec<u8>>,
-    link: &Links,
-    read_replies: &Sender<Vec<u8>>,
-    protocol: &ProtocolConfig,
-    registry: &[(ObjectId, ObjectSpec, TimeDelta)],
-    crash: BackupCrashSchedule,
-    obs: &EventWriter,
-) {
-    let emit = |kind: EventKind| obs.emit(ClockDomain::Real, shared.now(), kind);
-    let tel = &shared.instruments;
-    let start = Instant::now();
-    let node = backup.node();
-    let mut timers: BinaryHeap<Deadline> = BinaryHeap::new();
-    let watchdog_ids: Vec<ObjectId> = backup.store().ids().collect();
-    for id in &watchdog_ids {
-        timers.push(Deadline {
-            due: start + Duration::from_millis(50),
-            object: Some(*id),
-        });
-    }
-    timers.push(Deadline {
-        due: start,
-        object: None,
-    });
-    let hb_half = Duration::from(ProtocolConfig::default().heartbeat_period / 2);
-
-    // Phase 1: act as the backup until promotion or stop.
-    let mut promoted: Option<Primary> = None;
-    let mut down = false;
-    let mut crash_pending = crash.crash_after;
-    let mut rejoining = false;
-    while !shared.stop.load(Ordering::SeqCst) && promoted.is_none() {
-        // Scheduled crash: drop all volatile state and go silent.
-        if crash_pending.is_some_and(|c| start.elapsed() >= c) {
-            crash_pending = None;
-            down = true;
-            emit(EventKind::RoleTransition {
-                node,
-                from: Role::Backup,
-                to: Role::Down,
-            });
-        }
-        if down {
-            let recovered = crash.recover_after.is_some_and(|r| start.elapsed() >= r);
-            if !recovered {
-                // A dead host neither speaks nor listens.
-                while network.try_recv().is_ok() {}
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-            // Restart: registry re-synced out of band, object state
-            // recovered via join + catch-up (bounded retries with
-            // exponential backoff). A durable restart keeps the store
-            // and log position so the join advertises where it stopped;
-            // a cold restart builds a fresh state machine and will need
-            // a full state transfer.
-            down = false;
-            rejoining = true;
-            emit(EventKind::RoleTransition {
-                node,
-                from: Role::Down,
-                to: Role::Joining,
-            });
-            let now = shared.now();
-            if crash.durable {
-                backup.rearm(now);
-            } else {
-                backup = Backup::new(node, protocol.clone());
-                for (id, spec, period) in registry {
-                    backup.sync_registration(*id, spec.clone(), *period, now);
+                Tick::Watchdog(object) => {
+                    self.schedule(self.watchdog_interval(object), Tick::Watchdog(object));
+                    steps::watchdog(self, object);
                 }
-            }
-            let join = backup.begin_join(now);
-            send_wire(link, &join);
-            timers.clear();
-            let restart = Instant::now();
-            for id in &watchdog_ids {
-                timers.push(Deadline {
-                    due: restart + Duration::from_millis(50),
-                    object: Some(*id),
+            },
+            Due::Timer { .. } => {}
+        }
+    }
+
+    /// A frame arrives. A crashed host neither speaks nor listens.
+    fn receive(&mut self, from: NodeId, bytes: &[u8]) {
+        if matches!(self.host, Host::Down(_)) {
+            return;
+        }
+        self.sender = from;
+        let Some(frame) = steps::parse(self, self.id, bytes) else {
+            return;
+        };
+        if matches!(self.host, Host::Primary(_)) {
+            steps::primary_receive(self, from, &frame.to_owned());
+        } else {
+            steps::backup_receive(self, &frame);
+        }
+    }
+
+    /// Executes a fault-plan event aimed at this node, if the node is in
+    /// the role the event acts on.
+    fn fault(&mut self, fault: FaultEvent) {
+        let now = self.shared.now();
+        let host = std::mem::replace(&mut self.host, Host::Down(None));
+        let (host, durable) = match (fault, host) {
+            (FaultEvent::CrashPrimary, Host::Primary(_)) => {
+                self.emit(EventKind::RoleTransition {
+                    node: self.id,
+                    from: Role::Primary,
+                    to: Role::Down,
                 });
+                (Host::Down(None), None)
             }
-            timers.push(Deadline {
-                due: restart,
-                object: None,
-            });
-        }
-        if rejoining {
-            if let Some(join) = backup.tick_join(shared.now()) {
-                send_wire(link, &join);
+            (FaultEvent::CrashBackup { .. }, Host::Backup(backup)) => {
+                self.emit(EventKind::RoleTransition {
+                    node: self.id,
+                    from: Role::Backup,
+                    to: Role::Down,
+                });
+                (Host::Down(Some(backup)), None)
             }
-            if backup.join_abandoned() {
-                rejoining = false;
+            (FaultEvent::RestartBackup { .. }, Host::Down(Some(retained))) => {
+                (Host::Backup(retained), Some(true))
             }
-        }
-        let now_i = Instant::now();
-        while timers.peek().is_some_and(|d| d.due <= now_i) {
-            let d = timers.pop().expect("peeked");
-            match d.object {
-                Some(id) => {
-                    if let Some(req) = backup.tick_watchdog(id, shared.now()) {
-                        send_wire(link, &req);
-                    }
-                    timers.push(Deadline {
-                        due: d.due + Duration::from_millis(50),
-                        object: Some(id),
-                    });
-                }
-                None => {
-                    let (ping, primary_died) = backup.tick_heartbeat(shared.now());
-                    tel.monitor_events(node, backup.drain_monitor_events(), &emit);
-                    tel.integrity_events(node, backup.drain_integrity_events(), &emit);
-                    if let Some(ping) = ping {
-                        emit(EventKind::HeartbeatSent {
-                            from: node,
-                            to: NodeId::new(0),
-                        });
-                        send_wire(link, &ping);
-                    }
-                    if primary_died {
-                        let now = shared.now();
-                        emit(EventKind::HeartbeatMissed {
-                            from: node,
-                            peer: NodeId::new(0),
-                        });
-                        let mut m = shared.metrics.lock().unwrap();
-                        m.record_failover_started(now);
-                        m.record_failover_complete(now);
-                        drop(m);
-                        shared.failed_over.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    timers.push(Deadline {
-                        due: d.due + hb_half,
-                        object: None,
-                    });
-                }
+            (
+                FaultEvent::RecoverBackup { .. } | FaultEvent::RestartBackup { .. },
+                Host::Down(_),
+            ) => {
+                let backup = fresh_backup(self.id, &self.cluster, &self.registry, now);
+                (Host::Backup(Box::new(backup)), Some(false))
             }
-        }
-        if !backup.is_primary_alive() {
-            emit(EventKind::RoleTransition {
-                node,
-                from: Role::Backup,
-                to: Role::Primary,
-            });
-            tel.failovers.inc();
-            promoted = Some(backup.promote(shared.now()));
-            break;
-        }
-        match network.recv_timeout(Duration::from_millis(5)) {
-            Ok(bytes) => {
-                // The same receive path as the simulator's: parse a
-                // borrowing view, which checks the CRC trailer first, and
-                // hand it to the backup.
-                let Ok(frame) = WireFrame::parse(&bytes) else {
-                    tel.corrupt_frame(node, emit);
-                    continue;
-                };
-                {
-                    // Fresh or duplicate, an arrival resets the §5.3
-                    // refresh clock; a batch refreshes every update it
-                    // carries.
-                    let now = shared.now();
-                    let mut m = shared.metrics.lock().expect("metrics lock poisoned");
-                    frame.for_each_update(|object, _| m.on_backup_refresh(object, now));
-                }
-                if rejoining
-                    && matches!(
-                        frame,
-                        WireFrame::StateTransfer { .. }
-                            | WireFrame::LogSuffix { .. }
-                            | WireFrame::ResyncDiff { .. }
-                    )
-                {
-                    rejoining = false;
-                    shared.rejoins.fetch_add(1, Ordering::SeqCst);
-                    if matches!(frame, WireFrame::LogSuffix { .. }) {
-                        shared.suffix_rejoins.fetch_add(1, Ordering::SeqCst);
-                    }
-                    emit(EventKind::RoleTransition {
-                        node,
-                        from: Role::Joining,
-                        to: Role::Backup,
-                    });
-                }
-                let out = backup.handle_frame(&frame, shared.now());
-                tel.monitor_events(node, backup.drain_monitor_events(), &emit);
-                tel.integrity_events(node, backup.drain_integrity_events(), &emit);
-                tel.fenced(node, backup.epoch(), &out.stale_rejected, &emit);
-                let mut m = shared.metrics.lock().expect("metrics lock poisoned");
-                for (id, version, ts) in &out.applied {
-                    m.on_backup_apply(*id, *version, *ts, shared.now());
-                }
-                drop(m);
-                for (id, version, _) in &out.applied {
-                    emit(EventKind::UpdateApplied {
-                        object: *id,
-                        version: *version,
-                        node,
-                    });
-                }
-                for reply in &out.replies {
-                    if matches!(reply, WireMessage::ReadReply { .. }) {
-                        let _ = read_replies.send(reply.encode());
-                    } else {
-                        send_wire(link, reply);
-                    }
-                }
+            (_, unchanged) => {
+                self.host = unchanged;
+                return;
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+        };
+        self.become_host(host);
+        if let Some(durable) = durable {
+            self.primary = self.shared.serving();
+            steps::restart(self, durable);
         }
     }
 
-    // Phase 2: serve client writes as the new primary.
-    let Some(mut new_primary) = promoted else {
-        return;
-    };
-    while !shared.stop.load(Ordering::SeqCst) {
-        match client_rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(write) => serve_write(shared, &mut new_primary, write, &emit),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+    /// Moves the node into `host`: the old role's timers lapse, the new
+    /// role's start, and the role is published.
+    fn become_host(&mut self, host: Host) {
+        self.host = host;
+        let code = match self.host {
+            Host::Primary(_) => PRIMARY,
+            Host::Backup(_) => BACKUP,
+            Host::Down(_) => DOWN,
+        };
+        self.shared.roles[usize::from(self.id.index())].store(code, Ordering::SeqCst);
+        self.arm_role();
+    }
+
+    /// Starts the current role's timers under a fresh generation: a
+    /// primary's heartbeat and phase-staggered send tasks, a backup's
+    /// heartbeat and watchdogs.
+    fn arm_role(&mut self) {
+        self.generation += 1;
+        self.coalescer.clear();
+        let registry = Arc::clone(&self.registry);
+        match &self.host {
+            Host::Primary(_) => {
+                self.schedule(TimeDelta::ZERO, Tick::Heartbeat);
+                for (id, _, period) in registry.iter() {
+                    self.schedule(
+                        steps::send_phase(*id, *period),
+                        Tick::Step(Timer::Send(*id)),
+                    );
+                }
+            }
+            Host::Backup(_) => {
+                self.schedule(TimeDelta::ZERO, Tick::Heartbeat);
+                for (id, _, _) in registry.iter() {
+                    self.schedule(self.watchdog_interval(*id), Tick::Watchdog(*id));
+                }
+            }
+            Host::Down(_) => {}
+        }
+    }
+
+    fn schedule(&mut self, after: TimeDelta, tick: Tick) {
+        let generation = self.generation;
+        self.queue
+            .push(self.shared.now() + after, Due::Timer { generation, tick });
+    }
+
+    fn watchdog_interval(&self, object: ObjectId) -> TimeDelta {
+        let period = self
+            .registry
+            .iter()
+            .find(|(id, _, _)| *id == object)
+            .map(|(_, _, period)| *period);
+        steps::watchdog_interval(&self.cluster.protocol, period)
+    }
+
+    /// Puts `msg`, encoded as `bytes`, on the link to `to`: the link
+    /// draws its fate now, and each arrival lands in `to`'s inbox with
+    /// its due time (and its bit flip, if corrupted).
+    fn transmit(&mut self, to: NodeId, msg: &WireMessage, bytes: &Arc<[u8]>) {
+        let now = self.shared.now();
+        let data = msg.rides_data_link() || !self.cluster.control_loss_exempt;
+        let lanes = &mut self.links[usize::from(to.index())];
+        let obs = &self.obs;
+        let sent = steps::transmit(
+            &self.shared.instruments,
+            self.id,
+            to,
+            msg,
+            bytes.len(),
+            |kind| obs.emit(ClockDomain::Real, now, kind),
+            || {
+                let lane = if data {
+                    &mut lanes.data
+                } else {
+                    &mut lanes.control
+                };
+                Some(lane.transmit(now, bytes.len()))
+            },
+        );
+        let Some((outcome, carried)) = sent else {
+            return;
+        };
+        if carried > 0 && self.shared.ledger_replica() == Some(to) {
+            let mut metrics = self.shared.metrics.lock().expect("metrics poisoned");
+            for _ in 0..carried {
+                metrics.record_update_sent(outcome.is_lost());
+            }
+        }
+        for due in outcome.arrivals() {
+            let _ = self.shared.inboxes[usize::from(to.index())].send(Input::Frame {
+                from: self.id,
+                due,
+                bytes: steps::arrival_bytes(bytes, outcome),
+            });
+        }
+    }
+}
+
+impl Driver for Node {
+    fn now(&self) -> Time {
+        self.shared.now()
+    }
+
+    fn local(&self) -> Time {
+        self.shared.now()
+    }
+
+    fn instruments(&self) -> &Instruments {
+        &self.shared.instruments
+    }
+
+    fn ledger(&mut self, feed: impl FnOnce(&mut ClusterMetrics)) {
+        feed(&mut self.shared.metrics.lock().expect("metrics poisoned"));
+    }
+
+    fn ledger_replica(&self) -> bool {
+        self.shared.ledger_replica() == Some(self.id)
+    }
+
+    fn emit(&mut self, kind: EventKind) {
+        self.obs.emit(ClockDomain::Real, self.shared.now(), kind);
+    }
+
+    fn primary(&mut self) -> Option<&mut Primary> {
+        match &mut self.host {
+            Host::Primary(primary) => Some(primary),
+            _ => None,
+        }
+    }
+
+    fn backup(&mut self) -> Option<&mut Backup> {
+        match &mut self.host {
+            Host::Backup(backup) => Some(backup),
+            _ => None,
+        }
+    }
+
+    fn coalescer(&mut self) -> &mut Coalescer {
+        &mut self.coalescer
+    }
+
+    fn send(&mut self, route: Route, msg: WireMessage) {
+        let bytes: Arc<[u8]> = {
+            let mut buf = self.send_pool.lease();
+            msg.encode_into(&mut buf);
+            Arc::from(buf.as_slice())
+        };
+        match route {
+            Route::Primary => self.transmit(self.primary, &msg, &bytes),
+            Route::Reply => self.transmit(self.sender, &msg, &bytes),
+            Route::Node(to) => self.transmit(to, &msg, &bytes),
+            Route::Update(_) | Route::Batch => {
+                for to in (0..self.shared.roles.len()).map(node_id) {
+                    if matches!(&self.host, Host::Primary(p) if p.tracks(to)) {
+                        self.transmit(to, &msg, &bytes);
+                    }
+                }
+            }
+        }
+    }
+
+    fn arm(&mut self, after: TimeDelta, timer: Timer) {
+        self.schedule(after, Tick::Step(timer));
+    }
+
+    fn react(&mut self, fact: Fact) {
+        match fact {
+            Fact::CatchUpLanded { suffix } => {
+                self.shared.rejoins.fetch_add(1, Ordering::SeqCst);
+                if suffix {
+                    self.shared.suffix_rejoins.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            // The first backup to declare its primary dead while the name
+            // still binds it takes over; every other one re-joins
+            // whichever primary the name binds now.
+            Fact::PeerDead { peer } if matches!(self.host, Host::Backup(_)) => {
+                let now = self.shared.now();
+                self.ledger(|m| m.record_failover_started(now));
+                let takes_over = self.cluster.auto_failover && {
+                    let mut names = self.shared.names.lock().expect("names poisoned");
+                    let unchanged = names.resolve() == peer;
+                    if unchanged {
+                        names.rebind(self.id, now);
+                    }
+                    unchanged
+                };
+                if !takes_over {
+                    self.primary = self.shared.serving();
+                    steps::join(self);
+                    return;
+                }
+                let Host::Backup(backup) = std::mem::replace(&mut self.host, Host::Down(None))
+                else {
+                    unreachable!("only a backup declares its primary dead");
+                };
+                let primary = steps::promote(self, *backup);
+                self.shared.failed_over.store(true, Ordering::SeqCst);
+                self.become_host(Host::Primary(Box::new(primary)));
+            }
+            // A joined backup restarts every send task, as in the
+            // simulator: tasks lapse while no backup is alive.
+            Fact::BackupJoined { .. } => self.arm_role(),
+            _ => {}
         }
     }
 }
@@ -1004,6 +959,9 @@ fn backup_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtpb_core::config::ProtocolConfig;
+    use rtpb_core::harness::FaultPlan;
+    use rtpb_obs::EventBus;
 
     fn spec(period_ms: u64) -> ObjectSpec {
         ObjectSpec::builder("rt-obj")
@@ -1014,12 +972,20 @@ mod tests {
             .unwrap()
     }
 
+    fn config(objects: &[u64]) -> RtConfig {
+        RtConfig {
+            objects: objects.iter().map(|&p| spec(p)).collect(),
+            ..RtConfig::default()
+        }
+    }
+
+    fn at_ms(v: u64) -> Time {
+        Time::from_millis(v)
+    }
+
     #[test]
     fn replicates_in_real_time() {
-        let mut config = RtConfig::default();
-        config.objects.push(spec(20));
-        config.objects.push(spec(30));
-        let report = RtCluster::run(config, Duration::from_millis(1200)).unwrap();
+        let report = RtCluster::run(config(&[20, 30]), Duration::from_millis(1200)).unwrap();
         assert!(report.writes >= 40, "writes: {}", report.writes);
         assert!(report.updates_applied > 0, "backup must receive updates");
         assert!(!report.failed_over);
@@ -1032,12 +998,10 @@ mod tests {
 
     #[test]
     fn batched_pipeline_replicates_in_real_time() {
-        let mut config = RtConfig::default();
-        config.protocol.coalesce_window = TimeDelta::from_millis(5);
-        config.objects.push(spec(20));
-        config.objects.push(spec(30));
-        config.bus = EventBus::with_capacity(16_384);
-        let bus = config.bus.clone();
+        let mut config = config(&[20, 30]);
+        config.cluster.protocol.coalesce_window = TimeDelta::from_millis(5);
+        config.cluster.bus = EventBus::with_capacity(16_384);
+        let bus = config.cluster.bus.clone();
         let report = RtCluster::run(config, Duration::from_millis(1200)).unwrap();
         assert!(report.writes > 0);
         assert!(
@@ -1064,7 +1028,7 @@ mod tests {
 
     #[test]
     fn rejects_inadmissible_objects() {
-        let mut config = RtConfig::default();
+        let mut config = config(&[]);
         config.objects.push(
             ObjectSpec::builder("bad")
                 .update_period(TimeDelta::from_millis(100))
@@ -1080,10 +1044,80 @@ mod tests {
     }
 
     #[test]
+    fn rejects_an_invalid_config() {
+        let mut config = config(&[20]);
+        // A lease outliving the detection bound would let a promoted
+        // backup coexist with a still-leased primary.
+        config.cluster.protocol = ProtocolConfig {
+            lease_duration: TimeDelta::from_millis(400),
+            ..ProtocolConfig::default()
+        };
+        assert!(matches!(
+            RtCluster::run(config, Duration::from_millis(10)),
+            Err(RtError::Config(
+                ConfigError::LeaseOutlivesDeclarationBound { .. }
+            ))
+        ));
+    }
+
+    #[test]
+    fn rejects_a_cluster_without_backups() {
+        let mut config = config(&[20]);
+        config.cluster.num_backups = 0;
+        assert_eq!(
+            RtCluster::run(config, Duration::from_millis(10)).unwrap_err(),
+            RtError::NoBackups
+        );
+    }
+
+    #[test]
+    fn rejects_backup_recruitment() {
+        let mut config = config(&[20]);
+        config.cluster.recruit_backup_after = Some(TimeDelta::from_millis(100));
+        assert!(matches!(
+            RtCluster::run(config, Duration::from_millis(10)),
+            Err(RtError::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_faults_it_cannot_execute() {
+        let ms = TimeDelta::from_millis;
+        for fault in [
+            FaultEvent::PartitionPrimary { duration: ms(100) },
+            FaultEvent::Partition {
+                host: 0,
+                duration: ms(100),
+            },
+            FaultEvent::LossBurst {
+                host: None,
+                duration: ms(100),
+                loss: 1.0,
+            },
+            FaultEvent::ClockFreeze {
+                host: None,
+                duration: ms(100),
+            },
+            FaultEvent::SetLoss { loss: 0.5 },
+            FaultEvent::CorruptState { host: 0, flips: 1 },
+            FaultEvent::CrashBackup { host: 1 },
+        ] {
+            let mut config = config(&[20]);
+            config.cluster.fault_plan = FaultPlan::new().at(at_ms(10), fault);
+            assert!(
+                matches!(
+                    RtCluster::run(config, Duration::from_millis(10)),
+                    Err(RtError::Unsupported(_))
+                ),
+                "{fault:?} must be refused"
+            );
+        }
+    }
+
+    #[test]
     fn failover_promotes_backup_under_real_clock() {
-        let mut config = RtConfig::default();
-        config.objects.push(spec(20));
-        config.crash_primary_after = Some(Duration::from_millis(300));
+        let mut config = config(&[20]);
+        config.cluster.fault_plan = FaultPlan::new().at(at_ms(300), FaultEvent::CrashPrimary);
         let report = RtCluster::run(config, Duration::from_millis(1500)).unwrap();
         assert!(
             report.failed_over,
@@ -1093,61 +1127,15 @@ mod tests {
     }
 
     #[test]
-    fn backup_crash_and_recovery_reintegrates() {
-        let mut config = RtConfig::default();
-        config.objects.push(spec(20));
-        config.crash_backup_after = Some(Duration::from_millis(300));
-        config.recover_backup_after = Some(Duration::from_millis(700));
-        let report = RtCluster::run(config, Duration::from_millis(2000)).unwrap();
-        assert!(!report.failed_over, "primary stays up");
-        assert_eq!(
-            report.backup_rejoins, 1,
-            "recovered backup must re-integrate via state transfer"
-        );
-        assert_eq!(
-            report.suffix_rejoins, 0,
-            "a cold restart has no position and cannot use the log"
-        );
-        assert!(report.updates_applied > 0);
-    }
-
-    #[test]
-    fn durable_restart_catches_up_from_the_log() {
-        let mut config = RtConfig::default();
-        config.objects.push(spec(20));
-        config.crash_backup_after = Some(Duration::from_millis(300));
-        config.recover_backup_after = Some(Duration::from_millis(700));
-        config.durable_restart = true;
-        config.bus = EventBus::with_capacity(16_384);
-        let bus = config.bus.clone();
-        let report = RtCluster::run(config, Duration::from_millis(2000)).unwrap();
-        assert!(!report.failed_over, "primary stays up");
-        assert_eq!(report.backup_rejoins, 1, "restarted backup re-integrates");
-        assert_eq!(
-            report.suffix_rejoins, 1,
-            "a durable restart within retention must catch up via log suffix"
-        );
-        let events = bus.collect();
-        let plan = events
-            .iter()
-            .find_map(|e| match &e.kind {
-                EventKind::CatchUpPlan { path, .. } => Some(*path),
-                _ => None,
-            })
-            .expect("the rejoin must emit a catch_up_plan event");
-        assert_eq!(plan, "log_suffix");
-    }
-
-    #[test]
     fn lease_expiry_silences_updates_without_acks() {
-        let mut config = RtConfig::default();
-        config.objects.push(spec(20));
+        let mut config = config(&[20]);
         // The backup dies and never comes back: with nobody acking, the
         // primary's lease lapses, so under the real clock both the update
         // stream and client writes stop — a primary that once replicated
         // must assume a silent peer may have promoted past it, and keeps
         // refusing writes until a backup re-joins and re-arms the lease.
-        config.crash_backup_after = Some(Duration::from_millis(300));
+        config.cluster.fault_plan =
+            FaultPlan::new().at(at_ms(300), FaultEvent::CrashBackup { host: 0 });
         let report = RtCluster::run(config, Duration::from_millis(1500)).unwrap();
         assert!(!report.failed_over, "a dead backup cannot promote");
         // ~27 writes (20 ms cadence) fit before the crash plus one lease
@@ -1169,10 +1157,9 @@ mod tests {
 
     #[test]
     fn event_bus_captures_real_clock_run() {
-        let mut config = RtConfig::default();
-        config.objects.push(spec(20));
-        config.bus = EventBus::with_capacity(16_384);
-        let bus = config.bus.clone();
+        let mut config = config(&[20]);
+        config.cluster.bus = EventBus::with_capacity(16_384);
+        let bus = config.cluster.bus.clone();
         let report = RtCluster::run(config, Duration::from_millis(800)).unwrap();
         assert!(report.writes > 0);
         let events = bus.collect();
@@ -1194,12 +1181,24 @@ mod tests {
     }
 
     #[test]
+    fn counts_into_the_configured_registry() {
+        let mut config = config(&[20]);
+        config.cluster.registry = MetricsRegistry::new();
+        let registry = config.cluster.registry.clone();
+        let report = RtCluster::run(config, Duration::from_millis(500)).unwrap();
+        assert!(report.updates_sent > 0);
+        assert_eq!(
+            registry.counter("cluster.updates_sent").get(),
+            report.updates_sent
+        );
+    }
+
+    #[test]
     fn replica_reads_serve_with_certificates() {
-        let mut config = RtConfig::default();
-        config.objects.push(spec(20));
+        let mut config = config(&[20]);
         config.read_period = Some(Duration::from_millis(10));
-        config.bus = EventBus::with_capacity(16_384);
-        let bus = config.bus.clone();
+        config.cluster.bus = EventBus::with_capacity(16_384);
+        let bus = config.cluster.bus.clone();
         let report = RtCluster::run(config, Duration::from_millis(1500)).unwrap();
         assert!(report.writes > 0);
         assert!(
@@ -1237,9 +1236,7 @@ mod tests {
 
     #[test]
     fn healthy_real_clock_run_raises_no_timing_violations() {
-        let mut config = RtConfig::default();
-        config.objects.push(spec(20));
-        let report = RtCluster::run(config, Duration::from_millis(800)).unwrap();
+        let report = RtCluster::run(config(&[20]), Duration::from_millis(800)).unwrap();
         assert_eq!(
             report.timing_violations, 0,
             "a monotone real clock must stay inside the envelope"
@@ -1281,9 +1278,8 @@ mod tests {
 
     #[test]
     fn loss_triggers_retransmission_requests() {
-        let mut config = RtConfig::default();
-        config.link.loss_probability = 0.6;
-        config.objects.push(spec(20));
+        let mut config = config(&[20]);
+        config.cluster.link.loss_probability = 0.6;
         let report = RtCluster::run(config, Duration::from_millis(1500)).unwrap();
         assert!(
             report.retransmit_requests > 0,

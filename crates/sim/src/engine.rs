@@ -169,6 +169,23 @@ impl<W: World> Simulation<W> {
         self.queue.push(self.now + delta, event);
     }
 
+    /// Runs `f` on the world with an event context at the current
+    /// instant, from outside the event loop: what `f` schedules and emits
+    /// lands exactly as if an event handler had done it now.
+    pub fn with_context<R>(
+        &mut self,
+        f: impl FnOnce(&mut W, &mut Context<'_, W::Event>) -> R,
+    ) -> R {
+        let mut ctx = Context {
+            now: self.now,
+            queue: &mut self.queue,
+            rng: &mut self.rng,
+            observer: &self.observer,
+            stop_requested: &mut self.stop_requested,
+        };
+        f(&mut self.world, &mut ctx)
+    }
+
     /// Dispatches the next event, if any, advancing the clock to it.
     ///
     /// Returns `false` if the queue was empty or a stop was requested.

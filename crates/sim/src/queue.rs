@@ -192,6 +192,18 @@ impl<E> EventQueue<E> {
         Some((time, entry.event))
     }
 
+    /// The time of the earliest pending event.
+    #[must_use]
+    pub fn peek_time(&self) -> Option<Time> {
+        let lanes = self.lanes.iter().filter_map(|l| l.events.front());
+        self.heap
+            .peek()
+            .into_iter()
+            .chain(lanes)
+            .map(|e| e.time)
+            .min()
+    }
+
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {

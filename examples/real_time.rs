@@ -2,15 +2,17 @@
 //!
 //! Everything else in this repository runs in deterministic virtual time;
 //! this example runs RTPB for two *wall-clock* seconds on threads with a
-//! lossy in-process link (`rtpb-rt`), then crashes the primary and shows
-//! the backup taking over under the real clock.
+//! lossy in-process link (`rtpb-rt`), then crashes the primary through a
+//! fault plan and shows one of two backups taking over under the real
+//! clock.
 //!
 //! ```text
 //! cargo run --example real_time
 //! ```
 
+use rtpb::core::harness::{FaultEvent, FaultPlan};
 use rtpb::rt::{RtCluster, RtConfig};
-use rtpb::types::{ObjectSpec, TimeDelta};
+use rtpb::types::{ObjectSpec, Time, TimeDelta};
 use std::time::Duration;
 
 fn spec(name: &str, period_ms: u64) -> ObjectSpec {
@@ -25,7 +27,7 @@ fn spec(name: &str, period_ms: u64) -> ObjectSpec {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Healthy run with 5% update loss.
     let mut config = RtConfig::default();
-    config.link.loss_probability = 0.05;
+    config.cluster.link.loss_probability = 0.05;
     config.objects.push(spec("gyro", 20));
     config.objects.push(spec("gps", 50));
     println!("running 2s of real-time replication (5% loss)...");
@@ -45,11 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(report.updates_applied > 0);
     assert!(!report.failed_over);
 
-    // Crash the primary 500ms in; the backup must take over.
+    // Crash the primary 500ms in; one of the two backups must take over.
     let mut config = RtConfig::default();
     config.objects.push(spec("gyro", 20));
-    config.crash_primary_after = Some(Duration::from_millis(500));
-    println!("\ncrashing the primary 500ms into a 2s run...");
+    config.cluster.num_backups = 2;
+    config.cluster.fault_plan =
+        FaultPlan::new().at(Time::from_millis(500), FaultEvent::CrashPrimary);
+    println!("\ncrashing the primary 500ms into a 2s run with two backups...");
     let report = RtCluster::run(config, Duration::from_secs(2))?;
     println!(
         "  failed over: {}; writes served across the failure: {}",

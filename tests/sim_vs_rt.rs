@@ -1,11 +1,12 @@
 //! Agreement between the deterministic simulation and the real-clock
-//! thread runtime: the same protocol cores must show the same qualitative
-//! behaviour under both drivers.
+//! thread runtime: each scenario builds one `ClusterConfig` and runs it
+//! on both drivers, which run the same per-host steps and must show the
+//! same qualitative behaviour.
 
-use rtpb::core::harness::{ClusterConfig, FaultEvent};
-use rtpb::obs::{EventBus, ObsEvent};
-use rtpb::rt::{RtCluster, RtConfig};
-use rtpb::types::{ObjectSpec, TimeDelta};
+use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
+use rtpb::obs::{EventBus, EventKind, ObsEvent, Role};
+use rtpb::rt::{RtCluster, RtConfig, RtReport};
+use rtpb::types::{ObjectId, ObjectSpec, Time, TimeDelta};
 use rtpb::RtpbClient;
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -19,18 +20,38 @@ fn spec(period_ms: u64) -> ObjectSpec {
         .unwrap()
 }
 
+/// Runs `config` in the simulator for `seconds` of virtual time.
+fn simulate(config: &ClusterConfig, period_ms: u64, seconds: u64) -> RtpbClient {
+    let mut cluster = RtpbClient::new(config.clone());
+    cluster.register(spec(period_ms)).unwrap();
+    cluster.run_for(TimeDelta::from_secs(seconds));
+    cluster
+}
+
+/// Runs `config` on threads for `seconds` of wall-clock time.
+fn run_threads(config: &ClusterConfig, period_ms: u64, seconds: u64) -> RtReport {
+    let config = RtConfig {
+        cluster: config.clone(),
+        objects: vec![spec(period_ms)],
+        read_period: None,
+    };
+    RtCluster::run(config, Duration::from_secs(seconds)).unwrap()
+}
+
+/// The one object each scenario registers.
+fn cluster_id(cluster: &RtpbClient) -> ObjectId {
+    cluster.metrics().object_ids().next().expect("one object")
+}
+
 #[test]
 fn both_drivers_replicate_and_stay_consistent() {
-    // Simulation: 2 virtual seconds.
-    let mut cluster = RtpbClient::new(ClusterConfig::default());
-    let id = cluster.register(spec(50)).unwrap();
-    cluster.run_for(TimeDelta::from_secs(2));
-    let sim_report = cluster.metrics().object_report(id).unwrap();
-
-    // Threads: 2 wall-clock seconds.
-    let mut config = RtConfig::default();
-    config.objects.push(spec(50));
-    let rt_report = RtCluster::run(config, Duration::from_secs(2)).unwrap();
+    let config = ClusterConfig::default();
+    let cluster = simulate(&config, 50, 2);
+    let sim_report = cluster
+        .metrics()
+        .object_report(cluster_id(&cluster))
+        .unwrap();
+    let rt_report = run_threads(&config, 50, 2);
 
     // Both served roughly period-count writes.
     let expected = 2_000 / 50;
@@ -50,39 +71,28 @@ fn both_drivers_replicate_and_stay_consistent() {
 
 #[test]
 fn both_drivers_fail_over_on_primary_death() {
-    // Simulation.
-    let mut cluster = RtpbClient::new(ClusterConfig::default());
-    cluster.register(spec(50)).unwrap();
-    cluster.run_for(TimeDelta::from_secs(1));
-    cluster.inject(FaultEvent::CrashPrimary);
-    cluster.run_for(TimeDelta::from_secs(1));
-    assert!(cluster.has_failed_over());
-
-    // Threads.
-    let mut config = RtConfig::default();
-    config.objects.push(spec(50));
-    config.crash_primary_after = Some(Duration::from_millis(400));
-    let report = RtCluster::run(config, Duration::from_secs(2)).unwrap();
-    assert!(report.failed_over);
+    let config = ClusterConfig {
+        fault_plan: FaultPlan::new().at(Time::from_millis(400), FaultEvent::CrashPrimary),
+        ..ClusterConfig::default()
+    };
+    assert!(simulate(&config, 50, 2).has_failed_over());
+    assert!(run_threads(&config, 50, 2).failed_over);
 }
 
 #[test]
 fn both_drivers_survive_update_loss_via_retransmission() {
-    let loss = 0.5;
+    let mut config = ClusterConfig::default();
+    config.link.loss_probability = 0.5;
 
-    let mut sim_config = ClusterConfig::default();
-    sim_config.link.loss_probability = loss;
-    let mut cluster = RtpbClient::new(sim_config);
-    let id = cluster.register(spec(50)).unwrap();
-    cluster.run_for(TimeDelta::from_secs(5));
-    let sim_report = cluster.metrics().object_report(id).unwrap();
+    let cluster = simulate(&config, 50, 5);
+    let sim_report = cluster
+        .metrics()
+        .object_report(cluster_id(&cluster))
+        .unwrap();
     assert!(sim_report.applies > 0);
     assert!(cluster.metrics().retransmit_requests() > 0);
 
-    let mut rt_config = RtConfig::default();
-    rt_config.link.loss_probability = loss;
-    rt_config.objects.push(spec(50));
-    let rt_report = RtCluster::run(rt_config, Duration::from_secs(2)).unwrap();
+    let rt_report = run_threads(&config, 50, 2);
     assert!(rt_report.updates_applied > 0);
     assert!(rt_report.retransmit_requests > 0);
     assert!(
@@ -94,29 +104,20 @@ fn both_drivers_survive_update_loss_via_retransmission() {
 #[test]
 fn both_drivers_emit_the_same_event_kinds() {
     // One healthy batched run per driver: the same cores and the same
-    // telemetry steps must produce the same taxonomy under both clocks.
-    let coalesce = TimeDelta::from_millis(5);
+    // steps must produce the same taxonomy under both clocks.
     let kinds = |events: Vec<ObsEvent>| -> BTreeSet<&'static str> {
         events.iter().map(|e| e.kind.name()).collect()
     };
-
-    let mut sim_config = ClusterConfig {
+    let mut config = ClusterConfig {
         bus: EventBus::with_capacity(1 << 16),
         ..ClusterConfig::default()
     };
-    sim_config.protocol.coalesce_window = coalesce;
-    let mut cluster = RtpbClient::new(sim_config);
-    cluster.register(spec(20)).unwrap();
-    cluster.run_for(TimeDelta::from_secs(1));
-    let sim = kinds(cluster.bus().collect());
+    config.protocol.coalesce_window = TimeDelta::from_millis(5);
+    let sim = kinds(simulate(&config, 20, 1).bus().collect());
 
-    let mut rt_config = RtConfig::default();
-    rt_config.protocol.coalesce_window = coalesce;
-    rt_config.objects.push(spec(20));
-    rt_config.bus = EventBus::with_capacity(1 << 16);
-    let bus = rt_config.bus.clone();
-    RtCluster::run(rt_config, Duration::from_secs(1)).unwrap();
-    let rt = kinds(bus.collect());
+    config.bus = EventBus::with_capacity(1 << 16);
+    run_threads(&config, 20, 1);
+    let rt = kinds(config.bus.collect());
 
     // The runtime admits its objects before the run starts and reports
     // no admission decisions.
@@ -130,4 +131,42 @@ fn both_drivers_emit_the_same_event_kinds() {
         "rt never emitted {missing:?} (sim: {sim:?}, rt: {rt:?})"
     );
     assert!(sim.contains("batch_sent"), "the run must batch: {sim:?}");
+}
+
+/// The ordered `(from, to)` role transitions of a trace, without node
+/// ids or times.
+fn transitions(events: &[ObsEvent]) -> Vec<(Role, Role)> {
+    events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::RoleTransition { from, to, .. } => Some((from, to)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn both_drivers_take_over_alike_with_two_backups() {
+    let mut config = ClusterConfig {
+        num_backups: 2,
+        fault_plan: FaultPlan::new().at(Time::from_millis(500), FaultEvent::CrashPrimary),
+        bus: EventBus::with_capacity(1 << 16),
+        ..ClusterConfig::default()
+    };
+    let sim = transitions(&simulate(&config, 50, 2).bus().collect());
+
+    config.bus = EventBus::with_capacity(1 << 16);
+    run_threads(&config, 50, 2);
+    let rt = transitions(&config.bus.collect());
+
+    assert_eq!(
+        sim,
+        vec![
+            (Role::Primary, Role::Down),
+            (Role::Backup, Role::Primary),
+            (Role::Joining, Role::Backup),
+        ],
+        "the crash, one takeover, and the survivor's rejoin"
+    );
+    assert_eq!(rt, sim, "both drivers must fail over alike");
 }
