@@ -602,6 +602,19 @@ impl Backup {
         self.last_update_at.insert(id, now);
     }
 
+    /// Mirrors the primary's whole registry (`(id, spec, send period)` per
+    /// object, as [`Primary::registry`](crate::Primary::registry) lists
+    /// it): registers the objects this backup lacks and re-times the rest.
+    pub fn sync_registry(&mut self, registry: &[(ObjectId, ObjectSpec, TimeDelta)], now: Time) {
+        for (id, spec, period) in registry {
+            if self.store.get(*id).is_none() {
+                self.sync_registration(*id, spec.clone(), *period, now);
+            } else {
+                self.send_periods.insert(*id, *period);
+            }
+        }
+    }
+
     /// Mirrors a deregistration.
     pub fn sync_deregistration(&mut self, id: ObjectId) {
         self.store.deregister(id);

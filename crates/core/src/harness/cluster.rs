@@ -849,13 +849,7 @@ impl ClusterWorld {
         let registry = self.serving().registry();
         let local = self.backup_local(host, now);
         if let Some(backup) = self.hosts.get_mut(host).and_then(|h| h.backup.as_mut()) {
-            for (id, spec, period) in registry {
-                if backup.store().get(id).is_none() {
-                    backup.sync_registration(id, spec, period, local);
-                } else {
-                    backup.sync_send_period(id, period);
-                }
-            }
+            backup.sync_registry(&registry, local);
         }
         for (delay, event) in self.restart_object_timers() {
             ctx.schedule_in(delay, event);
@@ -925,9 +919,7 @@ impl ClusterWorld {
         // Registry sync rides the reliable control channel; the object
         // *state* arrives via the StateTransfer reply to the join request.
         if let Some(primary) = self.primary.as_ref() {
-            for (id, spec, period) in primary.registry() {
-                backup.sync_registration(id, spec, period, local);
-            }
+            backup.sync_registry(&primary.registry(), local);
         }
         h.backup = Some(backup);
         steps::restart(&mut self.at(ctx, Peer::Backup(host)), false);
@@ -1411,13 +1403,10 @@ impl World for ClusterWorld {
                 // the join request.
                 let registry = self.serving().registry();
                 let local = self.backup_local(index, ctx.now());
-                let mut join = None;
-                if let Some(backup) = host.backup.as_mut() {
-                    for (id, spec, period) in registry {
-                        backup.sync_registration(id, spec, period, local);
-                    }
-                    join = Some(backup.begin_join(local));
-                }
+                let join = host.backup.as_mut().map(|backup| {
+                    backup.sync_registry(&registry, local);
+                    backup.begin_join(local)
+                });
                 self.hosts.push(host);
                 if let Some(join) = join {
                     self.send(ctx, Peer::Backup(index), Peer::Primary, &join);
@@ -1721,7 +1710,7 @@ impl SimCluster {
             }
         }
         if !ids.is_empty() {
-            self.mirror_registry_to_backups(&ids);
+            self.mirror_registry_to_backups();
             // Registration may have retimed every object (constraints,
             // compression): restart all object timers under a fresh
             // epoch.
@@ -1786,23 +1775,16 @@ impl SimCluster {
         Ok(id)
     }
 
-    /// Mirrors the registrations in `new_ids` (space reservation, §4.2)
-    /// and the recomputed periods of every object to every backup.
-    fn mirror_registry_to_backups(&mut self, new_ids: &[ObjectId]) {
-        let new_ids: std::collections::BTreeSet<ObjectId> = new_ids.iter().copied().collect();
+    /// Mirrors the new registrations (space reservation, §4.2) and the
+    /// recomputed periods of every object to every backup.
+    fn mirror_registry_to_backups(&mut self) {
         let now = self.sim.now();
         let world = self.sim.world_mut();
         let registry = world.serving().registry();
         for i in 0..world.hosts.len() {
             let local = world.backup_local(i, now);
             if let Some(backup) = world.hosts[i].backup.as_mut() {
-                for (oid, ospec, period) in &registry {
-                    if new_ids.contains(oid) {
-                        backup.sync_registration(*oid, ospec.clone(), *period, local);
-                    } else {
-                        backup.sync_send_period(*oid, *period);
-                    }
-                }
+                backup.sync_registry(&registry, local);
             }
         }
     }

@@ -141,17 +141,6 @@ pub struct Coalescer {
     flush_armed: bool,
 }
 
-impl Coalescer {
-    /// Forgets the open window: nothing parked, no flush armed.
-    pub fn clear(&mut self) {
-        for &id in &self.pending {
-            self.parked.remove(id);
-        }
-        self.pending.clear();
-        self.flush_armed = false;
-    }
-}
-
 /// The heartbeat cadence of every host: half the heartbeat period.
 #[must_use]
 pub fn heartbeat_tick(config: &ProtocolConfig) -> TimeDelta {

@@ -2,8 +2,8 @@
 //!
 //! The same sans-io protocol cores that power the deterministic simulation
 //! ([`rtpb_core::Primary`], [`rtpb_core::Backup`]) driven by OS threads,
-//! hand-rolled MPMC channels, and the wall clock — evidence that nothing in the
-//! protocol depends on simulation. The paper's prototype ran as threads on
+//! channels, and the wall clock — evidence that nothing in the protocol
+//! depends on simulation. The paper's prototype ran as threads on
 //! the MK 7.2 microkernel; this is the equivalent on a modern OS.
 //!
 //! Topology (one process): a primary and `N` backups, one thread each,
@@ -72,7 +72,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chan;
 mod runtime;
 
 pub use runtime::{RtCluster, RtConfig, RtError, RtReport};

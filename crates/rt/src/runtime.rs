@@ -1,6 +1,5 @@
 //! The thread-based cluster runtime.
 
-use crate::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rtpb_core::backup::Backup;
 use rtpb_core::config::ConfigError;
 use rtpb_core::harness::{ClusterConfig, FaultEvent};
@@ -17,6 +16,7 @@ use rtpb_types::{AdmissionError, BufPool, Epoch, NodeId, ObjectId, ObjectSpec, T
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -247,13 +247,7 @@ impl RtCluster {
         };
         let nodes = 1 + cluster.num_backups;
         let reader = node_id(nodes);
-        let mut receivers = Vec::new();
-        let mut inboxes = Vec::new();
-        for _ in 0..=nodes {
-            let (tx, rx) = unbounded();
-            inboxes.push(tx);
-            receivers.push(rx);
-        }
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..=nodes).map(|_| channel()).unzip();
         let start = Instant::now();
         let mut primary = Primary::new(node_id(0), cluster.protocol.clone());
         let mut metrics = ClusterMetrics::new();
@@ -302,37 +296,19 @@ impl RtCluster {
                 Arc::clone(&cluster),
                 Arc::clone(&registry_snapshot),
             );
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("rtpb-node-{index}"))
-                    .spawn(move || node.run(&inbox))
-                    .expect("spawn node"),
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            let objects = ids.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("rtpb-client".into())
-                    .spawn(move || client_loop(&shared, &objects))
-                    .expect("spawn client"),
-            );
+            threads.push(std::thread::spawn(move || node.run(&inbox)));
         }
         let reader_inbox = receivers.next().expect("the reader's inbox");
         if let Some(period) = read_period {
             let shared = Arc::clone(&shared);
             let objects: Vec<ObjectId> = ids.iter().map(|(id, _)| *id).collect();
-            let obs = cluster.bus.writer();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("rtpb-reader".into())
-                    .spawn(move || {
-                        reader_loop(&shared, reader, &objects, &reader_inbox, period, &obs);
-                    })
-                    .expect("spawn reader"),
-            );
+            let outbox = Outbox::new(reader, nodes + 1, &cluster);
+            threads.push(std::thread::spawn(move || {
+                reader_loop(&shared, outbox, &objects, &reader_inbox, period);
+            }));
         }
+        let client = Arc::clone(&shared);
+        threads.push(std::thread::spawn(move || client_loop(&client, &ids)));
 
         // The fault plan, at wall-clock offsets from the start.
         let end = Time::ZERO + TimeDelta::from(duration);
@@ -393,9 +369,7 @@ fn fresh_backup(
     now: Time,
 ) -> Backup {
     let mut backup = Backup::new(node, cluster.protocol.clone());
-    for (id, spec, period) in registry {
-        backup.sync_registration(*id, spec.clone(), *period, now);
-    }
+    backup.sync_registry(registry, now);
     backup
 }
 
@@ -435,22 +409,19 @@ fn client_loop(shared: &Shared, objects: &[(ObjectId, ObjectSpec)]) {
 /// costs a redirect to the primary.
 fn reader_loop(
     shared: &Shared,
-    reader: NodeId,
+    mut outbox: Outbox,
     objects: &[ObjectId],
     replies: &Receiver<Input>,
     period: Duration,
-    obs: &EventWriter,
 ) {
+    let reader = outbox.from;
+    let obs = outbox.obs.clone();
     let emit = |kind: EventKind| obs.emit(ClockDomain::Real, shared.now(), kind);
     let reply_deadline = Duration::from_millis(50);
     // Requests are strictly sequential, one outstanding at a time.
-    let ask = |node: NodeId, request: &WireMessage| -> Option<WireMessage> {
-        let frame = Input::Frame {
-            from: reader,
-            due: shared.now(),
-            bytes: request.encode().into(),
-        };
-        shared.inboxes[usize::from(node.index())].send(frame).ok()?;
+    let mut ask = |node: NodeId, request: &WireMessage| -> Option<WireMessage> {
+        let bytes = outbox.encode(request);
+        outbox.transmit(shared, node, request, &bytes);
         let deadline = Instant::now() + reply_deadline;
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -478,8 +449,9 @@ fn reader_loop(
             object: *object,
             floor: None,
         };
-        let replica = shared.ledger_replica();
-        let answer = replica.and_then(|node| ask(node, &request).map(|reply| (node, reply)));
+        let answer = shared
+            .ledger_replica()
+            .and_then(|node| ask(node, &request).map(|reply| (node, reply)));
         match answer {
             Some((
                 served_by,
@@ -503,15 +475,11 @@ fn reader_loop(
                 // Redirect: ask the primary (the authoritative copy). An
                 // `Unsound` refusal means the backup's monitor disowned
                 // its certificates (DESIGN.md §14).
-                let reason = match &other {
-                    Some((
-                        _,
-                        WireMessage::ReadReply {
-                            status: ReadStatus::Unsound,
-                            ..
-                        },
-                    )) => "replica_unsound",
-                    _ => "replica_unavailable",
+                let unsound = matches!(other, Some((_, WireMessage::ReadReply { status, .. })) if status == ReadStatus::Unsound);
+                let reason = if unsound {
+                    "replica_unsound"
+                } else {
+                    "replica_unavailable"
                 };
                 let primary = shared.serving();
                 if let Some(WireMessage::ReadReply {
@@ -562,6 +530,97 @@ struct Lanes {
     control: LossyLink,
 }
 
+/// A sender's outbound links, one per destination id, and its frame
+/// encoder.
+struct Outbox {
+    from: NodeId,
+    lanes: Vec<Lanes>,
+    control_loss_exempt: bool,
+    obs: EventWriter,
+    pool: BufPool,
+}
+
+impl Outbox {
+    fn new(from: NodeId, destinations: usize, cluster: &ClusterConfig) -> Self {
+        // Control traffic rides a physically redundant path with the
+        // same delays but none of the faults (§4.1).
+        let control = LinkConfig {
+            loss_probability: 0.0,
+            duplicate_probability: 0.0,
+            reorder_probability: 0.0,
+            corrupt_probability: 0.0,
+            burst: None,
+            ..cluster.link
+        };
+        let lanes = (0..destinations as u64)
+            .map(|to| {
+                let from = u64::from(from.index()) << 20;
+                let base = cluster.seed.wrapping_add(100 + from + 2 * to);
+                Lanes {
+                    data: LossyLink::new(cluster.link, base),
+                    control: LossyLink::new(control, base.wrapping_add(1)),
+                }
+            })
+            .collect();
+        Outbox {
+            from,
+            lanes,
+            control_loss_exempt: cluster.control_loss_exempt,
+            obs: cluster.bus.writer(),
+            pool: BufPool::new(),
+        }
+    }
+
+    /// Encodes `msg` once for every destination it goes to.
+    fn encode(&mut self, msg: &WireMessage) -> Arc<[u8]> {
+        let mut buf = self.pool.lease();
+        msg.encode_into(&mut buf);
+        Arc::from(buf.as_slice())
+    }
+
+    /// Puts `msg`, encoded as `bytes`, on the link to `to`: the link
+    /// draws its fate now, and each arrival lands in `to`'s inbox with
+    /// its due time (and its bit flip, if corrupted).
+    fn transmit(&mut self, shared: &Shared, to: NodeId, msg: &WireMessage, bytes: &Arc<[u8]>) {
+        let now = shared.now();
+        let data = msg.rides_data_link() || !self.control_loss_exempt;
+        let lanes = &mut self.lanes[usize::from(to.index())];
+        let obs = &self.obs;
+        let sent = steps::transmit(
+            &shared.instruments,
+            self.from,
+            to,
+            msg,
+            bytes.len(),
+            |kind| obs.emit(ClockDomain::Real, now, kind),
+            || {
+                let lane = if data {
+                    &mut lanes.data
+                } else {
+                    &mut lanes.control
+                };
+                Some(lane.transmit(now, bytes.len()))
+            },
+        );
+        let Some((outcome, carried)) = sent else {
+            return;
+        };
+        if carried > 0 && shared.ledger_replica() == Some(to) {
+            let mut metrics = shared.metrics.lock().expect("metrics poisoned");
+            for _ in 0..carried {
+                metrics.record_update_sent(outcome.is_lost());
+            }
+        }
+        for due in outcome.arrivals() {
+            let _ = shared.inboxes[usize::from(to.index())].send(Input::Frame {
+                from: self.from,
+                due,
+                bytes: steps::arrival_bytes(bytes, outcome),
+            });
+        }
+    }
+}
+
 /// One node thread: a host running the shared steps over one timer
 /// queue, moving between primary, backup and down.
 struct Node {
@@ -570,14 +629,11 @@ struct Node {
     shared: Arc<Shared>,
     cluster: Arc<ClusterConfig>,
     registry: Arc<[(ObjectId, ObjectSpec, TimeDelta)]>,
-    obs: EventWriter,
+    outbox: Outbox,
     queue: EventQueue<Due>,
     /// Bumped on every role change; timers of an older role lapse.
     generation: u32,
     coalescer: Coalescer,
-    /// Outbound links, indexed by destination node id.
-    links: Vec<Lanes>,
-    send_pool: BufPool,
     /// The sender of the frame being handled.
     sender: NodeId,
     /// The primary this node follows as a backup: the one its failure
@@ -593,31 +649,10 @@ impl Node {
         cluster: Arc<ClusterConfig>,
         registry: Arc<[(ObjectId, ObjectSpec, TimeDelta)]>,
     ) -> Self {
-        // Control traffic rides a physically redundant path with the
-        // same delays but none of the faults (§4.1).
-        let control = LinkConfig {
-            loss_probability: 0.0,
-            duplicate_probability: 0.0,
-            reorder_probability: 0.0,
-            corrupt_probability: 0.0,
-            burst: None,
-            ..cluster.link
-        };
-        let links = (0..shared.inboxes.len() as u64)
-            .map(|to| {
-                let base = cluster
-                    .seed
-                    .wrapping_add(100 + 64 * u64::from(id.index()) + 2 * to);
-                Lanes {
-                    data: LossyLink::new(cluster.link, base),
-                    control: LossyLink::new(control, base.wrapping_add(1)),
-                }
-            })
-            .collect();
         Node {
             id,
             host,
-            obs: cluster.bus.writer(),
+            outbox: Outbox::new(id, shared.inboxes.len(), &cluster),
             primary: shared.serving(),
             shared,
             cluster,
@@ -625,8 +660,6 @@ impl Node {
             queue: EventQueue::new(),
             generation: 0,
             coalescer: Coalescer::default(),
-            links,
-            send_pool: BufPool::new(),
             sender: id,
         }
     }
@@ -766,7 +799,7 @@ impl Node {
     /// heartbeat and watchdogs.
     fn arm_role(&mut self) {
         self.generation += 1;
-        self.coalescer.clear();
+        self.coalescer = Coalescer::default();
         let registry = Arc::clone(&self.registry);
         match &self.host {
             Host::Primary(_) => {
@@ -795,54 +828,13 @@ impl Node {
     }
 
     fn watchdog_interval(&self, object: ObjectId) -> TimeDelta {
+        // The registry lists objects in id order.
         let period = self
             .registry
-            .iter()
-            .find(|(id, _, _)| *id == object)
-            .map(|(_, _, period)| *period);
+            .binary_search_by_key(&object, |(id, _, _)| *id)
+            .ok()
+            .map(|i| self.registry[i].2);
         steps::watchdog_interval(&self.cluster.protocol, period)
-    }
-
-    /// Puts `msg`, encoded as `bytes`, on the link to `to`: the link
-    /// draws its fate now, and each arrival lands in `to`'s inbox with
-    /// its due time (and its bit flip, if corrupted).
-    fn transmit(&mut self, to: NodeId, msg: &WireMessage, bytes: &Arc<[u8]>) {
-        let now = self.shared.now();
-        let data = msg.rides_data_link() || !self.cluster.control_loss_exempt;
-        let lanes = &mut self.links[usize::from(to.index())];
-        let obs = &self.obs;
-        let sent = steps::transmit(
-            &self.shared.instruments,
-            self.id,
-            to,
-            msg,
-            bytes.len(),
-            |kind| obs.emit(ClockDomain::Real, now, kind),
-            || {
-                let lane = if data {
-                    &mut lanes.data
-                } else {
-                    &mut lanes.control
-                };
-                Some(lane.transmit(now, bytes.len()))
-            },
-        );
-        let Some((outcome, carried)) = sent else {
-            return;
-        };
-        if carried > 0 && self.shared.ledger_replica() == Some(to) {
-            let mut metrics = self.shared.metrics.lock().expect("metrics poisoned");
-            for _ in 0..carried {
-                metrics.record_update_sent(outcome.is_lost());
-            }
-        }
-        for due in outcome.arrivals() {
-            let _ = self.shared.inboxes[usize::from(to.index())].send(Input::Frame {
-                from: self.id,
-                due,
-                bytes: steps::arrival_bytes(bytes, outcome),
-            });
-        }
     }
 }
 
@@ -868,7 +860,9 @@ impl Driver for Node {
     }
 
     fn emit(&mut self, kind: EventKind) {
-        self.obs.emit(ClockDomain::Real, self.shared.now(), kind);
+        self.outbox
+            .obs
+            .emit(ClockDomain::Real, self.shared.now(), kind);
     }
 
     fn primary(&mut self) -> Option<&mut Primary> {
@@ -890,23 +884,21 @@ impl Driver for Node {
     }
 
     fn send(&mut self, route: Route, msg: WireMessage) {
-        let bytes: Arc<[u8]> = {
-            let mut buf = self.send_pool.lease();
-            msg.encode_into(&mut buf);
-            Arc::from(buf.as_slice())
-        };
-        match route {
-            Route::Primary => self.transmit(self.primary, &msg, &bytes),
-            Route::Reply => self.transmit(self.sender, &msg, &bytes),
-            Route::Node(to) => self.transmit(to, &msg, &bytes),
+        let bytes = self.outbox.encode(&msg);
+        let to = match route {
+            Route::Primary => self.primary,
+            Route::Reply => self.sender,
+            Route::Node(to) => to,
             Route::Update(_) | Route::Batch => {
                 for to in (0..self.shared.roles.len()).map(node_id) {
                     if matches!(&self.host, Host::Primary(p) if p.tracks(to)) {
-                        self.transmit(to, &msg, &bytes);
+                        self.outbox.transmit(&self.shared, to, &msg, &bytes);
                     }
                 }
+                return;
             }
-        }
+        };
+        self.outbox.transmit(&self.shared, to, &msg, &bytes);
     }
 
     fn arm(&mut self, after: TimeDelta, timer: Timer) {
