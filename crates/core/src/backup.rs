@@ -604,7 +604,9 @@ impl Backup {
 
     /// Mirrors the primary's whole registry (`(id, spec, send period)` per
     /// object, as [`Primary::registry`](crate::Primary::registry) lists
-    /// it): registers the objects this backup lacks and re-times the rest.
+    /// it): registers the objects this backup lacks and re-times the
+    /// watchdogs of the rest (schedule recomputation at the primary, e.g.
+    /// compressed-mode redistribution).
     pub fn sync_registry(&mut self, registry: &[(ObjectId, ObjectSpec, TimeDelta)], now: Time) {
         for (id, spec, period) in registry {
             if self.store.get(*id).is_none() {
@@ -621,15 +623,6 @@ impl Backup {
         self.send_periods.remove(id);
         self.last_update_at.remove(id);
         self.retransmit_attempts.remove(id);
-    }
-
-    /// Updates the watchdog period for a registered `id` (schedule
-    /// recomputation at the primary, e.g. compressed-mode
-    /// redistribution). An id this backup has not registered is ignored.
-    pub fn sync_send_period(&mut self, id: ObjectId, send_period: TimeDelta) {
-        if self.store.get(id).is_some() {
-            self.send_periods.insert(id, send_period);
-        }
     }
 
     /// Handles an inbound message from the network: encodes it and hands
@@ -1333,9 +1326,10 @@ mod tests {
     }
 
     #[test]
-    fn sync_send_period_rearms_watchdog_window() {
+    fn sync_registry_rearms_watchdog_window() {
         let (mut b, id) = backup_with_object();
-        b.sync_send_period(id, ms(50));
+        let spec = b.store().get(id).unwrap().spec().clone();
+        b.sync_registry(&[(id, spec, ms(50))], t(0));
         // New allowance = 50 + 10 + 5 = 65 ms.
         assert!(b.tick_watchdog(id, t(66)).is_some());
     }

@@ -654,8 +654,9 @@ impl ClusterWorld {
         self.primary = Some(new_primary);
         self.cpu.clear();
         self.epoch += 1; // invalidate the dead primary's timers
-                         // Failover completion ends the primary-crash fault: the service
-                         // is serving again.
+
+        // Failover completion ends the primary-crash fault: the service
+        // is serving again.
         self.faults.recover_pending(ctx, Pending::PrimaryCrash);
         // Surviving backups track the new primary and re-join (the
         // multi-backup extension).
