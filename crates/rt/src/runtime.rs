@@ -164,7 +164,6 @@ struct Shared {
     inboxes: Vec<Sender<Input>>,
     metrics: Mutex<ClusterMetrics>,
     instruments: Instruments,
-    failed_over: AtomicBool,
     rejoins: AtomicU64,
     suffix_rejoins: AtomicU64,
 }
@@ -274,7 +273,6 @@ impl RtCluster {
             inboxes,
             metrics: Mutex::new(metrics),
             instruments: Instruments::from_registry(&registry),
-            failed_over: AtomicBool::new(false),
             rejoins: AtomicU64::new(0),
             suffix_rejoins: AtomicU64::new(0),
         });
@@ -341,6 +339,12 @@ impl RtCluster {
             .object_ids()
             .filter_map(|id| metrics.object_report(id))
             .collect();
+        let failed_over = shared
+            .names
+            .lock()
+            .expect("names poisoned")
+            .failover_count()
+            > 0;
         let counters = &shared.instruments;
         Ok(RtReport {
             writes: reports.iter().map(|r| r.writes).sum(),
@@ -350,7 +354,7 @@ impl RtCluster {
             mean_response: metrics.response_times().mean(),
             average_max_distance: metrics.average_max_distance(),
             inconsistency_episodes: reports.iter().map(|r| r.inconsistency_episodes).sum(),
-            failed_over: shared.failed_over.load(Ordering::SeqCst),
+            failed_over,
             backup_rejoins: shared.rejoins.load(Ordering::SeqCst),
             suffix_rejoins: shared.suffix_rejoins.load(Ordering::SeqCst),
             reads_served: counters.reads_served.get(),
@@ -937,7 +941,6 @@ impl Driver for Node {
                     unreachable!("only a backup declares its primary dead");
                 };
                 let primary = steps::promote(self, *backup);
-                self.shared.failed_over.store(true, Ordering::SeqCst);
                 self.become_host(Host::Primary(Box::new(primary)));
             }
             // A joined backup restarts every send task, as in the
