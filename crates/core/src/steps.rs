@@ -17,7 +17,10 @@
 //!   timing violation.
 //!
 //! Steps are generic over the driver, so a step costs its branches and
-//! allocates nothing beyond what the core call itself does.
+//! allocates nothing beyond what the core call itself does. The steps on
+//! the simulator's per-event path are `#[inline(always)]`: left to the
+//! compiler's heuristics, they cost about 4% of perfbench's `stream`
+//! throughput.
 
 use crate::backup::Backup;
 use crate::config::ProtocolConfig;
@@ -150,6 +153,7 @@ pub fn heartbeat_tick(config: &ProtocolConfig) -> TimeDelta {
 /// How often a backup's watchdog checks an object sent every `period`
 /// (100 ms if unknown): half its §5.3 refresh allowance, at least 1 ms.
 #[must_use]
+#[inline(always)]
 pub fn watchdog_interval(config: &ProtocolConfig, period: Option<TimeDelta>) -> TimeDelta {
     let period = period.unwrap_or(TimeDelta::from_millis(100));
     (config.refresh_allowance(period) / 2).max(TimeDelta::from_millis(1))
@@ -193,6 +197,7 @@ pub fn arrival_bytes(frame: &Arc<[u8]>, outcome: LinkOutcome) -> Arc<[u8]> {
 /// `None` when the driver's own gates drop the frame first; a frame that
 /// carries updates is then counted and emitted as sent, and lost with
 /// its frame. Returns the outcome and the number of updates carried.
+#[inline(always)]
 pub fn transmit(
     tel: &Instruments,
     from: NodeId,
@@ -246,6 +251,7 @@ pub fn transmit(
 /// bit flip, caught by the CRC32C trailer before any field is read) is
 /// counted and emitted as a frame integrity violation at `node` and
 /// dropped; the retransmission machinery repairs the gap like a loss.
+#[inline(always)]
 pub fn parse<'b>(d: &mut impl Driver, node: NodeId, bytes: &'b [u8]) -> Option<WireFrame<'b>> {
     let frame = WireFrame::parse(bytes).ok();
     if frame.is_none() {
@@ -264,6 +270,7 @@ pub fn parse<'b>(d: &mut impl Driver, node: NodeId, bytes: &'b [u8]) -> Option<W
 /// write and emits `client_write`. `response` is the write's response
 /// time when it crossed a queue; a write applied in zero time (the
 /// session facade) records none and reports zero.
+#[inline(always)]
 pub fn client_write(
     d: &mut impl Driver,
     object: ObjectId,
@@ -305,6 +312,7 @@ pub fn client_write(
 /// coalescing window (arming the flush if none is armed), or, without
 /// batching, snapshotted and sent on its own (§4.3). With no backup alive
 /// the timer lapses: update traffic stops until one rejoins (§4.4).
+#[inline(always)]
 pub fn send_timer(d: &mut impl Driver, object: ObjectId) {
     let Some(primary) = d.primary() else {
         return;
@@ -339,6 +347,7 @@ pub fn send_timer(d: &mut impl Driver, object: ObjectId) {
 
 /// The coalescing window closed: every parked object goes out in one
 /// batch frame, if a primary with a live backup still serves.
+#[inline(always)]
 pub fn flush(d: &mut impl Driver) {
     let mut ids = {
         let c = d.coalescer();
@@ -364,6 +373,7 @@ pub fn flush(d: &mut impl Driver) {
 /// The primary handles a frame from backup `from`: a retransmission
 /// request is counted first, then the core's output is counted and
 /// emitted, the replies are sent back, and a joined backup is announced.
+#[inline(always)]
 pub fn primary_receive(d: &mut impl Driver, from: NodeId, msg: &WireMessage) {
     if let WireMessage::RetransmitRequest { object, .. } = msg {
         d.ledger(ClusterMetrics::record_retransmit_request);
@@ -432,6 +442,7 @@ pub fn deposed_receive(d: &mut impl Driver, msg: &WireMessage) -> bool {
 /// §5.3 refresh clock of each update it carries; a catch-up frame ends a
 /// re-integration; each applied update is emitted and fed to the ledger;
 /// the replies go back to the sender.
+#[inline(always)]
 pub fn backup_receive(d: &mut impl Driver, frame: &WireFrame<'_>) {
     let (now, local) = (d.now(), d.local());
     let follows = d.ledger_replica();
