@@ -19,15 +19,25 @@
 //! | `backup_apply`          | parse + `Backup::handle_frame`              |
 //! | `checksum_batch`        | raw CRC32C over one batch frame image       |
 //! | `decode_view_corrupt`   | borrowing parse *rejecting* a flipped bit   |
+//! | `send_deliver_frame`    | one batch from encode to backup apply       |
 //! | `event_queue`           | one push + one pop, ~15k events pending     |
 //! | `ledger`                | write + apply + staleness query, 5k objects |
 //!
 //! Every encode scenario seals the frame with its CRC32C trailer and
 //! every decode scenario verifies it (the codec has no unchecksummed
 //! mode), so the paired pooled/legacy numbers price the checksum cost
-//! honestly. The last two scenarios isolate that cost: the raw CRC pass
-//! over a batch image, and the price of *detecting* a corrupted frame
-//! (full checksum pass, then the typed error — never a panic).
+//! honestly. `checksum_batch` and `decode_view_corrupt` isolate that
+//! cost: the raw CRC pass over a batch image, and the price of
+//! *detecting* a corrupted frame (full checksum pass, then the typed
+//! error — never a panic).
+//!
+//! `send_deliver_frame` takes one batch of `batch_size` fresh updates,
+//! one per object, along the path a simulated frame takes: pooled encode
+//! with its trailer, the copy into the shared `Arc<[u8]>` every
+//! destination reads, [`LossyLink::transmit`] on a lossless link,
+//! [`steps::arrival_bytes`], [`WireFrame`] parse and
+//! [`Backup::handle_frame`]. It prices a frame's send and delivery in
+//! the simulator apart from the event loop around them.
 //!
 //! `event_queue` replays the `stream` workload's timer mix on
 //! [`EventQueue`] in steady state: 5,000 objects each with a client-write
@@ -55,19 +65,25 @@
 //!
 //! [`BufPool`]: rtpb_types::BufPool
 //! [`WireFrame`]: rtpb_core::wire::WireFrame
+//! [`LossyLink::transmit`]: rtpb_net::LossyLink::transmit
+//! [`steps::arrival_bytes`]: rtpb_core::steps::arrival_bytes
+//! [`Backup::handle_frame`]: rtpb_core::backup::Backup::handle_frame
 //! [`EventQueue`]: rtpb_sim::EventQueue
 //! [`ClusterMetrics`]: rtpb_core::ClusterMetrics
 
 use rtpb_core::backup::Backup;
 use rtpb_core::config::ProtocolConfig;
 use rtpb_core::primary::Primary;
+use rtpb_core::steps;
 use rtpb_core::wire::{WireFrame, WireMessage, CRC_LEN};
 use rtpb_core::ClusterMetrics;
+use rtpb_net::{LinkConfig, LossyLink};
 use rtpb_obs::json::{parse_flat, JsonObject, JsonValue};
 use rtpb_sim::{EventQueue, SimRng};
 use rtpb_types::{crc32c, BufPool, Epoch, NodeId, ObjectId, ObjectSpec, Time, TimeDelta, Version};
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Reads the process-wide allocation count; the `hotpath` binary wires
@@ -77,7 +93,7 @@ use std::time::Instant;
 pub type AllocCounter = fn() -> u64;
 
 /// Every scenario the suite runs, in report order.
-pub const SCENARIOS: [&str; 12] = [
+pub const SCENARIOS: [&str; 13] = [
     "encode_update_pooled",
     "encode_update_legacy",
     "encode_batch_pooled",
@@ -88,6 +104,7 @@ pub const SCENARIOS: [&str; 12] = [
     "backup_apply",
     "checksum_batch",
     "decode_view_corrupt",
+    "send_deliver_frame",
     "event_queue",
     "ledger",
 ];
@@ -270,6 +287,80 @@ fn legacy_encode_batch_with(header: &[u8], messages: &[WireMessage]) -> Vec<u8> 
     let crc = crc32c(&buf);
     buf.extend_from_slice(&crc.to_be_bytes());
     buf
+}
+
+/// The `send_deliver_frame` state: the primary's send pool, one lossless
+/// link, the receiving backup with one object per batch member, and the
+/// batch, re-stamped with fresh versions before each send.
+struct SendDeliverState {
+    pool: BufPool,
+    link: LossyLink,
+    backup: Backup,
+    batch: WireMessage,
+    now: Time,
+}
+
+impl SendDeliverState {
+    fn new(config: &HotpathConfig) -> Self {
+        let mut backup = Backup::new(NodeId::new(1), ProtocolConfig::default());
+        for i in 0..config.batch_size {
+            backup.sync_registration(
+                ObjectId::new(i as u32),
+                bench_spec(config.payload_bytes),
+                TimeDelta::from_millis(50),
+                Time::ZERO,
+            );
+        }
+        let mut batch = sample_batch(config);
+        let WireMessage::Batch { messages, .. } = &mut batch else {
+            unreachable!("sample_batch builds a batch");
+        };
+        for (i, m) in messages.iter_mut().enumerate() {
+            if let WireMessage::Update { object, .. } = m {
+                *object = ObjectId::new(i as u32);
+            }
+        }
+        SendDeliverState {
+            pool: BufPool::new(),
+            link: LossyLink::new(LinkConfig::default(), 7),
+            backup,
+            batch,
+            now: Time::ZERO,
+        }
+    }
+
+    /// One operation: one microsecond on, one version up for every
+    /// object, then send and deliver the batch. Returns how many updates
+    /// the backup installed.
+    fn step(&mut self) -> usize {
+        self.now += TimeDelta::from_micros(1);
+        let WireMessage::Batch { messages, .. } = &mut self.batch else {
+            unreachable!("the state holds a batch");
+        };
+        let members = messages.len() as u64;
+        for m in messages.iter_mut() {
+            if let WireMessage::Update {
+                version,
+                timestamp,
+                seq,
+                ..
+            } = m
+            {
+                *version = Version::new(version.value() + 1);
+                *timestamp = self.now;
+                *seq += members;
+            }
+        }
+        let frame: Arc<[u8]> = {
+            let mut buf = self.pool.lease();
+            self.batch.encode_into(&mut buf);
+            Arc::from(buf.as_slice())
+        };
+        let outcome = self.link.transmit(self.now, frame.len());
+        let arrived = steps::arrival_bytes(&frame, outcome);
+        let parsed = WireFrame::parse(&arrived).expect("a lossless link delivers intact frames");
+        self.backup.handle_frame(&parsed, self.now).applied.len()
+    }
 }
 
 /// Objects in the `event_queue` scenario, each with three timers.
@@ -596,6 +687,15 @@ pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> Hotpa
         },
     ));
     scenarios.push(bench(
+        "send_deliver_frame",
+        config,
+        counter,
+        || SendDeliverState::new(config),
+        |state| {
+            black_box(state.step());
+        },
+    ));
+    scenarios.push(bench(
         "event_queue",
         config,
         counter,
@@ -909,6 +1009,16 @@ mod tests {
             compare_reports(&legacy_blowup, &base, 25.0).unwrap(),
             Vec::<String>::new()
         );
+    }
+
+    #[test]
+    fn send_deliver_frame_applies_every_update_in_the_batch() {
+        let config = HotpathConfig::default();
+        assert_eq!(config.batch_size, 8);
+        let mut state = SendDeliverState::new(&config);
+        for _ in 0..100 {
+            assert_eq!(state.step(), 8);
+        }
     }
 
     #[test]

@@ -33,8 +33,11 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the SSE4.2 CRC32C kernel in `crc32c` is the one
+// place allowed `unsafe`, and an inner `allow` cannot relax `forbid`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod bufpool;
 mod constraint;
