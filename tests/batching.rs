@@ -253,3 +253,79 @@ fn register_rejects_a_coalescing_window_that_breaks_theorem_5() {
         other => panic!("expected the coalescing gate to fire, got {other:?}"),
     }
 }
+
+/// Objects in three send-period classes (20, 50 and 120 ms) under 10 ms
+/// coalescing, two backups and 2% data loss, through a durable backup
+/// restart and a primary crash. Several objects' send timers and
+/// watchdogs first fire at one instant although their periods differ, so
+/// the run pins the order in which coinciding timers fire, and the
+/// watchdogs' 100 ms cadence while no primary serves. It replays
+/// byte-identically, and its digest is pinned across commits.
+#[test]
+fn coinciding_timer_classes_replay_byte_identically() {
+    use rtpb::core::steps::{send_phase, watchdog_interval};
+    use std::collections::BTreeMap;
+
+    // A window of `2r + ℓ` admits the send period `r` (Theorem 5 with
+    // the 2× loss slack): 50, 110 and 250 ms here.
+    let class = |r: u64, i: usize| {
+        ObjectSpec::builder(format!("c{r}-{i}"))
+            .update_period(ms(r))
+            .primary_bound(ms(r + 10))
+            .backup_bound(ms(r + 10 + 2 * r + 10))
+            .build()
+            .unwrap()
+    };
+    let run = || {
+        let mut config = batched_config(10, 21);
+        config.num_backups = 2;
+        config.link.loss_probability = 0.02;
+        config.fault_plan = FaultPlan::new()
+            .at(
+                Time::from_millis(1_000),
+                FaultEvent::CrashBackup { host: 0 },
+            )
+            .at(
+                Time::from_millis(1_400),
+                FaultEvent::RestartBackup { host: 0 },
+            )
+            .at(Time::from_millis(2_500), FaultEvent::CrashPrimary);
+        let protocol = config.protocol.clone();
+        let mut cluster = RtpbClient::new(config);
+        let specs = (0..120).map(|i| class([20, 50, 120][i % 3], i)).collect();
+        let ids = cluster.register_many(specs).unwrap();
+        // Objects of different classes share first firing instants: send
+        // phases, and watchdog intervals against send phases.
+        let mut kinds_at: BTreeMap<TimeDelta, Vec<(u64, bool)>> = BTreeMap::new();
+        for (i, &id) in ids.iter().enumerate() {
+            let period = cluster.primary().unwrap().send_period(id).unwrap();
+            let r = period.as_millis();
+            assert_eq!(r, [20, 50, 120][i % 3]);
+            kinds_at
+                .entry(send_phase(id, period))
+                .or_default()
+                .push((r, true));
+            kinds_at
+                .entry(watchdog_interval(&protocol, Some(period)))
+                .or_default()
+                .push((r, false));
+        }
+        let shared = kinds_at
+            .values()
+            .filter(|members| members.iter().any(|m| m != &members[0]))
+            .count();
+        assert!(shared >= 4, "only {shared} instants shared across groups");
+        cluster.run_for(TimeDelta::from_secs(4));
+        assert_eq!(cluster.name_service().failover_count(), 1);
+        (
+            cluster.export_jsonl(),
+            cluster.registry().snapshot().to_jsonl(),
+        )
+    };
+    let (jsonl_a, registry_a) = run();
+    let (jsonl_b, registry_b) = run();
+    assert_eq!(jsonl_a, jsonl_b, "same seed must replay byte-identically");
+    assert_eq!(registry_a, registry_b);
+    assert_eq!(digest(&jsonl_a), (5_353_220, 0xabb6_8f27), "pinned trace");
+    assert_eq!(digest(&registry_a), (1_532, 0xbc3e_baa4), "pinned registry");
+}
