@@ -145,7 +145,7 @@ impl RtpbClient {
     /// [`WriteError::Unavailable`] when no primary is serving or its
     /// split-brain gate refuses writes (deposed, or lease lapsed).
     pub fn write(&mut self, id: ObjectId, payload: Vec<u8>) -> Result<Version, WriteError> {
-        let (version, position) = self.cluster.client_write(id, payload)?;
+        let (version, position) = self.cluster.client_write(id, &payload)?;
         self.token.record_write(position);
         Ok(version)
     }

@@ -18,8 +18,9 @@ pub enum Work {
         object: ObjectId,
         /// When the client issued the write (for response-time metrics).
         arrival: Time,
-        /// The new payload.
-        payload: Vec<u8>,
+        /// The client's write count at issue: the payload's leading
+        /// bytes, built when the write is applied.
+        stamp: u64,
     },
     /// Transmit a prepared update to the backup. The image is snapshotted
     /// when the send task runs (enqueue time); if the CPU is backlogged
@@ -237,7 +238,7 @@ mod tests {
         let w = Work::ClientWrite {
             object: ObjectId::new(1),
             arrival: Time::from_millis(5),
-            payload: vec![1],
+            stamp: 1,
         };
         match w {
             Work::ClientWrite { arrival, .. } => assert_eq!(arrival, Time::from_millis(5)),

@@ -169,7 +169,7 @@ impl CatchUpPath {
 /// use rtpb_types::{Epoch, ObjectId, Time, Version};
 ///
 /// let mut log = UpdateLog::new(Epoch::INITIAL, &ProtocolConfig::default());
-/// let seq = log.append(ObjectId::new(0), Version::new(1), Time::ZERO, vec![1]);
+/// let seq = log.append(ObjectId::new(0), Version::new(1), Time::ZERO, &[1]);
 /// assert_eq!(seq, 1);
 /// assert_eq!(log.head(), 1);
 /// // A backup already at the head needs an empty suffix…
@@ -184,6 +184,9 @@ pub struct UpdateLog {
     snapshot_interval: u64,
     snapshots_retained: usize,
     records: VecDeque<LogRecord>,
+    /// Payload buffers of dropped records, refilled by later appends so a
+    /// full ring appends without allocating.
+    spare: Vec<Vec<u8>>,
     next_seq: u64,
     /// Highest appended seq per object — survives truncation, so updates
     /// can always be stamped with the object's latest log coordinate.
@@ -211,6 +214,7 @@ impl UpdateLog {
             snapshot_interval: config.snapshot_interval.max(1),
             snapshots_retained: config.snapshots_retained.max(1),
             records: VecDeque::new(),
+            spare: Vec::new(),
             next_seq: 1,
             latest: IdTable::default(),
             snapshots: VecDeque::new(),
@@ -270,33 +274,45 @@ impl UpdateLog {
     }
 
     /// Appends a write, returning its sequence number. Drops the oldest
-    /// record if the ring is at its retention cap.
+    /// record if the ring is at its retention cap. The payload is copied
+    /// into the buffer of a record dropped earlier, if there is one.
     pub fn append(
         &mut self,
         object: ObjectId,
         version: Version,
         timestamp: Time,
-        payload: Vec<u8>,
+        payload: &[u8],
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        if self.records.len() >= self.retention {
+            self.drop_oldest();
+        }
+        let mut buffer = self.spare.pop().unwrap_or_default();
+        buffer.extend_from_slice(payload);
         let mut record = LogRecord {
             seq,
             object,
             version,
             timestamp,
-            payload,
+            payload: buffer,
             crc: 0,
         };
         record.crc = record.compute_crc();
         self.records.push_back(record);
         self.latest.insert(object, seq);
-        while self.records.len() > self.retention {
-            self.records.pop_front();
-            self.truncated += 1;
-        }
         self.appends_since_snapshot += 1;
         seq
+    }
+
+    /// Drops the oldest record, keeping its emptied payload buffer for a
+    /// later append.
+    fn drop_oldest(&mut self) {
+        if let Some(mut record) = self.records.pop_front() {
+            record.payload.clear();
+            self.spare.push(record.payload);
+            self.truncated += 1;
+        }
     }
 
     /// Whether enough appends have accumulated that the owner should take
@@ -321,15 +337,19 @@ impl UpdateLog {
         self.snapshots.push_back(LogSnapshot { seq, changed, crc });
         self.marks += 1;
         while self.snapshots.len() > self.snapshots_retained {
-            self.snapshots.pop_front();
+            // The retired delta's list collects the changes until the
+            // next mark.
+            if let Some(LogSnapshot { mut changed, .. }) = self.snapshots.pop_front() {
+                changed.clear();
+                self.unsealed = changed;
+            }
         }
         // Records at or before the oldest retained snapshot can never be
         // needed: any gap reaching that far back is served from the
         // snapshot (or a newer one) as a diff.
         let floor = self.snapshots.front().map_or(0, LogSnapshot::seq);
         while self.records.front().is_some_and(|r| r.seq <= floor) {
-            self.records.pop_front();
-            self.truncated += 1;
+            self.drop_oldest();
         }
         self.appends_since_snapshot = 0;
         (seq, self.records.len() as u64)
@@ -427,7 +447,7 @@ mod tests {
                 ObjectId::new((i % 3) as u32),
                 Version::new(i + 1),
                 Time::from_millis(i),
-                vec![i as u8],
+                &[i as u8],
             );
         }
     }
@@ -560,9 +580,43 @@ mod tests {
     #[test]
     fn empty_payload_records_are_still_corruptible() {
         let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(16, 100, 2));
-        log.append(ObjectId::new(0), Version::new(1), Time::ZERO, Vec::new());
+        log.append(ObjectId::new(0), Version::new(1), Time::ZERO, &[]);
         assert!(log.corrupt_record(1, 7, 0x01));
         assert!(!log.suffix_after(0).unwrap().all(LogRecord::verify));
+    }
+
+    #[test]
+    fn records_in_recycled_buffers_keep_their_payloads_and_checksums() {
+        // Lengths 1 to 29, shrinking and growing from record to record.
+        let payload = |seq: u64| vec![seq as u8; 1 + (seq * 7 % 5) as usize * 7];
+        let append = |log: &mut UpdateLog, seqs: std::ops::RangeInclusive<u64>| {
+            for seq in seqs {
+                let at = Time::from_millis(seq);
+                log.append(ObjectId::new(0), Version::new(seq), at, &payload(seq));
+            }
+        };
+        let intact = |log: &UpdateLog, after: u64| {
+            let suffix: Vec<&LogRecord> = log.suffix_after(after).unwrap().collect();
+            assert!(!suffix.is_empty());
+            for r in suffix {
+                assert_eq!(r.payload, payload(r.seq), "record {}", r.seq);
+                assert!(r.verify(), "record {}", r.seq);
+            }
+        };
+        // The ring wraps: records 5 to 12 reuse the buffers of 1 to 8.
+        let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(4, 1_000, 2));
+        append(&mut log, 1..=12);
+        assert_eq!(log.spare.len(), 0, "each drop feeds the next append");
+        intact(&log, 8);
+        // A snapshot truncates records 1 to 12 at once, and the next
+        // appends refill their buffers.
+        let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(64, 1_000, 1));
+        append(&mut log, 1..=12);
+        log.take_snapshot();
+        assert_eq!((log.len(), log.spare.len()), (0, 12));
+        append(&mut log, 13..=20);
+        assert_eq!(log.spare.len(), 4);
+        intact(&log, 12);
     }
 
     #[test]

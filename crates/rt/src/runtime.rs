@@ -6,7 +6,7 @@ use rtpb_core::harness::{ClusterConfig, FaultEvent};
 use rtpb_core::metrics::ClusterMetrics;
 use rtpb_core::name_service::NameService;
 use rtpb_core::primary::Primary;
-use rtpb_core::steps::{self, Coalescer, Driver, Fact, Route, Timer};
+use rtpb_core::steps::{self, Coalescer, Driver, Fact, Route, SweepMember, Sweeps, TimerKind};
 use rtpb_core::telemetry::Instruments;
 use rtpb_core::wire::{ReadStatus, WireMessage};
 use rtpb_net::{LinkConfig, LossyLink};
@@ -515,9 +515,12 @@ enum Host {
 
 /// A node timer, tagged with the role generation that armed it.
 enum Tick {
-    Step(Timer),
+    /// The per-object timers of one sweep group: the primary's send
+    /// timers, or a backup's watchdogs.
+    Sweep(u32),
+    /// The end of the open coalescing window.
+    Flush,
     Heartbeat,
-    Watchdog(ObjectId),
 }
 
 /// What a node's timer queue holds.
@@ -637,6 +640,8 @@ struct Node {
     queue: EventQueue<Due>,
     /// Bumped on every role change; timers of an older role lapse.
     generation: u32,
+    /// The role's per-object timers, grouped by due instant.
+    sweeps: Sweeps,
     coalescer: Coalescer,
     /// The sender of the frame being handled.
     sender: NodeId,
@@ -663,6 +668,7 @@ impl Node {
             registry,
             queue: EventQueue::new(),
             generation: 0,
+            sweeps: Sweeps::default(),
             coalescer: Coalescer::default(),
             sender: id,
         }
@@ -690,7 +696,7 @@ impl Node {
                     sent,
                 }) => {
                     let response = self.shared.now().saturating_since(sent);
-                    steps::client_write(&mut self, object, payload, Some(response));
+                    steps::client_write(&mut self, object, &payload, Some(response));
                 }
                 Ok(Input::Fault(fault)) => self.fault(fault),
                 Err(RecvTimeoutError::Timeout) => {}
@@ -700,28 +706,63 @@ impl Node {
     }
 
     fn fire(&mut self, due: Due) {
-        match due {
-            Due::Arrival { from, bytes } => self.receive(from, &bytes),
-            Due::Timer { generation, tick } if generation == self.generation => match tick {
-                Tick::Step(Timer::Send(object)) => steps::send_timer(self, object),
-                Tick::Step(Timer::Flush) => steps::flush(self),
-                Tick::Heartbeat => {
-                    self.schedule(
-                        steps::heartbeat_tick(&self.cluster.protocol),
-                        Tick::Heartbeat,
-                    );
-                    if matches!(self.host, Host::Primary(_)) {
-                        steps::primary_heartbeat(self);
-                    } else {
-                        steps::backup_heartbeat(self, self.primary);
-                    }
+        let (generation, tick) = match due {
+            Due::Arrival { from, bytes } => return self.receive(from, &bytes),
+            Due::Timer { generation, tick } => (generation, tick),
+        };
+        let current = generation == self.generation;
+        match tick {
+            Tick::Sweep(slot) => {
+                let members = self.sweeps.take(slot);
+                if current {
+                    self.sweep(&members);
                 }
-                Tick::Watchdog(object) => {
-                    self.schedule(self.watchdog_interval(object), Tick::Watchdog(object));
+                self.sweeps.release(slot, members);
+            }
+            Tick::Flush if current => steps::flush(self),
+            Tick::Heartbeat if current => {
+                self.schedule(
+                    steps::heartbeat_tick(&self.cluster.protocol),
+                    Tick::Heartbeat,
+                );
+                if matches!(self.host, Host::Primary(_)) {
+                    steps::primary_heartbeat(self);
+                } else {
+                    steps::backup_heartbeat(self, self.primary);
+                }
+            }
+            Tick::Flush | Tick::Heartbeat => {}
+        }
+    }
+
+    /// Runs a sweep's members in filing order: the primary's send timers
+    /// or this backup's watchdogs. Each member files its next firing
+    /// first, from one clock reading for the whole sweep.
+    fn sweep(&mut self, members: &[SweepMember]) {
+        let now = self.shared.now();
+        for &(object, kind) in members {
+            match kind {
+                TimerKind::Send => steps::send_timer(self, object, |node, period| {
+                    node.file((object, kind), now + period);
+                }),
+                TimerKind::Watchdog => {
+                    self.file((object, kind), now + self.watchdog_interval(object));
                     steps::watchdog(self, object);
                 }
-            },
-            Due::Timer { .. } => {}
+            }
+        }
+    }
+
+    /// Files `member` to fire at `due`, and schedules the sweep of the
+    /// group it opens, if it opens one.
+    fn file(&mut self, member: SweepMember, due: Time) {
+        let generation = self.generation;
+        if let Some(slot) = self
+            .sweeps
+            .file(member, due, generation, self.queue.pushed())
+        {
+            let tick = Tick::Sweep(slot);
+            self.queue.push(due, Due::Timer { generation, tick });
         }
     }
 
@@ -800,25 +841,24 @@ impl Node {
 
     /// Starts the current role's timers under a fresh generation: a
     /// primary's heartbeat and phase-staggered send tasks, a backup's
-    /// heartbeat and watchdogs.
+    /// heartbeat and watchdogs, filed into sweeps in id order.
     fn arm_role(&mut self) {
         self.generation += 1;
         self.coalescer = Coalescer::default();
         let registry = Arc::clone(&self.registry);
+        let now = self.shared.now();
         match &self.host {
             Host::Primary(_) => {
                 self.schedule(TimeDelta::ZERO, Tick::Heartbeat);
-                for (id, _, period) in registry.iter() {
-                    self.schedule(
-                        steps::send_phase(*id, *period),
-                        Tick::Step(Timer::Send(*id)),
-                    );
+                for &(id, _, period) in registry.iter() {
+                    self.file((id, TimerKind::Send), now + steps::send_phase(id, period));
                 }
             }
             Host::Backup(_) => {
                 self.schedule(TimeDelta::ZERO, Tick::Heartbeat);
-                for (id, _, _) in registry.iter() {
-                    self.schedule(self.watchdog_interval(*id), Tick::Watchdog(*id));
+                for &(id, _, _) in registry.iter() {
+                    let interval = self.watchdog_interval(id);
+                    self.file((id, TimerKind::Watchdog), now + interval);
                 }
             }
             Host::Down(_) => {}
@@ -899,14 +939,15 @@ impl Driver for Node {
                         self.outbox.transmit(&self.shared, to, &msg, &bytes);
                     }
                 }
+                self.coalescer.recycle(msg);
                 return;
             }
         };
         self.outbox.transmit(&self.shared, to, &msg, &bytes);
     }
 
-    fn arm(&mut self, after: TimeDelta, timer: Timer) {
-        self.schedule(after, Tick::Step(timer));
+    fn arm_flush(&mut self, after: TimeDelta) {
+        self.schedule(after, Tick::Flush);
     }
 
     fn react(&mut self, fact: Fact) {

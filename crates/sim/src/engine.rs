@@ -53,6 +53,13 @@ impl<E> Context<'_, E> {
         self.queue.push(self.now + delta, event);
     }
 
+    /// How many events were ever scheduled, by anyone: compare two
+    /// readings to tell whether anything was scheduled in between.
+    #[must_use]
+    pub fn scheduled(&self) -> u64 {
+        self.queue.pushed()
+    }
+
     /// The simulation's random source.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng

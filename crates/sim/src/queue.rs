@@ -215,6 +215,13 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// How many events were ever pushed. A caller that records this
+    /// count can later tell whether anything was scheduled since.
+    #[must_use]
+    pub fn pushed(&self) -> u64 {
+        self.next_seq
+    }
 }
 
 #[cfg(test)]
@@ -282,5 +289,6 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order[..3], [101, 100, 2]);
         assert_eq!(order.len(), LANES + 4);
+        assert_eq!(q.pushed(), LANES as u64 + 5, "pops do not count");
     }
 }
