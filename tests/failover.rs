@@ -240,3 +240,54 @@ fn primary_crash_mid_service_fails_over_and_keeps_writing() {
             .unwrap_or_else(|e| panic!("crash at {crash_us} µs: {e}"));
     }
 }
+
+/// An object shed under overload while a backup is down stays shed. The
+/// restarted backup's rejoin mirrors the primary's registry exactly, so
+/// it drops what was shed meanwhile, and promoting it brings none of it
+/// back.
+#[test]
+fn objects_shed_while_a_backup_is_down_stay_shed_through_its_promotion() {
+    let mut config = ClusterConfig {
+        fault_plan: FaultPlan::new()
+            .at(Time::from_millis(300), FaultEvent::CrashBackup { host: 0 })
+            .at(
+                Time::from_millis(1_500),
+                FaultEvent::RestartBackup { host: 0 },
+            ),
+        ..ClusterConfig::default()
+    };
+    config.protocol.admission_enabled = false;
+    config.protocol.shed_enabled = true;
+    config.protocol.shed_backlog_threshold = 8;
+    config.protocol.send_cost_base = ms(8);
+    let mut cluster = RtpbClient::new(config);
+    let specs = (0..12)
+        .map(|i| {
+            ObjectSpec::builder(format!("o{i}"))
+                .update_period(ms(100))
+                .primary_bound(ms(150))
+                .backup_bound(ms(250))
+                .criticality(i)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let ids = cluster.register_many(specs).unwrap();
+    cluster.run_for(TimeDelta::from_millis(2_500));
+    let held = |store: &rtpb::core::store::ObjectStore| store.ids().collect::<Vec<_>>();
+    let primary = held(cluster.primary().unwrap().store());
+    let backup = held(cluster.backup().unwrap().store());
+    assert!(primary.len() < ids.len(), "overload must shed something");
+    assert_eq!(backup, primary, "the rejoined backup mirrors the primary");
+
+    cluster.inject(FaultEvent::CrashPrimary);
+    cluster.run_for(TimeDelta::from_secs(1));
+    assert!(cluster.has_failed_over());
+    let promoted = cluster.primary().unwrap();
+    for id in ids.iter().filter(|id| !primary.contains(id)) {
+        assert!(
+            promoted.store().get(*id).is_none(),
+            "{id} was shed before the failover"
+        );
+    }
+}
