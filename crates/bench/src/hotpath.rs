@@ -22,6 +22,7 @@
 //! | `send_deliver_frame`    | one batch from encode to backup apply       |
 //! | `event_queue`           | one push + one pop, ~15k events pending     |
 //! | `ledger`                | write + apply + staleness query, 5k objects |
+//! | `flush_batch`           | one 467-update window flush to a frame      |
 //!
 //! Every encode scenario seals the frame with its CRC32C trailer and
 //! every decode scenario verifies it (the codec has no unchecksummed
@@ -55,6 +56,13 @@
 //! per-object history rings, whose query scans 1 KB per object, shows up
 //! here.
 //!
+//! `flush_batch` closes one coalescing window at `stream`'s occupancy:
+//! 467 parked objects of `payload_bytes` each go from the primary's store
+//! into the update slots of the batch the previous flush handed back
+//! ([`Coalescer`]), and the batch is sealed into a pooled frame. A return
+//! of an owned update and payload per object shows up here as 934
+//! allocations per flush.
+//!
 //! Each scenario reports ns/op and (when the caller supplies an
 //! allocation counter — the `hotpath` binary installs a counting global
 //! allocator) allocations/op, both taken as the minimum across repeats
@@ -70,11 +78,12 @@
 //! [`Backup::handle_frame`]: rtpb_core::backup::Backup::handle_frame
 //! [`EventQueue`]: rtpb_sim::EventQueue
 //! [`ClusterMetrics`]: rtpb_core::ClusterMetrics
+//! [`Coalescer`]: rtpb_core::steps::Coalescer
 
 use rtpb_core::backup::Backup;
 use rtpb_core::config::ProtocolConfig;
 use rtpb_core::primary::Primary;
-use rtpb_core::steps;
+use rtpb_core::steps::{self, Coalescer};
 use rtpb_core::wire::{WireFrame, WireMessage, CRC_LEN};
 use rtpb_core::ClusterMetrics;
 use rtpb_net::{LinkConfig, LossyLink};
@@ -93,7 +102,7 @@ use std::time::Instant;
 pub type AllocCounter = fn() -> u64;
 
 /// Every scenario the suite runs, in report order.
-pub const SCENARIOS: [&str; 13] = [
+pub const SCENARIOS: [&str; 14] = [
     "encode_update_pooled",
     "encode_update_legacy",
     "encode_batch_pooled",
@@ -107,6 +116,7 @@ pub const SCENARIOS: [&str; 13] = [
     "send_deliver_frame",
     "event_queue",
     "ledger",
+    "flush_batch",
 ];
 
 /// Parameters of one suite run.
@@ -518,6 +528,63 @@ impl LedgerState {
     }
 }
 
+/// Objects parked per coalescing window in `flush_batch`: `stream`'s
+/// occupancy (5,000 objects sent every 120 ms, one flush per 11.25 ms).
+const FLUSH_OCCUPANCY: u32 = 467;
+
+/// The `flush_batch` state: a primary holding one written object per
+/// parked id, its coalescer, and the send pool the frame is sealed into.
+struct FlushState {
+    primary: Primary,
+    coalescer: Coalescer,
+    ids: Vec<ObjectId>,
+    pool: BufPool,
+}
+
+impl FlushState {
+    fn new(config: &HotpathConfig) -> Self {
+        let protocol = ProtocolConfig {
+            admission_enabled: false,
+            ..ProtocolConfig::default()
+        };
+        let mut primary = Primary::new(NodeId::new(0), protocol);
+        primary.add_backup(NodeId::new(1), Time::ZERO);
+        let payload = vec![0xA5u8; config.payload_bytes];
+        let ids = (0..FLUSH_OCCUPANCY)
+            .map(|_| {
+                let id = primary
+                    .register(bench_spec(config.payload_bytes), Time::ZERO)
+                    .expect("admission is off");
+                #[allow(deprecated)]
+                primary.apply_client_write(id, payload.clone(), Time::from_millis(1));
+                id
+            })
+            .collect();
+        FlushState {
+            primary,
+            coalescer: Coalescer::default(),
+            ids,
+            pool: BufPool::new(),
+        }
+    }
+
+    /// One operation: park every object, flush the window into a frame,
+    /// seal it, and hand the batch back. Returns the frame's length.
+    fn step(&mut self) -> usize {
+        for &id in &self.ids {
+            self.coalescer.park(id);
+        }
+        let batch = self
+            .coalescer
+            .flush(Some(&mut self.primary), Time::from_millis(2))
+            .expect("every parked object is written");
+        let mut buf = self.pool.lease();
+        batch.encode_into(&mut buf);
+        self.coalescer.recycle(batch);
+        buf.as_slice().len()
+    }
+}
+
 /// Runs the whole suite. Pass the binary's allocation counter to meter
 /// allocations/op; pass `None` (e.g. from unit tests, where no counting
 /// allocator is installed) to record timing only.
@@ -710,6 +777,15 @@ pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> Hotpa
         config,
         counter,
         LedgerState::steady,
+        |state| {
+            black_box(state.step());
+        },
+    ));
+    scenarios.push(bench(
+        "flush_batch",
+        config,
+        counter,
+        || FlushState::new(config),
         |state| {
             black_box(state.step());
         },
