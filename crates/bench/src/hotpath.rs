@@ -20,6 +20,7 @@
 //! | `checksum_batch`        | raw CRC32C over one batch frame image       |
 //! | `decode_view_corrupt`   | borrowing parse *rejecting* a flipped bit   |
 //! | `send_deliver_frame`    | one batch from encode to backup apply       |
+//! | `update_frame`          | one update from slot to two backup applies  |
 //! | `event_queue`           | one push + one pop, ~15k events pending     |
 //! | `ledger`                | write + apply + staleness query, 5k objects |
 //! | `flush_batch`           | one 467-update window flush to a frame      |
@@ -33,12 +34,20 @@
 //! error — never a panic).
 //!
 //! `send_deliver_frame` takes one batch of `batch_size` fresh updates,
-//! one per object, along the path a simulated frame takes: pooled encode
-//! with its trailer, the copy into the shared `Arc<[u8]>` every
-//! destination reads, [`LossyLink::transmit`] on a lossless link,
-//! [`steps::arrival_bytes`], [`WireFrame`] parse and
-//! [`Backup::handle_frame`]. It prices a frame's send and delivery in
-//! the simulator apart from the event loop around them.
+//! one per object, along the path a simulated frame takes: encode with
+//! its trailer into a [`FramePool`] frame that every destination shares,
+//! [`LossyLink::transmit`] on a lossless link, [`steps::arrival_bytes`],
+//! [`WireFrame`] parse and [`Backup::handle_frame`], whose output goes
+//! back to the backup ([`Backup::recycle`]). It prices a frame's send and
+//! delivery in the simulator apart from the event loop around them.
+//!
+//! `update_frame` is the unbatched path `failover` runs: the primary
+//! writes one `payload_bytes` update over the spare slot the previous
+//! send handed back ([`Coalescer::update`]), the update is re-stamped one
+//! version up so both backups install it, encoded into a pooled frame,
+//! and sent over two lossless links; each arrival is parsed and applied
+//! at its backup. A return of a per-frame copy, a per-update payload or a
+//! per-apply output list shows up here as allocations.
 //!
 //! `event_queue` replays the `stream` workload's timer mix on
 //! [`EventQueue`] in steady state: 5,000 objects each with a client-write
@@ -72,6 +81,9 @@
 //! the CI regression gate against the checked-in baseline.
 //!
 //! [`BufPool`]: rtpb_types::BufPool
+//! [`FramePool`]: rtpb_types::FramePool
+//! [`Backup::recycle`]: rtpb_core::backup::Backup::recycle
+//! [`Coalescer::update`]: rtpb_core::steps::Coalescer::update
 //! [`WireFrame`]: rtpb_core::wire::WireFrame
 //! [`LossyLink::transmit`]: rtpb_net::LossyLink::transmit
 //! [`steps::arrival_bytes`]: rtpb_core::steps::arrival_bytes
@@ -89,10 +101,11 @@ use rtpb_core::ClusterMetrics;
 use rtpb_net::{LinkConfig, LossyLink};
 use rtpb_obs::json::{parse_flat, JsonObject, JsonValue};
 use rtpb_sim::{EventQueue, SimRng};
-use rtpb_types::{crc32c, BufPool, Epoch, NodeId, ObjectId, ObjectSpec, Time, TimeDelta, Version};
+use rtpb_types::{
+    crc32c, BufPool, Epoch, FramePool, NodeId, ObjectId, ObjectSpec, Time, TimeDelta, Version,
+};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Reads the process-wide allocation count; the `hotpath` binary wires
@@ -102,7 +115,7 @@ use std::time::Instant;
 pub type AllocCounter = fn() -> u64;
 
 /// Every scenario the suite runs, in report order.
-pub const SCENARIOS: [&str; 14] = [
+pub const SCENARIOS: [&str; 15] = [
     "encode_update_pooled",
     "encode_update_legacy",
     "encode_batch_pooled",
@@ -114,6 +127,7 @@ pub const SCENARIOS: [&str; 14] = [
     "checksum_batch",
     "decode_view_corrupt",
     "send_deliver_frame",
+    "update_frame",
     "event_queue",
     "ledger",
     "flush_batch",
@@ -299,11 +313,11 @@ fn legacy_encode_batch_with(header: &[u8], messages: &[WireMessage]) -> Vec<u8> 
     buf
 }
 
-/// The `send_deliver_frame` state: the primary's send pool, one lossless
+/// The `send_deliver_frame` state: the primary's frame pool, one lossless
 /// link, the receiving backup with one object per batch member, and the
 /// batch, re-stamped with fresh versions before each send.
 struct SendDeliverState {
-    pool: BufPool,
+    pool: FramePool,
     link: LossyLink,
     backup: Backup,
     batch: WireMessage,
@@ -331,7 +345,7 @@ impl SendDeliverState {
             }
         }
         SendDeliverState {
-            pool: BufPool::new(),
+            pool: FramePool::new(),
             link: LossyLink::new(LinkConfig::default(), 7),
             backup,
             batch,
@@ -361,15 +375,93 @@ impl SendDeliverState {
                 *seq += members;
             }
         }
-        let frame: Arc<[u8]> = {
-            let mut buf = self.pool.lease();
-            self.batch.encode_into(&mut buf);
-            Arc::from(buf.as_slice())
-        };
+        let batch = &self.batch;
+        let frame = self.pool.frame(|buf| batch.encode_into(buf));
         let outcome = self.link.transmit(self.now, frame.len());
         let arrived = steps::arrival_bytes(&frame, outcome);
         let parsed = WireFrame::parse(&arrived).expect("a lossless link delivers intact frames");
-        self.backup.handle_frame(&parsed, self.now).applied.len()
+        let out = self.backup.handle_frame(&parsed, self.now);
+        let applied = out.applied.len();
+        self.backup.recycle(out);
+        applied
+    }
+}
+
+/// The `update_frame` state: a primary holding one written object, its
+/// coalescer's spare slots, its frame pool, and two backups behind
+/// lossless links.
+struct UpdateFrameState {
+    primary: Primary,
+    coalescer: Coalescer,
+    pool: FramePool,
+    backups: [(LossyLink, Backup); 2],
+    id: ObjectId,
+    version: u64,
+}
+
+/// The instant every `update_frame` operation runs at: inside the
+/// primary's lease however many operations run.
+const UPDATE_FRAME_NOW: Time = Time::from_millis(2);
+
+impl UpdateFrameState {
+    fn new(config: &HotpathConfig) -> Self {
+        let protocol = ProtocolConfig {
+            admission_enabled: false,
+            ..ProtocolConfig::default()
+        };
+        let mut primary = Primary::new(NodeId::new(0), protocol.clone());
+        let spec = bench_spec(config.payload_bytes);
+        let id = primary
+            .register(spec.clone(), Time::ZERO)
+            .expect("admission is off");
+        let backups = [1u16, 2].map(|node| {
+            primary.add_backup(NodeId::new(node), Time::ZERO);
+            let mut backup = Backup::new(NodeId::new(node), protocol.clone());
+            let period = TimeDelta::from_millis(50);
+            backup.sync_registration(id, spec.clone(), period, Time::ZERO);
+            let link = LossyLink::new(LinkConfig::default(), 7 + u64::from(node));
+            (link, backup)
+        });
+        let payload = vec![0xA5u8; config.payload_bytes];
+        #[allow(deprecated)]
+        primary.apply_client_write(id, payload, Time::from_millis(1));
+        UpdateFrameState {
+            primary,
+            coalescer: Coalescer::default(),
+            pool: FramePool::new(),
+            backups,
+            id,
+            version: 1,
+        }
+    }
+
+    /// One operation: the object's update into the spare slot, one
+    /// version up, then encode, send, deliver and apply at both backups,
+    /// and hand the slot back. Returns how many updates the backups
+    /// installed.
+    fn step(&mut self) -> usize {
+        let now = UPDATE_FRAME_NOW;
+        self.version += 1;
+        let mut update = self
+            .coalescer
+            .update(&mut self.primary, self.id, now)
+            .expect("the object is written and both backups are tracked");
+        if let WireMessage::Update { version, .. } = &mut update {
+            *version = Version::new(self.version);
+        }
+        let frame = self.pool.frame(|buf| update.encode_into(buf));
+        let mut applied = 0;
+        for (link, backup) in &mut self.backups {
+            let outcome = link.transmit(now, frame.len());
+            let arrived = steps::arrival_bytes(&frame, outcome);
+            let parsed =
+                WireFrame::parse(&arrived).expect("a lossless link delivers intact frames");
+            let out = backup.handle_frame(&parsed, now);
+            applied += out.applied.len();
+            backup.recycle(out);
+        }
+        self.coalescer.recycle(update);
+        applied
     }
 }
 
@@ -763,6 +855,15 @@ pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> Hotpa
         },
     ));
     scenarios.push(bench(
+        "update_frame",
+        config,
+        counter,
+        || UpdateFrameState::new(config),
+        |state| {
+            black_box(state.step());
+        },
+    ));
+    scenarios.push(bench(
         "event_queue",
         config,
         counter,
@@ -1095,6 +1196,20 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(state.step(), 8);
         }
+    }
+
+    #[test]
+    fn update_frame_installs_every_update_at_both_backups() {
+        let mut state = UpdateFrameState::new(&HotpathConfig::default());
+        for _ in 0..100 {
+            assert_eq!(state.step(), 2);
+        }
+        let pool = &state.pool;
+        assert_eq!(
+            pool.reuses() + 1,
+            pool.issued(),
+            "one frame serves every send"
+        );
     }
 
     #[test]

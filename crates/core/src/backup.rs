@@ -147,6 +147,9 @@ pub struct Backup {
     /// Integrity incidents (checksum failures, scrub divergence) since
     /// the driver last drained them (DESIGN.md §15).
     integrity_events: Vec<IntegrityEvent>,
+    /// An output handed back through [`Backup::recycle`], whose emptied
+    /// vectors the next [`Backup::handle_frame`] fills.
+    spare_output: BackupOutput,
 }
 
 impl Backup {
@@ -185,6 +188,7 @@ impl Backup {
             join_abandoned: false,
             monitor,
             integrity_events: Vec::new(),
+            spare_output: BackupOutput::default(),
         }
     }
 
@@ -234,6 +238,7 @@ impl Backup {
             join_abandoned: false,
             monitor,
             integrity_events: Vec::new(),
+            spare_output: BackupOutput::default(),
         }
     }
 
@@ -664,10 +669,20 @@ impl Backup {
     /// it has been superseded once the partition heals. Frames from a
     /// higher epoch move this backup's epoch forward.
     pub fn handle_frame(&mut self, frame: &WireFrame<'_>, now: Time) -> BackupOutput {
-        let mut out = BackupOutput::default();
+        let mut out = std::mem::take(&mut self.spare_output);
         self.monitor.observe_now(now);
         self.dispatch_frame(frame, now, &mut out);
         out
+    }
+
+    /// Takes back an output of [`Backup::handle_frame`] the caller is
+    /// done with: the next call fills its emptied vectors, so a steady
+    /// stream of updates allocates no output.
+    pub fn recycle(&mut self, mut out: BackupOutput) {
+        out.replies.clear();
+        out.applied.clear();
+        out.stale_rejected.clear();
+        self.spare_output = out;
     }
 
     /// Fencing. Returns whether the frame may proceed: a frame below this
@@ -1079,6 +1094,34 @@ mod tests {
         assert_eq!(out.applied, vec![(id, Version::new(1), t(5))]);
         assert_eq!(b.store().get(id).unwrap().version(), Version::new(1));
         assert_eq!(b.updates_applied(), 1);
+    }
+
+    #[test]
+    fn a_recycled_output_is_refilled_from_empty() {
+        let (mut b, id) = backup_with_object();
+        let ping = |seq| WireMessage::Ping {
+            epoch: Epoch::INITIAL,
+            from: NodeId::new(0),
+            seq,
+            scrub: None,
+        };
+        let batch = WireMessage::Batch {
+            epoch: Epoch::INITIAL,
+            messages: vec![update(id, 1, 5), ping(1)],
+        };
+        let out = b.handle_message(&batch, t(12));
+        assert_eq!((out.applied.len(), out.replies.len()), (1, 1));
+        b.recycle(out);
+        let out = b.handle_message(&ping(2), t(13));
+        assert!(out.applied.is_empty(), "nothing of the first frame is left");
+        assert!(
+            out.applied.capacity() > 0,
+            "the first frame's list is reused"
+        );
+        assert!(matches!(
+            out.replies[..],
+            [WireMessage::PingAck { seq: 2, .. }]
+        ));
     }
 
     #[test]

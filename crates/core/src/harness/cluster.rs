@@ -29,11 +29,11 @@ use rtpb_net::{FaultKind, FaultWindow, LinkConfig, LossyLink};
 use rtpb_obs::{EventBus, EventKind, MetricsRegistry, Role};
 use rtpb_sim::{ClockModel, Context, Simulation, World};
 use rtpb_types::{
-    AdmissionError, BufPool, Epoch, LogPosition, NodeId, ObjectId, ObjectSpec, ReadConsistency,
-    ReadError, ReadOutcome, StalenessCertificate, Time, TimeDelta, Version, WriteError,
+    AdmissionError, Epoch, Frame, FramePool, LogPosition, NodeId, ObjectId, ObjectSpec,
+    ReadConsistency, ReadError, ReadOutcome, StalenessCertificate, Time, TimeDelta, Version,
+    WriteError,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Per-object `(write_epoch, version)` freshness tags of a replica's
 /// store, used to rank failover candidates.
@@ -159,7 +159,7 @@ enum Event {
     Deliver {
         from: Peer,
         to: Peer,
-        frame: Arc<[u8]>,
+        frame: Frame,
     },
     Inject {
         fault: FaultEvent,
@@ -186,7 +186,16 @@ enum Event {
 /// sends it to: every link and every arrival shares `bytes`.
 struct Encoded<'m> {
     msg: &'m WireMessage,
-    bytes: Arc<[u8]>,
+    bytes: Frame,
+}
+
+/// What the world reads of a registered object's spec: its client's
+/// write period and execution time, and its payload size.
+#[derive(Debug, Clone, Copy)]
+struct ClientLoad {
+    period: TimeDelta,
+    exec: TimeDelta,
+    size: usize,
 }
 
 /// One backup replica's host: the state machine plus its four link
@@ -271,7 +280,8 @@ struct ClusterWorld {
     metrics: ClusterMetrics,
     instruments: Instruments,
     names: NameService,
-    specs: IdTable<ObjectSpec>,
+    /// The client load of every registered object.
+    loads: IdTable<ClientLoad>,
     /// The timer epoch: bumped by every restart of the per-object timers
     /// and by a failover, so sweeps filed before it do nothing.
     epoch: u32,
@@ -301,10 +311,10 @@ struct ClusterWorld {
     /// events, but the bus is a bounded ring — this list survives
     /// high-rate runs that evict old events.
     catch_up_plans: Vec<CatchUpDecision>,
-    /// Pooled send buffers: every outbound frame is encoded into a
-    /// leased buffer ([`ClusterWorld::encode`]) so steady-state framing
-    /// reuses capacity instead of allocating per message.
-    send_pool: BufPool,
+    /// Every outbound frame is encoded into a frame of this pool
+    /// ([`ClusterWorld::encode`]), which reuses it once its last arrival
+    /// has landed.
+    send_pool: FramePool,
     /// Per-role-slot clock models (DESIGN.md §14): slot 0 is the primary
     /// role, slot `1 + i` is backup host `i`. The event queue stays on
     /// the global virtual timeline; only the `now` handed to a slot's
@@ -396,15 +406,12 @@ impl ClusterWorld {
         self.primary_partition.is_some_and(|(_, until)| now < until)
     }
 
-    /// Encodes `msg` once: into a pooled send buffer, whose capacity
-    /// steady-state framing reuses, then into the shared bytes every
-    /// destination and arrival of the frame reads.
-    fn encode<'m>(&self, msg: &'m WireMessage) -> Encoded<'m> {
-        let mut buf = self.send_pool.lease();
-        msg.encode_into(&mut buf);
+    /// Encodes `msg` once, into a pooled frame that every destination
+    /// and arrival of the frame shares.
+    fn encode<'m>(&mut self, msg: &'m WireMessage) -> Encoded<'m> {
         Encoded {
             msg,
-            bytes: Arc::from(buf.as_slice()),
+            bytes: self.send_pool.frame(|buf| msg.encode_into(buf)),
         }
     }
 
@@ -542,7 +549,7 @@ impl ClusterWorld {
     fn restart_object_timers(&mut self, ctx: &mut Context<'_, Event>) {
         self.epoch += 1;
         let ClusterWorld {
-            specs,
+            loads,
             primary,
             sweeps,
             metrics,
@@ -550,7 +557,7 @@ impl ClusterWorld {
             epoch,
             ..
         } = self;
-        for (id, _) in specs.iter() {
+        for (id, _) in loads.iter() {
             let period = primary.as_ref().and_then(|p| p.send_period(id));
             if let Some(period) = period {
                 let phase = steps::send_phase(id, period);
@@ -577,7 +584,7 @@ impl ClusterWorld {
                     });
                 }
                 TimerKind::Watchdog => {
-                    if !self.specs.contains(object) {
+                    if !self.loads.contains(object) {
                         continue;
                     }
                     let interval = self.watchdog_interval(object);
@@ -795,10 +802,10 @@ impl ClusterWorld {
             (_, Peer::Backup(_)) => steps::backup_receive(&mut at, &frame),
             (Peer::Backup(host), Peer::Primary) => {
                 let sender = at.world.hosts[host].node;
-                steps::primary_receive(&mut at, sender, &frame.to_owned());
+                steps::primary_receive(&mut at, sender, &frame);
             }
             (_, Peer::Deposed) => {
-                if steps::deposed_receive(&mut at, &frame.to_owned()) {
+                if steps::deposed_receive(&mut at, &frame) {
                     self.demote_deposed(ctx);
                 }
             }
@@ -1216,7 +1223,7 @@ impl ClusterWorld {
                 // The payload: the write's stamp, big-endian, then zeroes
                 // to the object's size.
                 let mut payload = std::mem::take(&mut self.write_buf);
-                let size = self.specs.get(object).map_or(0, ObjectSpec::size_bytes);
+                let size = self.loads.get(object).map_or(0, |load| load.size);
                 payload.clear();
                 payload.resize(size, 0);
                 let stamp = stamp.to_be_bytes();
@@ -1228,10 +1235,7 @@ impl ClusterWorld {
                 if steps::client_write(&mut at, object, &payload, Some(response)).is_some()
                     && at.world.config.protocol.eager_send
                 {
-                    let local = at.local();
-                    if let Some(update) = at.primary().and_then(|p| p.make_update(object, local)) {
-                        at.send(Route::Update(object), update);
-                    }
+                    steps::send_update(&mut at, object);
                 }
                 self.write_buf = payload;
             }
@@ -1253,11 +1257,9 @@ impl World for ClusterWorld {
     fn handle(&mut self, ctx: &mut Context<'_, Event>, event: Event) {
         match event {
             Event::ClientWrite { object } => {
-                let Some(spec) = self.specs.get(object) else {
+                let Some(&ClientLoad { period, exec, .. }) = self.loads.get(object) else {
                     return;
                 };
-                let period = spec.update_period();
-                let exec = spec.exec_time();
                 // The client samples the environment regardless of server
                 // health; a write is lost if no primary is serving.
                 ctx.schedule_in(period, Event::ClientWrite { object });
@@ -1281,7 +1283,7 @@ impl World for ClusterWorld {
                     if let Some(shed) = shed {
                         ctx.emit(EventKind::ObjectShed { object: shed });
                         self.last_shed_at = Some(ctx.now());
-                        self.specs.remove(shed);
+                        self.loads.remove(shed);
                         for h in &mut self.hosts {
                             if let Some(b) = h.backup.as_mut() {
                                 b.sync_deregistration(shed);
@@ -1538,7 +1540,7 @@ impl Driver for At<'_, '_> {
                 None => return,
             },
             Route::Update(object) => {
-                let size = world.specs.get(object).map_or(64, ObjectSpec::size_bytes);
+                let size = world.loads.get(object).map_or(64, |load| load.size);
                 (Peer::Primary, Some(protocol.send_cost(size)))
             }
             Route::Batch => (Peer::Primary, Some(protocol.send_cost(msg.encoded_len()))),
@@ -1606,7 +1608,7 @@ impl Driver for At<'_, '_> {
 impl std::fmt::Debug for ClusterWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterWorld")
-            .field("objects", &self.specs.len())
+            .field("objects", &self.loads.len())
             .field("backups", &self.live_backup_count())
             .field("epoch", &self.epoch)
             .finish_non_exhaustive()
@@ -1676,7 +1678,7 @@ impl SimCluster {
             metrics: ClusterMetrics::new(),
             instruments,
             names: NameService::new(primary_node),
-            specs: IdTable::default(),
+            loads: IdTable::default(),
             epoch: 0,
             sweeps: Sweeps::default(),
             next_node,
@@ -1689,7 +1691,7 @@ impl SimCluster {
             last_shed_at: None,
             coalescer: Coalescer::default(),
             catch_up_plans: Vec::new(),
-            send_pool: BufPool::new(),
+            send_pool: FramePool::new(),
             clocks: Vec::new(),
             pending_state_rot: BTreeMap::new(),
             scrub_repair: BTreeSet::new(),
@@ -1768,11 +1770,18 @@ impl SimCluster {
     /// (batched in [`SimCluster::register_many`]).
     fn admit_one(&mut self, spec: ObjectSpec) -> Result<ObjectId, AdmissionError> {
         let now = self.sim.now();
+        let load = ClientLoad {
+            period: spec.update_period(),
+            exec: spec.exec_time(),
+            size: spec.size_bytes(),
+        };
+        let (window, primary_bound, backup_bound) =
+            (spec.window(), spec.primary_bound(), spec.backup_bound());
         let admitted = {
             let world = self.sim.world_mut();
             match world.primary.as_mut() {
                 None => Err(AdmissionError::ServiceUnavailable),
-                Some(primary) => primary.register(spec.clone(), now),
+                Some(primary) => primary.register(spec, now),
             }
         };
         let id = match admitted {
@@ -1797,17 +1806,14 @@ impl SimCluster {
         };
         let write_phase = {
             let world = self.sim.world_mut();
-            world.specs.insert(id, spec.clone());
-            world.metrics.track_object(
-                id,
-                spec.window(),
-                spec.primary_bound(),
-                spec.backup_bound(),
-            );
+            world.loads.insert(id, load);
+            world
+                .metrics
+                .track_object(id, window, primary_bound, backup_bound);
             // Deterministic phase stagger spreads client writes so they
             // do not all hit the CPU in one burst.
             let stagger = TimeDelta::from_micros(997 * (u64::from(id.index()) + 1));
-            stagger % spec.update_period()
+            stagger % load.period
         };
         self.sim
             .schedule_in(write_phase, Event::ClientWrite { object: id });
@@ -1848,7 +1854,7 @@ impl SimCluster {
         payload: &[u8],
     ) -> Result<(Version, LogPosition), WriteError> {
         self.sim.with_context(|world, ctx| {
-            if !world.specs.contains(object) {
+            if !world.loads.contains(object) {
                 return Err(WriteError::UnknownObject(object));
             }
             let serving = world.names.resolve();
@@ -1899,7 +1905,7 @@ impl SimCluster {
         let now = self.sim.now();
         let routed = {
             let world = self.sim.world_mut();
-            if !world.specs.contains(object) {
+            if !world.loads.contains(object) {
                 return Err(ReadError::UnknownObject(object));
             }
             let mut chosen = None;
@@ -2240,15 +2246,16 @@ impl SimCluster {
             .is_some_and(|b| b.corrupt_stored_payload(id, byte, mask))
     }
 
-    /// The send-buffer pool's statistics as
-    /// `(outstanding, leases_issued, reuses)`. Framing is synchronous
-    /// (encode, wrap, drop), so `outstanding` must be zero whenever the
-    /// cluster is between events — the invariant the pool leak test
-    /// pins after a seeded chaos run.
+    /// The send pool's statistics as `(outstanding, issued, reuses)`:
+    /// kept frames a link or queued arrival still holds, frames encoded,
+    /// and frames written into a reused buffer. A frame outlives its send
+    /// until its last arrival lands, so `outstanding` reads zero only
+    /// once no frame is in flight: the invariant the pool leak test pins
+    /// after a seeded chaos run.
     #[must_use]
     pub fn send_pool_stats(&self) -> (u64, u64, u64) {
         let pool = &self.sim.world().send_pool;
-        (pool.outstanding(), pool.leases_issued(), pool.reuses())
+        (pool.outstanding(), pool.issued(), pool.reuses())
     }
 
     /// The current CPU backlog at the primary host (writes + sends

@@ -24,7 +24,7 @@ use crate::log::{CatchUpPath, UpdateLog};
 use crate::monitor::TemporalMonitor;
 use crate::store::ObjectStore;
 use crate::update_sched::UpdateSchedule;
-use crate::wire::{ReadStatus, ScrubDigest, StateEntry, WireMessage};
+use crate::wire::{ReadStatus, ScrubDigest, StateEntry, WireFrame, WireMessage};
 use rtpb_types::{
     AdmissionError, Epoch, InterObjectConstraint, Lease, LogPosition, NodeId, ObjectId, ObjectSpec,
     StalenessCertificate, Time, TimeDelta, Version,
@@ -757,18 +757,35 @@ impl Primary {
         &self.schedule
     }
 
-    /// Handles an inbound message from the network.
+    /// Handles an inbound message from the network: encodes it and hands
+    /// the parsed frame to [`Primary::handle_frame`], the path every
+    /// driver receives on. Convenient for tests and callers that hold an
+    /// owned [`WireMessage`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msg` encodes to a frame the decoder rejects (larger than
+    /// [`MAX_DECODE_LEN`](crate::wire::MAX_DECODE_LEN)).
+    pub fn handle_message(&mut self, msg: &WireMessage, now: Time) -> PrimaryOutput {
+        let bytes = msg.encode();
+        let frame = WireFrame::parse(&bytes).expect("an encoded message parses");
+        self.handle_frame(&frame, now)
+    }
+
+    /// Handles an inbound frame from the network, read from a borrowed
+    /// decode view: nothing is copied out of the receive buffer except
+    /// what a reply carries.
     ///
     /// Fencing runs before dispatch: a frame from a *higher* epoch marks
     /// this primary as deposed (the driver must call [`Primary::demote`]);
     /// a frame from a *lower* epoch is rejected outright — except
-    /// [`WireMessage::JoinRequest`] and [`WireMessage::ResyncRequest`],
+    /// [`WireFrame::JoinRequest`] and [`WireFrame::ResyncRequest`],
     /// which request state rather than assert authority, so an
     /// uninitialized recruit can still join.
-    pub fn handle_message(&mut self, msg: &WireMessage, now: Time) -> PrimaryOutput {
+    pub fn handle_frame(&mut self, frame: &WireFrame<'_>, now: Time) -> PrimaryOutput {
         let mut out = PrimaryOutput::default();
         self.monitor.observe_now(now);
-        let frame_epoch = msg.epoch();
+        let frame_epoch = frame.epoch();
         if frame_epoch > self.epoch {
             // Superseded: a newer primary exists. Stop acting on inbound
             // traffic and let the driver run demotion + resync.
@@ -779,10 +796,10 @@ impl Primary {
             return out;
         }
         let requests_state = matches!(
-            msg,
-            WireMessage::JoinRequest { .. }
-                | WireMessage::ResyncRequest { .. }
-                | WireMessage::ReadRequest { .. }
+            frame,
+            WireFrame::JoinRequest { .. }
+                | WireFrame::ResyncRequest { .. }
+                | WireFrame::ReadRequest { .. }
         );
         if frame_epoch < self.epoch && !requests_state {
             self.stale_frames_rejected += 1;
@@ -797,15 +814,15 @@ impl Primary {
         // our own renews the lease (see the PingAck arm), anchored at the
         // probe's *send* time — an instant provably before the backup's
         // declaration timer could have started.
-        match msg {
-            WireMessage::Ping { seq, .. } => {
+        match frame {
+            WireFrame::Ping { seq, .. } => {
                 out.replies.push(WireMessage::PingAck {
                     epoch: self.epoch,
                     from: self.node,
                     seq: *seq,
                 });
             }
-            WireMessage::PingAck { from, seq, .. } => {
+            WireFrame::PingAck { from, seq, .. } => {
                 if let Some(detector) = self.peers.get_mut(from) {
                     // A matching ack proves this backup was still tracking
                     // us when our probe left: renew the lease from that
@@ -825,7 +842,7 @@ impl Primary {
                     }
                 }
             }
-            WireMessage::RetransmitRequest {
+            WireFrame::RetransmitRequest {
                 object,
                 have_version,
                 ..
@@ -846,7 +863,7 @@ impl Primary {
                     }
                 }
             }
-            WireMessage::JoinRequest { from, position, .. } => {
+            WireFrame::JoinRequest { from, position, .. } => {
                 // Integrate the new backup: arm a detector for it and
                 // serve its gap by the cheapest path the log and retained
                 // snapshots still cover (§4.4 + DESIGN.md §11).
@@ -865,7 +882,7 @@ impl Primary {
                 out.catch_up = Some(self.decide(*from, path, *position, &reply));
                 out.replies.push(reply);
             }
-            WireMessage::ResyncRequest {
+            WireFrame::ResyncRequest {
                 from,
                 position,
                 versions,
@@ -881,20 +898,20 @@ impl Primary {
                 out.backup_joined = true;
                 let (path, reply) = match self.suffix_reply(*position) {
                     Some(r) => (CatchUpPath::LogSuffix, r),
-                    None => (CatchUpPath::FullTransfer, self.resync_diff(versions)),
+                    None => (CatchUpPath::FullTransfer, self.diff_against(versions)),
                 };
                 out.catch_up = Some(self.decide(*from, path, *position, &reply));
                 out.replies.push(reply);
             }
-            WireMessage::UpdateAck { .. } => {
+            WireFrame::UpdateAck { .. } => {
                 // Only present under the ack ablation; the paper's design
                 // deliberately has nothing to do here (§4.3).
                 self.acks_received += 1;
             }
-            WireMessage::Batch { messages, .. } => {
-                // Symmetric handling: unpack and process each sub-message.
-                for m in messages {
-                    let sub = self.handle_message(m, now);
+            WireFrame::Batch { frames, .. } => {
+                // Symmetric handling: unpack and process each sub-frame.
+                for f in frames {
+                    let sub = self.handle_frame(&f, now);
                     out.replies.extend(sub.replies);
                     out.backup_joined |= sub.backup_joined;
                     out.stale_rejected.extend(sub.stale_rejected);
@@ -903,18 +920,18 @@ impl Primary {
                     }
                 }
             }
-            WireMessage::ReadRequest { object, floor, .. } => {
+            WireFrame::ReadRequest { object, floor, .. } => {
                 // The strong-read transport path: reads request state, not
                 // authority, so (like join/resync) a stale-epoch request
                 // is still answered — the reply's epoch educates the
                 // client.
                 out.replies.push(self.read_reply(*object, *floor, now));
             }
-            WireMessage::Update { .. }
-            | WireMessage::StateTransfer { .. }
-            | WireMessage::ResyncDiff { .. }
-            | WireMessage::LogSuffix { .. }
-            | WireMessage::ReadReply { .. } => {
+            WireFrame::Update { .. }
+            | WireFrame::StateTransfer { .. }
+            | WireFrame::ResyncDiff { .. }
+            | WireFrame::LogSuffix { .. }
+            | WireFrame::ReadReply { .. } => {
                 // Not addressed to a primary; ignore.
             }
         }
@@ -1177,9 +1194,17 @@ impl Primary {
     /// promotion — still ships and overwrites it.
     #[must_use]
     pub fn resync_diff(&self, versions: &[(ObjectId, Epoch, Version)]) -> WireMessage {
+        self.diff_against(versions.iter().copied())
+    }
+
+    /// [`Primary::resync_diff`] against the tags `versions` yields.
+    fn diff_against(
+        &self,
+        versions: impl IntoIterator<Item = (ObjectId, Epoch, Version)>,
+    ) -> WireMessage {
         let reported: BTreeMap<ObjectId, (Epoch, Version)> = versions
-            .iter()
-            .map(|&(id, epoch, version)| (id, (epoch, version)))
+            .into_iter()
+            .map(|(id, epoch, version)| (id, (epoch, version)))
             .collect();
         let entries = self
             .store

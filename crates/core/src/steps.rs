@@ -33,15 +33,22 @@ use crate::telemetry::Instruments;
 use crate::wire::{WireFrame, WireMessage};
 use rtpb_net::LinkOutcome;
 use rtpb_obs::{EventKind, Role};
-use rtpb_types::{Epoch, NodeId, ObjectId, Time, TimeDelta, Version};
+use rtpb_types::{Epoch, Frame, NodeId, ObjectId, Time, TimeDelta, Version};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The largest frame either driver's network carries, in bytes: the
 /// 16-bit length limit of the paper's UDP datagrams (§4.1). A larger
 /// frame is refused at the sender with an [`EventKind::SendRejected`] and
 /// never reaches a link.
 pub const MAX_DATAGRAM_BYTES: usize = 65_535;
+
+/// How many update slots may wait in a [`Coalescer`] before it stops
+/// taking back sent single updates: more than the simulator's CPU model
+/// holds queued after one sweep of send timers at perfbench's sizes
+/// (about 160 at 10k objects), so the unbatched path reuses its slots,
+/// and few enough that a burst of retransmission replies cannot pin
+/// memory.
+const MAX_SPARE_SINGLES: usize = 1_024;
 
 /// Where a step sends a frame. The driver resolves the destination and
 /// decides what the transmission costs.
@@ -127,11 +134,12 @@ pub trait Driver {
 }
 
 /// The objects whose send timers fired inside the open coalescing window,
-/// in firing order, awaiting the flush that carries them in one frame.
+/// in firing order, awaiting the flush that carries them in one frame;
+/// and the update slots of frames the driver sent and handed back.
 ///
-/// A flush writes each update over a slot of a batch the driver sent
-/// before and handed back ([`Coalescer::recycle`]), so in steady state a
-/// flush allocates no update and no payload buffer.
+/// A flush, and an unbatched send, writes each update over a slot the
+/// driver handed back ([`Coalescer::recycle`]), so in steady state
+/// neither allocates an update or a payload buffer.
 #[derive(Debug, Default)]
 pub struct Coalescer {
     pending: Vec<ObjectId>,
@@ -140,8 +148,8 @@ pub struct Coalescer {
     parked: IdTable<()>,
     /// Whether a flush is armed for the open window.
     flush_armed: bool,
-    /// Update slots of batches handed back, each holding its payload
-    /// buffer for the next flush to refill.
+    /// Update slots of frames handed back, each holding its payload
+    /// buffer for the next update to refill.
     spare: Vec<WireMessage>,
     /// The emptied update list of a batch handed back: the next batch's.
     list: Vec<WireMessage>,
@@ -161,7 +169,7 @@ impl Coalescer {
     /// Closes the window: the batch [`Primary::make_batch`] builds for the
     /// parked objects at `now`, in parking order, or `None` when no
     /// update survives or no `primary` serves. Each update is written
-    /// over a spare slot; only when none is left is a fresh one made.
+    /// over a spare slot ([`Coalescer::update`]).
     pub fn flush(&mut self, primary: Option<&mut Primary>, now: Time) -> Option<WireMessage> {
         self.flush_armed = false;
         for &id in &self.pending {
@@ -170,16 +178,8 @@ impl Coalescer {
         let mut batch = None;
         if let Some(primary) = primary {
             let mut messages = std::mem::take(&mut self.list);
-            for &id in &self.pending {
-                let Some(mut slot) = self.spare.pop() else {
-                    messages.extend(primary.make_update(id, now));
-                    continue;
-                };
-                if primary.refill_update(id, now, &mut slot) {
-                    messages.push(slot);
-                } else {
-                    self.spare.push(slot);
-                }
+            for i in 0..self.pending.len() {
+                messages.extend(self.update(primary, self.pending[i], now));
             }
             if messages.is_empty() {
                 self.list = messages;
@@ -194,15 +194,42 @@ impl Coalescer {
         batch
     }
 
+    /// The update [`Primary::make_update`] makes for `id` at `now`,
+    /// written over a spare slot; only when none is left is a fresh one
+    /// made.
+    pub fn update(
+        &mut self,
+        primary: &mut Primary,
+        id: ObjectId,
+        now: Time,
+    ) -> Option<WireMessage> {
+        let Some(mut slot) = self.spare.pop() else {
+            return primary.make_update(id, now);
+        };
+        if primary.refill_update(id, now, &mut slot) {
+            Some(slot)
+        } else {
+            self.spare.push(slot);
+            None
+        }
+    }
+
     /// Takes back a frame the driver has sent: a batch's update slots
-    /// keep their payload buffers for later flushes. Any other frame is
+    /// keep their payload buffers for later updates, and so does a single
+    /// update while fewer than 1,024 slots wait. Any other frame is
     /// dropped.
     pub fn recycle(&mut self, msg: WireMessage) {
-        if let WireMessage::Batch { mut messages, .. } = msg {
-            self.spare.append(&mut messages);
-            if messages.capacity() > self.list.capacity() {
-                self.list = messages;
+        match msg {
+            WireMessage::Batch { mut messages, .. } => {
+                self.spare.append(&mut messages);
+                if messages.capacity() > self.list.capacity() {
+                    self.list = messages;
+                }
             }
+            update @ WireMessage::Update { .. } if self.spare.len() < MAX_SPARE_SINGLES => {
+                self.spare.push(update);
+            }
+            _ => {}
         }
     }
 }
@@ -341,14 +368,10 @@ pub fn send_phase(id: ObjectId, period: TimeDelta) -> TimeDelta {
 /// flips it; the receiver then sees a frame whose CRC trailer no longer
 /// matches.
 #[must_use]
-pub fn arrival_bytes(frame: &Arc<[u8]>, outcome: LinkOutcome) -> Arc<[u8]> {
+pub fn arrival_bytes(frame: &Frame, outcome: LinkOutcome) -> Frame {
     match outcome.corrupted_bit() {
-        Some(bit) => {
-            let mut copy = frame.to_vec();
-            copy[(bit / 8) as usize] ^= 1 << (bit % 8);
-            copy.into()
-        }
-        None => Arc::clone(frame),
+        Some(bit) => frame.with_flipped_bit(bit),
+        None => frame.clone(),
     }
 }
 
@@ -495,8 +518,19 @@ pub fn send_timer<D: Driver>(d: &mut D, object: ObjectId, rearm: impl FnOnce(&mu
         }
         return;
     }
+    send_update(d, object);
+}
+
+/// The primary snapshots `object` into a spare update slot
+/// ([`Coalescer::update`]) and sends it on its own, if it produces an
+/// update.
+#[inline(always)]
+pub(crate) fn send_update(d: &mut impl Driver, object: ObjectId) {
     let local = d.local();
-    if let Some(update) = d.primary().and_then(|p| p.make_update(object, local)) {
+    let mut coalescer = std::mem::take(d.coalescer());
+    let update = d.primary().and_then(|p| coalescer.update(p, object, local));
+    *d.coalescer() = coalescer;
+    if let Some(update) = update {
         d.send(Route::Update(object), update);
     }
 }
@@ -514,12 +548,13 @@ pub fn flush(d: &mut impl Driver) {
     }
 }
 
-/// The primary handles a frame from backup `from`: a retransmission
-/// request is counted first, then the core's output is counted and
-/// emitted, the replies are sent back, and a joined backup is announced.
+/// The primary handles a frame from backup `from`, on the parsed view: a
+/// retransmission request is counted first, then the core's output is
+/// counted and emitted, the replies are sent back, and a joined backup is
+/// announced.
 #[inline(always)]
-pub fn primary_receive(d: &mut impl Driver, from: NodeId, msg: &WireMessage) {
-    if let WireMessage::RetransmitRequest { object, .. } = msg {
+pub fn primary_receive(d: &mut impl Driver, from: NodeId, frame: &WireFrame<'_>) {
+    if let WireFrame::RetransmitRequest { object, .. } = frame {
         d.ledger(ClusterMetrics::record_retransmit_request);
         d.instruments().retransmit_requests.inc();
         d.emit(EventKind::RetransmitRequested {
@@ -533,7 +568,7 @@ pub fn primary_receive(d: &mut impl Driver, from: NodeId, msg: &WireMessage) {
         return;
     };
     let node = primary.node();
-    let out = primary.handle_message(msg, local);
+    let out = primary.handle_frame(frame, local);
     let epoch = primary.epoch();
     let monitor = primary.drain_monitor_events();
     let integrity = primary.drain_integrity_events();
@@ -567,12 +602,12 @@ pub fn primary_receive(d: &mut impl Driver, from: NodeId, msg: &WireMessage) {
 /// A deposed primary (the minority side of a split brain) handles a
 /// frame: only fencing is counted, and its replies go nowhere. Returns
 /// whether the frame proved it superseded.
-pub fn deposed_receive(d: &mut impl Driver, msg: &WireMessage) -> bool {
+pub fn deposed_receive(d: &mut impl Driver, frame: &WireFrame<'_>) -> bool {
     let local = d.local();
     let Some(primary) = d.primary() else {
         return false;
     };
-    let out = primary.handle_message(msg, local);
+    let out = primary.handle_frame(frame, local);
     let node = primary.node();
     let epoch = primary.epoch();
     let superseded = primary.is_deposed();
@@ -585,7 +620,8 @@ pub fn deposed_receive(d: &mut impl Driver, msg: &WireMessage) -> bool {
 /// straight into the store. Every arrival, fresh or duplicate, resets the
 /// §5.3 refresh clock of each update it carries; a catch-up frame ends a
 /// re-integration; each applied update is emitted and fed to the ledger;
-/// the replies go back to the sender.
+/// the replies go back to the sender, and the output's emptied vectors
+/// back to the backup ([`Backup::recycle`]).
 #[inline(always)]
 pub fn backup_receive(d: &mut impl Driver, frame: &WireFrame<'_>) {
     let (now, local) = (d.now(), d.local());
@@ -597,7 +633,7 @@ pub fn backup_receive(d: &mut impl Driver, frame: &WireFrame<'_>) {
         return;
     };
     let node = backup.node();
-    let out = backup.handle_frame(frame, local);
+    let mut out = backup.handle_frame(frame, local);
     let epoch = backup.epoch();
     let monitor = backup.drain_monitor_events();
     let integrity = backup.drain_integrity_events();
@@ -624,8 +660,11 @@ pub fn backup_receive(d: &mut impl Driver, frame: &WireFrame<'_>) {
             d.ledger(|m| m.on_backup_apply(object, version, write_ts, now));
         }
     }
-    for reply in out.replies {
+    for reply in out.replies.drain(..) {
         d.send(Route::Reply, reply);
+    }
+    if let Some(backup) = d.backup() {
+        backup.recycle(out);
     }
 }
 
@@ -903,6 +942,33 @@ mod tests {
                 c.recycle(batch);
             }
         }
+    }
+
+    #[test]
+    fn sent_single_updates_come_back_as_slots_up_to_the_bound() {
+        let mut p = Primary::new(NodeId::new(0), ProtocolConfig::default());
+        p.add_backup(NodeId::new(1), Time::ZERO);
+        let spec = ObjectSpec::builder("o")
+            .update_period(ms(100))
+            .primary_bound(ms(150))
+            .backup_bound(ms(550))
+            .build()
+            .unwrap();
+        let id = p.register(spec, Time::ZERO).unwrap();
+        p.apply_write(id, &[7; 48], Time::from_millis(1));
+        let now = Time::from_millis(2);
+        let reference = frame(&p.make_update(id, now).unwrap());
+        let mut c = Coalescer::default();
+        let sent: Vec<WireMessage> = (0..MAX_SPARE_SINGLES + 3)
+            .map(|_| c.update(&mut p, id, now).unwrap())
+            .collect();
+        for update in sent {
+            c.recycle(update);
+        }
+        assert_eq!(c.spare.len(), MAX_SPARE_SINGLES);
+        let refilled = c.update(&mut p, id, now).unwrap();
+        assert_eq!(frame(&refilled), reference);
+        assert_eq!(c.spare.len(), MAX_SPARE_SINGLES - 1);
     }
 
     impl Sweeps {

@@ -12,7 +12,9 @@ use rtpb_core::wire::{ReadStatus, WireMessage};
 use rtpb_net::{LinkConfig, LossyLink};
 use rtpb_obs::{ClockDomain, EventKind, EventWriter, MetricsRegistry, Role};
 use rtpb_sim::EventQueue;
-use rtpb_types::{AdmissionError, BufPool, Epoch, NodeId, ObjectId, ObjectSpec, Time, TimeDelta};
+use rtpb_types::{
+    AdmissionError, Epoch, Frame, FramePool, NodeId, ObjectId, ObjectSpec, Time, TimeDelta,
+};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -137,7 +139,7 @@ enum Input {
     Frame {
         from: NodeId,
         due: Time,
-        bytes: Arc<[u8]>,
+        bytes: Frame,
     },
     /// A client write sent at `sent`.
     Write {
@@ -528,7 +530,7 @@ enum Due {
     /// A timer armed in role generation `generation`.
     Timer { generation: u32, tick: Tick },
     /// A frame in flight from `from`, delivered when due.
-    Arrival { from: NodeId, bytes: Arc<[u8]> },
+    Arrival { from: NodeId, bytes: Frame },
 }
 
 /// The data and control lanes of one outbound link.
@@ -544,7 +546,9 @@ struct Outbox {
     lanes: Vec<Lanes>,
     control_loss_exempt: bool,
     obs: EventWriter,
-    pool: BufPool,
+    /// The sender's frames, reused once the receiving thread has handled
+    /// their last arrival.
+    pool: FramePool,
 }
 
 impl Outbox {
@@ -574,21 +578,20 @@ impl Outbox {
             lanes,
             control_loss_exempt: cluster.control_loss_exempt,
             obs: cluster.bus.writer(),
-            pool: BufPool::new(),
+            pool: FramePool::new(),
         }
     }
 
-    /// Encodes `msg` once for every destination it goes to.
-    fn encode(&mut self, msg: &WireMessage) -> Arc<[u8]> {
-        let mut buf = self.pool.lease();
-        msg.encode_into(&mut buf);
-        Arc::from(buf.as_slice())
+    /// Encodes `msg` once, into a pooled frame that every destination
+    /// and arrival of the frame shares.
+    fn encode(&mut self, msg: &WireMessage) -> Frame {
+        self.pool.frame(|buf| msg.encode_into(buf))
     }
 
     /// Puts `msg`, encoded as `bytes`, on the link to `to`: the link
     /// draws its fate now, and each arrival lands in `to`'s inbox with
     /// its due time (and its bit flip, if corrupted).
-    fn transmit(&mut self, shared: &Shared, to: NodeId, msg: &WireMessage, bytes: &Arc<[u8]>) {
+    fn transmit(&mut self, shared: &Shared, to: NodeId, msg: &WireMessage, bytes: &Frame) {
         let now = shared.now();
         let data = msg.rides_data_link() || !self.control_loss_exempt;
         let lanes = &mut self.lanes[usize::from(to.index())];
@@ -776,7 +779,7 @@ impl Node {
             return;
         };
         if matches!(self.host, Host::Primary(_)) {
-            steps::primary_receive(self, from, &frame.to_owned());
+            steps::primary_receive(self, from, &frame);
         } else {
             steps::backup_receive(self, &frame);
         }

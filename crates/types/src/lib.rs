@@ -50,7 +50,7 @@ mod object;
 mod read;
 mod time;
 
-pub use bufpool::{BufLease, BufPool};
+pub use bufpool::{BufLease, BufPool, Frame, FramePool};
 pub use constraint::{InterObjectConstraint, QosNegotiation};
 pub use crc32c::{crc32c, Crc32c};
 pub use epoch::{Epoch, Lease};

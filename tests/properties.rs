@@ -248,11 +248,12 @@ fn encode_into_is_byte_identical_to_encode() {
     });
 }
 
-/// Pool hygiene under chaos: after a seeded run full of link faults the
-/// cluster's send pool must have every lease back (framing is
-/// synchronous — a nonzero outstanding count is a leak), and the free
-/// list must actually be recycling buffers, or the zero-alloc send path
-/// is an illusion.
+/// Pool hygiene under chaos: a frame lives until its last arrival lands,
+/// so after a seeded run full of link faults the test crashes every host,
+/// which stops all sending, and runs well past ℓ. Then no kept frame may
+/// still be held (a nonzero outstanding count is a leak), and the pool
+/// must actually have reused frames, or the zero-alloc send path is an
+/// illusion.
 #[test]
 fn send_pool_leases_all_return_after_seeded_chaos() {
     run_cases("send_pool_leases_all_return_after_seeded_chaos", 8, |g| {
@@ -283,6 +284,7 @@ fn send_pool_leases_all_return_after_seeded_chaos() {
             fault_plan: plan,
             ..ClusterConfig::default()
         };
+        let ell = config.protocol.link_delay_bound;
         let mut cluster = RtpbClient::new(config);
         let spec = ObjectSpec::builder("pool")
             .update_period(ms(40))
@@ -292,10 +294,17 @@ fn send_pool_leases_all_return_after_seeded_chaos() {
             .expect("structurally valid");
         cluster.register(spec).expect("admitted");
         cluster.run_for(TimeDelta::from_secs(6));
-        let (outstanding, issued, reuses) = cluster.cluster().send_pool_stats();
-        assert_eq!(outstanding, 0, "leaked {outstanding} of {issued} leases");
+        let hosts = cluster.cluster().read_load().len();
+        let sim = cluster.cluster_mut();
+        for host in 0..hosts {
+            sim.inject(FaultEvent::CrashBackup { host });
+        }
+        sim.inject(FaultEvent::CrashPrimary);
+        sim.run_for(ell * 2);
+        let (outstanding, issued, reuses) = sim.send_pool_stats();
+        assert_eq!(outstanding, 0, "leaked {outstanding} of {issued} frames");
         assert!(issued > 0, "chaos run must exercise the send path");
-        assert!(reuses > 0, "free list never recycled a buffer");
+        assert!(reuses > 0, "the pool never reused a frame");
     });
 }
 
