@@ -5,7 +5,10 @@
 //!   arbitrary bytes.
 //! - Admission implies no consistency violations in lossless simulation.
 //! - Distance-constrained specialization preserves its contracts.
+//! - Staleness certificates never undercut the true staleness, under
+//!   chaos and on a read fleet of one to eight backups.
 
+use rtpb::core::config::{ProtocolConfig, SchedulingMode};
 use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
 use rtpb::core::wire::{WireFrame, WireMessage};
 use rtpb::sched::analysis::dcs;
@@ -596,6 +599,75 @@ fn certificates_bound_true_staleness_under_chaos() {
         }
         assert!(checked > 0, "seed {seed}: chaos starved every read");
     });
+}
+
+/// The read path at fleet shape: a 99:1 read:write client mix at a
+/// `Bounded(δ_i)` bound against 1, 2, 4 and 8 backups. Every backup
+/// serves reads locally, and no certificate claims an age below the true
+/// staleness of the value it certifies: the time since the earliest
+/// primary write the served version misses.
+#[test]
+fn fleet_reads_carry_sound_certificates_at_one_to_eight_backups() {
+    let bound = ms(400);
+    let spec = ObjectSpec::builder("fleet-obj")
+        .update_period(ms(50))
+        .exec_time(TimeDelta::from_micros(1))
+        .primary_bound(ms(150))
+        .backup_bound(bound)
+        .build()
+        .expect("structurally valid");
+    for backups in [1, 2, 4, 8] {
+        let mut config = ClusterConfig {
+            protocol: ProtocolConfig {
+                admission_enabled: false,
+                send_cost_base: TimeDelta::from_micros(8),
+                // The read flood's CPU headroom belongs to the write path,
+                // so keep the normal `(δ − ℓ)/k` send periods.
+                scheduling_mode: SchedulingMode::Normal,
+                ..ProtocolConfig::default()
+            },
+            num_backups: backups,
+            seed: 42,
+            ..ClusterConfig::default()
+        };
+        config.link.loss_probability = 0.0;
+        let mut client = RtpbClient::new(config);
+        let ids = client.register_many(vec![spec.clone(); 64]).unwrap();
+        client.run_for(ms(600));
+
+        let mut next = ids.iter().copied().cycle();
+        for round in 0..10u8 {
+            client.run_for(ms(50));
+            for _ in 0..99 {
+                let id = next.next().unwrap();
+                let outcome = client
+                    .read(id, ReadConsistency::Bounded(bound))
+                    .expect("a warmed object reads");
+                let cert = outcome.certificate();
+                let now = client.now();
+                let true_staleness = client
+                    .metrics()
+                    .earliest_write_after(id, cert.version)
+                    .map_or(TimeDelta::ZERO, |t| now.saturating_since(t));
+                assert!(
+                    cert.age_bound >= true_staleness,
+                    "{backups} backups: cert for {id} v{} claims age ≤ {} but \
+                     the value is truly {} stale",
+                    cert.version.value(),
+                    cert.age_bound,
+                    true_staleness
+                );
+            }
+            let id = next.next().unwrap();
+            client.write(id, vec![round; 64]).expect("serving primary");
+        }
+        let served: Vec<u64> = client.cluster().read_load().iter().map(|l| l.2).collect();
+        assert_eq!(served.len(), backups);
+        assert!(
+            served.iter().all(|&n| n > 0),
+            "every backup must serve reads locally: {served:?}"
+        );
+    }
 }
 
 /// Session-guarantee pin: under `ReadConsistency::Monotonic`, the

@@ -153,6 +153,70 @@ fn pre_retention_gap_falls_back_to_full_transfer() {
     assert!(cluster.fault_report()[1].recovery_time().is_some());
 }
 
+/// A short outage ships a sliver of the store. A 25 ms outage against a
+/// 400 ms write period misses about 6% of 80 objects' writes, so the
+/// durable restart's log suffix costs under half the bytes of the full
+/// transfer the cold restart of the same outage needs. Both replies are
+/// sent and land.
+#[test]
+fn short_outage_ships_a_sliver_of_the_store() {
+    let spec = ObjectSpec::builder("rec-obj")
+        .update_period(ms(400))
+        .exec_time(TimeDelta::from_micros(1))
+        .primary_bound(ms(600))
+        .backup_bound(ms(1_500))
+        .build()
+        .unwrap();
+    let run = |restart: FaultEvent| {
+        let config = ClusterConfig {
+            protocol: ProtocolConfig {
+                admission_enabled: false,
+                send_cost_base: TimeDelta::from_micros(1),
+                send_cost_per_byte: TimeDelta::ZERO,
+                log_retention: 4_096,
+                snapshot_interval: 1_024,
+                ..ProtocolConfig::default()
+            },
+            seed: 42,
+            // A second backup keeps acking through the outage so the
+            // primary's lease never lapses and the write load stays on.
+            num_backups: 2,
+            auto_failover: false,
+            registry: MetricsRegistry::new(),
+            fault_plan: FaultPlan::new()
+                .at(at_ms(1_000), FaultEvent::CrashBackup { host: 0 })
+                .at(at_ms(1_025), restart),
+            ..ClusterConfig::default()
+        };
+        let mut cluster = RtpbClient::new(config);
+        cluster.register_many(vec![spec.clone(); 80]).unwrap();
+        cluster.run_for(ms(2_525));
+        assert_eq!(
+            cluster
+                .registry()
+                .snapshot()
+                .counter("cluster.send_rejected"),
+            Some(0),
+            "the catch-up reply fits in one datagram"
+        );
+        assert!(
+            cluster.fault_report()[1].recovery_time().is_some(),
+            "the restarted backup must re-integrate"
+        );
+        cluster.cluster().catch_up_plans()[0].clone()
+    };
+    let durable = run(FaultEvent::RestartBackup { host: 0 });
+    let cold = run(FaultEvent::RecoverBackup { host: 0 });
+    assert_eq!(durable.path, CatchUpPath::LogSuffix);
+    assert_eq!(cold.path, CatchUpPath::FullTransfer);
+    assert!(
+        durable.bytes * 2 < cold.bytes,
+        "the suffix ({} B) must undercut half the full transfer ({} B)",
+        durable.bytes,
+        cold.bytes
+    );
+}
+
 /// Regression pin for the catch-up read gate: a restarted backup's
 /// store holds its pre-crash image until the re-integration frame
 /// lands, and a read served from that window would hand the client a
