@@ -1,4 +1,4 @@
-//! The hot-path microbench (sibling of `throughput`).
+//! The hot-path microbench (sibling of `figures`).
 //!
 //! Measures the encode / decode / apply loop (see
 //! `rtpb_bench::hotpath`), prints the summary table, and writes the

@@ -2,8 +2,14 @@
 //!
 //! One experiment per figure of the paper's §5, plus the theory-validation
 //! table. The `figures` binary renders each experiment as the text table
-//! the paper plots; the benches in `benches/` cover hot paths
-//! and the design-choice ablations called out in `DESIGN.md`.
+//! the paper plots, and summarises exported JSONL traces. The `hotpath`
+//! binary times the encode / decode / apply loop and gates it against
+//! `BENCH_hotpath.json`. The benches in `benches/` cover hot paths and the
+//! design-choice ablations called out in `DESIGN.md`.
+//!
+//! End-to-end throughput, the read fleet and recovery are measured by
+//! the repository's benchmark, `perfbench/`, on its `stream`,
+//! `read_fleet` and `failover` workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,10 +17,7 @@
 pub mod experiments;
 pub mod harness;
 pub mod hotpath;
-pub mod readpath;
-pub mod recovery;
 pub mod table;
-pub mod throughput;
 pub mod trace;
 
 pub use experiments::{
@@ -22,8 +25,5 @@ pub use experiments::{
     theory_validation, FigureDefaults,
 };
 pub use hotpath::{HotpathConfig, HotpathReport};
-pub use readpath::{ReadpathConfig, ReadpathReport};
-pub use recovery::{RecoveryConfig, RecoveryReport};
 pub use table::Table;
-pub use throughput::{run_suite, validate_report_json, ThroughputConfig, ThroughputReport};
 pub use trace::TraceSummary;
