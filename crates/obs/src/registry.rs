@@ -95,7 +95,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Whether this instrument records (false for a disabled registry's
-    /// handle). Profiling hooks consult this before reading any clock.
+    /// handle).
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.core.is_some()

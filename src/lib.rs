@@ -14,7 +14,7 @@
 //!   and the paper's consistency conditions (Lemmas 1–3, Theorems 1–6).
 //! - [`net`] — the lossy bounded-delay link model.
 //! - [`obs`] — structured observability: typed protocol events, a ring-buffer
-//!   event bus, a metrics registry, profiling hooks, and JSONL export.
+//!   event bus, a metrics registry, and JSONL export.
 //! - [`core`] — the RTPB protocol itself: admission control, primary/backup
 //!   state machines, update scheduling, failure detection, and failover.
 //! - [`rt`] — a real-clock, thread-based runtime driving the same protocol
