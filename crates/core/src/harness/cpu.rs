@@ -6,7 +6,7 @@
 //! and with it the client response time — grows without bound, which is
 //! exactly the degradation the paper demonstrates.
 
-use rtpb_types::{ObjectId, Time, TimeDelta};
+use rtpb_types::{NodeId, ObjectId, Time, TimeDelta};
 use std::collections::VecDeque;
 
 /// A unit of work on the primary CPU.
@@ -22,13 +22,16 @@ pub enum Work {
         /// bytes, built when the write is applied.
         stamp: u64,
     },
-    /// Transmit a prepared update to the backup. The image is snapshotted
+    /// Transmit a prepared update to the backups. The image is snapshotted
     /// when the send task runs (enqueue time); if the CPU is backlogged
     /// the message goes stale while it waits — exactly the degradation
     /// the paper's Figure 10 shows when admission control is disabled.
     SendUpdate {
         /// The encoded update, ready for the wire.
         message: crate::wire::WireMessage,
+        /// The backup whose retransmission request this update answers,
+        /// or `None` for every backup the primary tracks.
+        to: Option<NodeId>,
     },
 }
 
@@ -57,6 +60,7 @@ pub enum Work {
 ///         seq: 1,
 ///         payload: vec![1],
 ///     },
+///     to: None,
 /// };
 /// // Idle CPU: starts immediately; schedule completion after the service time.
 /// assert_eq!(cpu.submit(w.clone(), TimeDelta::from_micros(200)), Some(TimeDelta::from_micros(200)));
@@ -165,6 +169,7 @@ mod tests {
                 object: ObjectId::new(i),
                 have_version: rtpb_types::Version::INITIAL,
             },
+            to: None,
         }
     }
 

@@ -468,8 +468,8 @@ fn split_brain_replays_byte_identically() {
     let (jsonl_b, faults_b, _) = run();
     assert_eq!(jsonl_a, jsonl_b, "same seed must replay byte-identically");
     assert_eq!(faults_a, faults_b);
-    assert_eq!(digest(&jsonl_a), (85_168, 0xaea0_4aa5), "pinned trace");
-    assert_eq!(digest(&registry_a), (1_492, 0xb94a_6001), "pinned registry");
+    assert_eq!(digest(&jsonl_a), (85_126, 0x7d06_e07d), "pinned trace");
+    assert_eq!(digest(&registry_a), (1_492, 0x1b2d_62c5), "pinned registry");
     assert!(jsonl_a.contains("stale_epoch_rejected"));
     assert!(jsonl_a.contains("primary_demoted"));
     assert!(jsonl_a.contains("resync_completed"));

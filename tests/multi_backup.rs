@@ -3,9 +3,10 @@
 //! and re-join of survivors.
 
 use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
-use rtpb::obs::{EventBus, MetricsRegistry};
+use rtpb::obs::{EventBus, EventKind, MetricsRegistry};
 use rtpb::types::{crc32c, NodeId, ObjectSpec, Time, TimeDelta};
 use rtpb::RtpbClient;
+use std::collections::BTreeMap;
 
 fn ms(v: u64) -> TimeDelta {
     TimeDelta::from_millis(v)
@@ -44,6 +45,58 @@ fn updates_are_broadcast_to_every_backup() {
         );
     }
     assert!(!cluster.has_failed_over());
+}
+
+/// A primary answers a retransmission request at the backup that asked
+/// alone. A loss burst on host 0's data link makes node#1's watchdog ask
+/// for the object again, while node#2's clean link never does. Every
+/// update node#2 is sent is a broadcast that node#1 is sent at the same
+/// instant; node#1 is also sent the replies, at most one per request.
+#[test]
+fn retransmission_replies_go_only_to_the_backup_that_asked() {
+    let config = ClusterConfig {
+        num_backups: 2,
+        bus: EventBus::with_capacity(1 << 16),
+        fault_plan: FaultPlan::new().at(
+            Time::from_millis(1_000),
+            FaultEvent::LossBurst {
+                host: Some(0),
+                duration: ms(400),
+                loss: 1.0,
+            },
+        ),
+        ..ClusterConfig::default()
+    };
+    let mut cluster = RtpbClient::new(config);
+    cluster.register(spec(50)).unwrap();
+    cluster.run_for(TimeDelta::from_secs(3));
+
+    let (asker, bystander) = (NodeId::new(1), NodeId::new(2));
+    let mut requests: BTreeMap<NodeId, u64> = BTreeMap::new();
+    // Per (instant, version): sends to the asker minus sends to the
+    // bystander.
+    let mut excess: BTreeMap<_, i64> = BTreeMap::new();
+    for e in cluster.bus().collect() {
+        match e.kind {
+            EventKind::RetransmitRequested { node, .. } => *requests.entry(node).or_default() += 1,
+            EventKind::UpdateSent { version, to, .. } => {
+                *excess.entry((e.at, version)).or_default() += if to == asker { 1 } else { -1 };
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(requests.get(&bystander), None, "node#2's link is clean");
+    let asked = requests.get(&asker).copied().unwrap_or(0);
+    assert!(asked > 0, "the burst must make node#1 ask again");
+    assert!(
+        excess.values().all(|&n| n >= 0),
+        "node#2 was sent an update node#1 was not sent"
+    );
+    let replies = excess.values().sum::<i64>() as u64;
+    assert!(
+        replies > 0 && replies <= asked,
+        "{replies} updates went to node#1 alone for its {asked} requests"
+    );
 }
 
 #[test]
