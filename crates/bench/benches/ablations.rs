@@ -14,6 +14,7 @@ use rtpb_bench::harness::{BenchmarkId, Criterion};
 use rtpb_bench::{criterion_group, criterion_main};
 use rtpb_core::config::ProtocolConfig;
 use rtpb_core::harness::{ClusterConfig, SimCluster};
+use rtpb_obs::MetricsRegistry;
 use rtpb_types::{ObjectSpec, TimeDelta};
 
 fn spec() -> ObjectSpec {
@@ -28,6 +29,7 @@ fn spec() -> ObjectSpec {
 fn run_variant(protocol: ProtocolConfig) -> (u64, f64) {
     let config = ClusterConfig {
         protocol,
+        registry: MetricsRegistry::new(),
         ..ClusterConfig::default()
     };
     let mut cluster = SimCluster::new(config);
@@ -37,10 +39,13 @@ fn run_variant(protocol: ProtocolConfig) -> (u64, f64) {
     cluster.run_for(TimeDelta::from_secs(5));
     let mean_response = cluster
         .metrics()
-        .response_times()
-        .mean()
+        .mean_response_time()
         .map_or(0.0, TimeDelta::as_millis_f64);
-    (cluster.metrics().updates_sent(), mean_response)
+    let sent = cluster
+        .registry()
+        .snapshot()
+        .counter("cluster.updates_sent");
+    (sent.unwrap_or(0), mean_response)
 }
 
 fn bench_ablations(c: &mut Criterion) {

@@ -5,6 +5,7 @@ use rtpb_bench::harness::{BenchmarkId, Criterion, Throughput};
 use rtpb_bench::{criterion_group, criterion_main};
 use rtpb_core::harness::{ClusterConfig, SimCluster};
 use rtpb_core::wire::WireMessage;
+use rtpb_obs::MetricsRegistry;
 use rtpb_types::{Epoch, ObjectId, ObjectSpec, Time, TimeDelta, Version};
 
 fn update_msg(payload_len: usize) -> WireMessage {
@@ -39,7 +40,10 @@ fn bench_simulation(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("one_object_one_virtual_second", |b| {
         b.iter(|| {
-            let mut cluster = SimCluster::new(ClusterConfig::default());
+            let mut cluster = SimCluster::new(ClusterConfig {
+                registry: MetricsRegistry::new(),
+                ..ClusterConfig::default()
+            });
             let spec = ObjectSpec::builder("bench")
                 .update_period(TimeDelta::from_millis(100))
                 .primary_bound(TimeDelta::from_millis(150))
@@ -48,7 +52,10 @@ fn bench_simulation(c: &mut Criterion) {
                 .expect("valid");
             cluster.register(spec).expect("admitted");
             cluster.run_for(TimeDelta::from_secs(1));
-            cluster.metrics().updates_sent()
+            cluster
+                .registry()
+                .snapshot()
+                .counter("cluster.updates_sent")
         });
     });
     group.finish();

@@ -118,8 +118,7 @@ fn run_once(
     let report = cluster.report();
     RunOutcome {
         mean_response_ms: report
-            .response_times()
-            .mean()
+            .mean_response_time()
             .map_or(0.0, TimeDelta::as_millis_f64),
         avg_max_distance_ms: report
             .average_max_distance()

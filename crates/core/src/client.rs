@@ -91,15 +91,6 @@ impl RtpbClient {
         }
     }
 
-    /// Wraps an already-built cluster in a fresh session.
-    #[must_use]
-    pub fn from_cluster(cluster: SimCluster) -> Self {
-        RtpbClient {
-            cluster,
-            token: SessionToken::new(),
-        }
-    }
-
     /// Registers an object through the primary's admission control.
     ///
     /// # Errors

@@ -222,14 +222,7 @@ struct BackupHost {
 
 impl BackupHost {
     fn new(node: NodeId, index: usize, config: &ClusterConfig) -> Self {
-        let lossless = LinkConfig {
-            loss_probability: 0.0,
-            duplicate_probability: 0.0,
-            reorder_probability: 0.0,
-            corrupt_probability: 0.0,
-            burst: None,
-            ..config.link
-        };
+        let control = config.link.fault_free();
         let base = config.seed.wrapping_add(100 + 4 * index as u64);
         let mut host = BackupHost {
             node,
@@ -238,9 +231,9 @@ impl BackupHost {
             reads_served: 0,
             busy_until: Time::ZERO,
             data_link: LossyLink::new(config.link, base),
-            ctrl_link: LossyLink::new(lossless, base.wrapping_add(1)),
+            ctrl_link: LossyLink::new(control, base.wrapping_add(1)),
             rev_data_link: LossyLink::new(config.link, base.wrapping_add(2)),
-            rev_ctrl_link: LossyLink::new(lossless, base.wrapping_add(3)),
+            rev_ctrl_link: LossyLink::new(control, base.wrapping_add(3)),
         };
         if config.bus.is_enabled() {
             host.data_link
@@ -459,8 +452,7 @@ impl ClusterWorld {
     ///   the exception.
     ///
     /// Update-carrying frames are counted as they leave, through the
-    /// shared [`steps::transmit`], and in the per-object ledger when the
-    /// destination feeds the metrics.
+    /// shared [`steps::transmit`].
     fn route(&mut self, ctx: &mut Context<'_, Event>, from: Peer, to: Peer, frame: &Encoded<'_>) {
         let now = ctx.now();
         let (host, outbound, end) = match (from, to) {
@@ -510,14 +502,9 @@ impl ClusterWorld {
                 Some(link.transmit(now, bytes))
             },
         );
-        let Some((outcome, carried)) = sent else {
+        let Some(outcome) = sent else {
             return;
         };
-        if carried > 0 && self.metrics_host() == Some(host) {
-            for _ in 0..carried {
-                self.metrics.record_update_sent(outcome.is_lost());
-            }
-        }
         for at in outcome.arrivals() {
             ctx.schedule_at(
                 at,
@@ -848,7 +835,6 @@ impl ClusterWorld {
 
     /// Backup host `host`'s detector declared the primary dead.
     fn primary_declared_dead(&mut self, ctx: &mut Context<'_, Event>, host: usize) {
-        self.metrics.record_failover_started(ctx.now());
         self.faults.detect_pending(ctx, Pending::PrimaryCrash);
         self.faults.detect_pending(ctx, Pending::Partition(host));
         if let Some((record, _)) = self.primary_partition {
@@ -1859,10 +1845,9 @@ impl SimCluster {
     /// [`RtpbClient::write`](crate::client::RtpbClient::write).
     ///
     /// Unlike the cluster's own periodic write load (which crosses the
-    /// CPU queue and feeds the response-time distribution), facade
-    /// writes complete in zero virtual time; they count in
-    /// `cluster.client_writes` and the per-object metrics but do not
-    /// perturb the response-time histogram.
+    /// CPU queue and records a response time), facade writes complete in
+    /// zero virtual time; they count in `cluster.client_writes` and the
+    /// per-object metrics but record no response time.
     pub(crate) fn client_write(
         &mut self,
         object: ObjectId,
@@ -2273,13 +2258,6 @@ impl SimCluster {
         (pool.outstanding(), pool.issued(), pool.reuses())
     }
 
-    /// The current CPU backlog at the primary host (writes + sends
-    /// queued).
-    #[must_use]
-    pub fn cpu_backlog(&self) -> usize {
-        self.sim.world().cpu.backlog()
-    }
-
     /// The structured-event bus this cluster emits onto (disabled unless
     /// [`ClusterConfig::bus`] was set).
     #[must_use]
@@ -2320,6 +2298,19 @@ mod tests {
             .unwrap()
     }
 
+    /// The default configuration, counting into a live registry.
+    fn counted() -> ClusterConfig {
+        ClusterConfig {
+            registry: MetricsRegistry::new(),
+            ..ClusterConfig::default()
+        }
+    }
+
+    /// A `cluster.*` count, zero if never registered.
+    fn count(cluster: &SimCluster, name: &str) -> u64 {
+        cluster.registry().snapshot().counter(name).unwrap_or(0)
+    }
+
     #[test]
     fn lossless_run_keeps_backup_consistent() {
         let mut cluster = SimCluster::new(ClusterConfig::default());
@@ -2344,7 +2335,7 @@ mod tests {
             cluster.register(spec(100, 150, 550)).unwrap();
         }
         cluster.run_for(TimeDelta::from_secs(5));
-        let mean = cluster.metrics().response_times().mean().unwrap();
+        let mean = cluster.metrics().mean_response_time().unwrap();
         assert!(
             mean < ms(5),
             "admitted load must respond quickly, got {mean}"
@@ -2373,12 +2364,12 @@ mod tests {
 
     #[test]
     fn retransmit_requests_fire_under_loss() {
-        let mut config = ClusterConfig::default();
+        let mut config = counted();
         config.link.loss_probability = 0.4;
         let mut cluster = SimCluster::new(config);
         cluster.register(spec(100, 150, 550)).unwrap();
         cluster.run_for(TimeDelta::from_secs(20));
-        assert!(cluster.metrics().retransmit_requests() > 0);
+        assert!(count(&cluster, "cluster.retransmit_requests") > 0);
     }
 
     #[test]
@@ -2427,14 +2418,14 @@ mod tests {
     #[test]
     fn compressed_mode_sends_more_often() {
         let run = |mode: SchedulingMode| {
-            let mut config = ClusterConfig::default();
+            let mut config = counted();
             config.protocol.scheduling_mode = mode;
             let mut cluster = SimCluster::new(config);
             for _ in 0..4 {
                 cluster.register(spec(100, 150, 550)).unwrap();
             }
             cluster.run_for(TimeDelta::from_secs(5));
-            cluster.metrics().updates_sent()
+            count(&cluster, "cluster.updates_sent")
         };
         let normal = run(SchedulingMode::Normal);
         let compressed = run(SchedulingMode::Compressed);
@@ -2460,10 +2451,7 @@ mod tests {
                 }
             }
             cluster.run_for(TimeDelta::from_secs(10));
-            (
-                registered,
-                cluster.metrics().response_times().mean().unwrap(),
-            )
+            (registered, cluster.metrics().mean_response_time().unwrap())
         };
         let (with_n, with_mean) = run(true, 48);
         let (without_n, without_mean) = run(false, 48);

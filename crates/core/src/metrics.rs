@@ -50,7 +50,6 @@
 //! allocates nothing.
 
 use crate::table::IdTable;
-use rtpb_sim::Summary;
 use rtpb_types::{ObjectId, Time, TimeDelta, Version};
 use std::collections::VecDeque;
 
@@ -438,15 +437,16 @@ pub struct ObjectReport {
 
 /// Aggregated metrics for a whole cluster run.
 ///
-/// Fed by the harness; read by the figure benches and by tests.
+/// Fed by the [`steps`](crate::steps) both drivers run; a driver only
+/// tracks objects, sets their refresh allowances and reads the report.
+/// Update, loss and retransmission counts live in the `cluster.*`
+/// registry ([`Instruments`](crate::telemetry::Instruments)), not here.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterMetrics {
     objects: IdTable<ObjectMetrics>,
     journal: WriteJournal,
-    response_times: Summary,
-    updates_sent: u64,
-    updates_lost: u64,
-    retransmit_requests: u64,
+    responses: u64,
+    response_nanos: u128,
     failover_at: Option<Time>,
     failover_complete_at: Option<Time>,
 }
@@ -561,20 +561,8 @@ impl ClusterMetrics {
 
     /// Records a client-write response time.
     pub fn record_response(&mut self, response: TimeDelta) {
-        self.response_times.record(response);
-    }
-
-    /// Records an update transmission (and whether the link lost it).
-    pub fn record_update_sent(&mut self, lost: bool) {
-        self.updates_sent += 1;
-        if lost {
-            self.updates_lost += 1;
-        }
-    }
-
-    /// Records a backup-initiated retransmission request.
-    pub fn record_retransmit_request(&mut self) {
-        self.retransmit_requests += 1;
+        self.responses += 1;
+        self.response_nanos += u128::from(response.as_nanos());
     }
 
     /// Records the instant the primary was declared dead by the backup.
@@ -634,10 +622,13 @@ impl ClusterMetrics {
         self.objects.iter().map(|(id, _)| id)
     }
 
-    /// Client response-time summary.
+    /// Mean client response time (§5.1, Figures 6–7), or `None` if no
+    /// write crossed a queue.
     #[must_use]
-    pub fn response_times(&self) -> &Summary {
-        &self.response_times
+    pub fn mean_response_time(&self) -> Option<TimeDelta> {
+        (self.responses > 0).then(|| {
+            TimeDelta::from_nanos((self.response_nanos / u128::from(self.responses)) as u64)
+        })
     }
 
     /// The *average maximum distance* of Figures 8–10: each object's
@@ -693,24 +684,6 @@ impl ClusterMetrics {
             }
         }
         m.last_refresh = Some(now);
-    }
-
-    /// Total updates transmitted toward the backup.
-    #[must_use]
-    pub fn updates_sent(&self) -> u64 {
-        self.updates_sent
-    }
-
-    /// Updates the link dropped.
-    #[must_use]
-    pub fn updates_lost(&self) -> u64 {
-        self.updates_lost
-    }
-
-    /// Retransmission requests the backup issued.
-    #[must_use]
-    pub fn retransmit_requests(&self) -> u64 {
-        self.retransmit_requests
     }
 
     /// First instant a backup declared the primary dead, if any detector
@@ -841,10 +814,15 @@ mod tests {
     #[test]
     fn response_times_aggregate() {
         let (mut m, _) = metrics_with_object(400);
+        assert_eq!(m.mean_response_time(), None);
         m.record_response(ms(1));
         m.record_response(ms(3));
-        assert_eq!(m.response_times().count(), 2);
-        assert_eq!(m.response_times().mean(), Some(ms(2)));
+        m.record_response(TimeDelta::from_nanos(1));
+        // Integer division of the nanosecond total, rounding down.
+        assert_eq!(
+            m.mean_response_time(),
+            Some(TimeDelta::from_nanos(4_000_001 / 3))
+        );
     }
 
     #[test]
@@ -879,17 +857,6 @@ mod tests {
         // Later repeats do not overwrite.
         m.record_failover_started(t(999));
         assert_eq!(m.failover_duration(), Some(ms(40)));
-    }
-
-    #[test]
-    fn update_counters() {
-        let mut m = ClusterMetrics::new();
-        m.record_update_sent(false);
-        m.record_update_sent(true);
-        m.record_retransmit_request();
-        assert_eq!(m.updates_sent(), 2);
-        assert_eq!(m.updates_lost(), 1);
-        assert_eq!(m.retransmit_requests(), 1);
     }
 
     #[test]

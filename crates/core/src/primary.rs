@@ -251,11 +251,6 @@ impl Primary {
         self.lease.renew(now);
     }
 
-    /// Stops tracking `backup` (declared dead or decommissioned).
-    pub fn remove_backup(&mut self, backup: NodeId) -> bool {
-        self.peers.remove(&backup).is_some()
-    }
-
     /// The tracked backups, in id order.
     #[must_use]
     pub fn backups(&self) -> Vec<NodeId> {
@@ -1234,13 +1229,6 @@ impl Primary {
     #[must_use]
     pub fn log(&self) -> &UpdateLog {
         &self.log
-    }
-
-    /// Fault-injection hook: flips `mask` into a retained log record's
-    /// payload (see [`UpdateLog::corrupt_record`]). Returns whether the
-    /// record was retained. Test/chaos harness use only.
-    pub fn corrupt_log_record(&mut self, seq: u64, byte: usize, mask: u8) -> bool {
-        self.log.corrupt_record(seq, byte, mask)
     }
 
     /// Fault-injection hook: flips `mask` into a stored object image

@@ -380,7 +380,7 @@ pub fn arrival_bytes(frame: &Frame, outcome: LinkOutcome) -> Frame {
 /// and count. Otherwise `fate` draws the link's outcome, or returns
 /// `None` when the driver's own gates drop the frame first; a frame that
 /// carries updates is then counted and emitted as sent, and lost with
-/// its frame. Returns the outcome and the number of updates carried.
+/// its frame. Returns the outcome.
 #[inline(always)]
 pub fn transmit(
     tel: &Instruments,
@@ -390,7 +390,7 @@ pub fn transmit(
     bytes: usize,
     mut emit: impl FnMut(EventKind),
     fate: impl FnOnce() -> Option<LinkOutcome>,
-) -> Option<(LinkOutcome, usize)> {
+) -> Option<LinkOutcome> {
     if bytes > MAX_DATAGRAM_BYTES {
         tel.send_rejected.inc();
         emit(EventKind::SendRejected {
@@ -428,7 +428,7 @@ pub fn transmit(
             }
         }
     }
-    Some((outcome, updates.len()))
+    Some(outcome)
 }
 
 /// Parses arrived bytes. A frame that fails (in practice an in-transit
@@ -555,7 +555,6 @@ pub fn flush(d: &mut impl Driver) {
 #[inline(always)]
 pub fn primary_receive(d: &mut impl Driver, from: NodeId, frame: &WireFrame<'_>) {
     if let WireFrame::RetransmitRequest { object, .. } = frame {
-        d.ledger(ClusterMetrics::record_retransmit_request);
         d.instruments().retransmit_requests.inc();
         d.emit(EventKind::RetransmitRequested {
             object: *object,
@@ -617,18 +616,16 @@ pub fn deposed_receive(d: &mut impl Driver, frame: &WireFrame<'_>) -> bool {
 
 /// A backup handles a frame. The receive hot path stays on the borrowed
 /// decode view: payload slices point into the delivered bytes and flow
-/// straight into the store. Every arrival, fresh or duplicate, resets the
-/// §5.3 refresh clock of each update it carries; a catch-up frame ends a
-/// re-integration; each applied update is emitted and fed to the ledger;
-/// the replies go back to the sender, and the output's emptied vectors
-/// back to the backup ([`Backup::recycle`]).
+/// straight into the store. A catch-up frame ends a re-integration; each
+/// applied update is emitted; the replies go back to the sender, and the
+/// output's emptied vectors back to the backup ([`Backup::recycle`]).
+/// At the backup the ledger follows, one ledger feed per frame resets
+/// the §5.3 refresh clock of each update the frame carries, fresh or
+/// duplicate, then records each applied update.
 #[inline(always)]
 pub fn backup_receive(d: &mut impl Driver, frame: &WireFrame<'_>) {
     let (now, local) = (d.now(), d.local());
     let follows = d.ledger_replica();
-    if follows {
-        d.ledger(|m| frame.for_each_update(|object, _| m.on_backup_refresh(object, now)));
-    }
     let Some(backup) = d.backup() else {
         return;
     };
@@ -650,15 +647,20 @@ pub fn backup_receive(d: &mut impl Driver, frame: &WireFrame<'_>) {
             suffix: matches!(frame, WireFrame::LogSuffix { .. }),
         });
     }
-    for &(object, version, write_ts) in &out.applied {
+    for &(object, version, _) in &out.applied {
         d.emit(EventKind::UpdateApplied {
             object,
             version,
             node,
         });
-        if follows {
-            d.ledger(|m| m.on_backup_apply(object, version, write_ts, now));
-        }
+    }
+    if follows {
+        d.ledger(|m| {
+            frame.for_each_update(|object, _| m.on_backup_refresh(object, now));
+            for &(object, version, write_ts) in &out.applied {
+                m.on_backup_apply(object, version, write_ts, now);
+            }
+        });
     }
     for reply in out.replies.drain(..) {
         d.send(Route::Reply, reply);
@@ -693,8 +695,9 @@ pub fn primary_heartbeat(d: &mut impl Driver) {
 }
 
 /// A backup's heartbeat tick against the serving primary `primary`:
-/// probes it, declares it dead past the miss threshold (the driver
-/// promotes or rejoins), and retries a pending join cycle.
+/// probes it, declares it dead past the miss threshold (the ledger
+/// records the first such instant as the failover's start, and the
+/// driver promotes or rejoins), and retries a pending join cycle.
 pub fn backup_heartbeat(d: &mut impl Driver, primary: NodeId) {
     let local = d.local();
     let Some(backup) = d.backup() else {
@@ -718,6 +721,8 @@ pub fn backup_heartbeat(d: &mut impl Driver, primary: NodeId) {
             from: node,
             peer: primary,
         });
+        let now = d.now();
+        d.ledger(|m| m.record_failover_started(now));
         d.react(Fact::PeerDead { peer: primary });
     }
     if let Some(join) = d.backup().and_then(|b| b.tick_join(local)) {

@@ -183,6 +183,22 @@ impl LinkConfig {
         self.delay_max + self.serialization_delay(size_bytes)
     }
 
+    /// This link's delays and bandwidth without its faults: no loss,
+    /// duplication, reordering, burst process or corruption. Both
+    /// drivers carry loss-exempt control traffic on such a lane, the
+    /// physically redundant path of §4.1.
+    #[must_use]
+    pub fn fault_free(&self) -> LinkConfig {
+        LinkConfig {
+            loss_probability: 0.0,
+            duplicate_probability: 0.0,
+            reorder_probability: 0.0,
+            burst: None,
+            corrupt_probability: 0.0,
+            ..*self
+        }
+    }
+
     fn serialization_delay(&self, size_bytes: usize) -> TimeDelta {
         match self.bytes_per_second {
             Some(rate) if rate > 0 => {
@@ -639,6 +655,29 @@ mod tests {
         // 1 ms propagation + 1 ms serialization.
         assert_eq!(a, Time::from_millis(2));
         assert_eq!(config.delay_bound(1000), TimeDelta::from_millis(2));
+    }
+
+    #[test]
+    fn fault_free_keeps_the_timing_and_drops_every_fault() {
+        let faulty = LinkConfig {
+            loss_probability: 0.3,
+            delay_min: TimeDelta::from_millis(2),
+            delay_max: TimeDelta::from_millis(7),
+            bytes_per_second: Some(1_000_000),
+            duplicate_probability: 0.2,
+            reorder_probability: 0.1,
+            burst: Some(GilbertElliott::bursty()),
+            corrupt_probability: 0.05,
+        };
+        assert_eq!(
+            faulty.fault_free(),
+            LinkConfig {
+                delay_min: faulty.delay_min,
+                delay_max: faulty.delay_max,
+                bytes_per_second: faulty.bytes_per_second,
+                ..LinkConfig::default()
+            }
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use rtpb_core::primary::Primary;
 use rtpb_core::steps::{self, Coalescer, Driver, Fact, Route, SweepMember, Sweeps, TimerKind};
 use rtpb_core::telemetry::Instruments;
 use rtpb_core::wire::{ReadStatus, WireMessage};
-use rtpb_net::{LinkConfig, LossyLink};
+use rtpb_net::LossyLink;
 use rtpb_obs::{ClockDomain, EventKind, EventWriter, MetricsRegistry, Role};
 use rtpb_sim::EventQueue;
 use rtpb_types::{
@@ -353,7 +353,7 @@ impl RtCluster {
             updates_sent: counters.updates_sent.get(),
             updates_applied: reports.iter().map(|r| r.applies).sum(),
             retransmit_requests: counters.retransmit_requests.get(),
-            mean_response: metrics.response_times().mean(),
+            mean_response: metrics.mean_response_time(),
             average_max_distance: metrics.average_max_distance(),
             inconsistency_episodes: reports.iter().map(|r| r.inconsistency_episodes).sum(),
             failed_over,
@@ -553,16 +553,7 @@ struct Outbox {
 
 impl Outbox {
     fn new(from: NodeId, destinations: usize, cluster: &ClusterConfig) -> Self {
-        // Control traffic rides a physically redundant path with the
-        // same delays but none of the faults (§4.1).
-        let control = LinkConfig {
-            loss_probability: 0.0,
-            duplicate_probability: 0.0,
-            reorder_probability: 0.0,
-            corrupt_probability: 0.0,
-            burst: None,
-            ..cluster.link
-        };
+        let control = cluster.link.fault_free();
         let lanes = (0..destinations as u64)
             .map(|to| {
                 let from = u64::from(from.index()) << 20;
@@ -612,15 +603,9 @@ impl Outbox {
                 Some(lane.transmit(now, bytes.len()))
             },
         );
-        let Some((outcome, carried)) = sent else {
+        let Some(outcome) = sent else {
             return;
         };
-        if carried > 0 && shared.ledger_replica() == Some(to) {
-            let mut metrics = shared.metrics.lock().expect("metrics poisoned");
-            for _ in 0..carried {
-                metrics.record_update_sent(outcome.is_lost());
-            }
-        }
         for due in outcome.arrivals() {
             let _ = shared.inboxes[usize::from(to.index())].send(Input::Frame {
                 from: self.from,
@@ -966,7 +951,6 @@ impl Driver for Node {
             // whichever primary the name binds now.
             Fact::PeerDead { peer } if matches!(self.host, Host::Backup(_)) => {
                 let now = self.shared.now();
-                self.ledger(|m| m.record_failover_started(now));
                 let takes_over = self.cluster.auto_failover && {
                     let mut names = self.shared.names.lock().expect("names poisoned");
                     let unchanged = names.resolve() == peer;

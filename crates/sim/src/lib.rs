@@ -63,10 +63,8 @@ mod engine;
 pub mod propcheck;
 mod queue;
 mod rng;
-mod stats;
 
 pub use clock::ClockModel;
 pub use engine::{Context, Simulation, World};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::Summary;

@@ -16,6 +16,7 @@
 //! ```
 
 use rtpb::core::harness::ClusterConfig;
+use rtpb::obs::MetricsRegistry;
 use rtpb::types::{AdmissionError, ObjectSpec, TimeDelta};
 use rtpb::{ReadConsistency, RtpbClient};
 
@@ -23,6 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = ClusterConfig::default();
     config.link.loss_probability = 0.02; // a mildly lossy LAN
     config.seed = 7;
+    config.registry = MetricsRegistry::new();
     let mut client = RtpbClient::new(config);
 
     // Fast flight-dynamics objects.
@@ -101,11 +103,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         assert_eq!(r.backup_violations, 0);
     }
+    let counts = client.registry().snapshot();
+    let count = |name| counts.counter(name).unwrap_or(0);
     println!(
         "updates sent {} (lost {}), retransmit requests {}",
-        report.updates_sent(),
-        report.updates_lost(),
-        report.retransmit_requests()
+        count("cluster.updates_sent"),
+        count("cluster.updates_lost"),
+        count("cluster.retransmit_requests")
     );
     println!("take-off telemetry stayed temporally consistent.");
     Ok(())

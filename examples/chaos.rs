@@ -129,7 +129,11 @@ fn main() {
          {} retransmissions requested",
         backup.store().len(),
         backup.updates_applied(),
-        client.metrics().retransmit_requests(),
+        client
+            .registry()
+            .snapshot()
+            .counter("cluster.retransmit_requests")
+            .unwrap_or(0),
     );
 
     // Structured-event summary: every protocol event of the run, typed

@@ -56,8 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "mean client response  : {}",
         client
             .metrics()
-            .response_times()
-            .mean()
+            .mean_response_time()
             .expect("writes happened")
     );
 

@@ -18,6 +18,16 @@ fn at_ms(v: u64) -> Time {
     Time::from_millis(v)
 }
 
+/// Retransmission requests the primary received
+/// (`cluster.retransmit_requests`).
+fn retransmit_requests(cluster: &RtpbClient) -> u64 {
+    cluster
+        .registry()
+        .snapshot()
+        .counter("cluster.retransmit_requests")
+        .expect("the test enables the registry")
+}
+
 fn spec(period: u64) -> ObjectSpec {
     ObjectSpec::builder("chaos-obj")
         .update_period(ms(period))
@@ -46,6 +56,7 @@ fn loss_burst_is_detected_and_heals() {
                 loss: 1.0,
             },
         ),
+        registry: MetricsRegistry::new(),
         ..ClusterConfig::default()
     };
     let mut cluster = RtpbClient::new(config);
@@ -76,7 +87,7 @@ fn loss_burst_is_detected_and_heals() {
     // update periods.
     assert!(obj.max_distance >= ms(1_500), "got {}", obj.max_distance);
     assert!(obj.max_distance <= ms(3_000), "got {}", obj.max_distance);
-    assert!(report.retransmit_requests() > 0);
+    assert!(retransmit_requests(&cluster) > 0);
 }
 
 /// Scenario 2: the backup is partitioned away and the cut heals. Both
@@ -230,6 +241,7 @@ fn delay_spike_past_link_bound_triggers_watchdogs() {
                 extra: ms(100),
             },
         ),
+        registry: MetricsRegistry::new(),
         ..ClusterConfig::default()
     };
     let mut cluster = RtpbClient::new(config);
@@ -256,7 +268,7 @@ fn delay_spike_past_link_bound_triggers_watchdogs() {
         "detection took {detection} (allowance {allowance})"
     );
     assert_eq!(spike.recovered_at, Some(at_ms(3_500)));
-    assert!(cluster.report().retransmit_requests() > 0);
+    assert!(retransmit_requests(&cluster) > 0);
 }
 
 /// The whole point of *planned* chaos: identical seeds and plans give
@@ -292,6 +304,7 @@ fn chaos_runs_are_deterministic() {
                         extra: ms(50),
                     },
                 ),
+            registry: MetricsRegistry::new(),
             ..ClusterConfig::default()
         };
         let mut cluster = RtpbClient::new(config);
@@ -304,7 +317,7 @@ fn chaos_runs_are_deterministic() {
             obj.writes,
             obj.applies,
             obj.max_distance,
-            report.retransmit_requests(),
+            retransmit_requests(&cluster),
         )
     };
     let a = run();

@@ -2,6 +2,7 @@
 
 use rtpb::core::harness::ClusterConfig;
 use rtpb::core::{SchedulabilityTest, SchedulingMode};
+use rtpb::obs::MetricsRegistry;
 use rtpb::types::{AdmissionError, ObjectId, ObjectSpec, TimeDelta};
 use rtpb::RtpbClient;
 
@@ -135,7 +136,7 @@ fn all_schedulability_tests_protect_the_admitted_set() {
             }
         }
         cluster.run_for(TimeDelta::from_secs(5));
-        let mean = cluster.metrics().response_times().mean().unwrap();
+        let mean = cluster.metrics().mean_response_time().unwrap();
         assert!(
             mean < ms(20),
             "{test:?}: admitted load must stay responsive, got {mean}"
@@ -150,7 +151,10 @@ fn all_schedulability_tests_protect_the_admitted_set() {
 #[test]
 fn compressed_scheduling_shrinks_recovery_time_under_loss() {
     let run = |mode: SchedulingMode| {
-        let mut config = ClusterConfig::default();
+        let mut config = ClusterConfig {
+            registry: MetricsRegistry::new(),
+            ..ClusterConfig::default()
+        };
         config.protocol.scheduling_mode = mode;
         config.link.loss_probability = 0.15;
         config.seed = 5;
@@ -159,10 +163,13 @@ fn compressed_scheduling_shrinks_recovery_time_under_loss() {
             cluster.register(spec(100, 150, 550)).unwrap();
         }
         cluster.run_for(TimeDelta::from_secs(60));
-        let report = cluster.report();
         (
-            report.average_max_distance().unwrap(),
-            report.updates_sent(),
+            cluster.report().average_max_distance().unwrap(),
+            cluster
+                .registry()
+                .snapshot()
+                .counter("cluster.updates_sent")
+                .unwrap(),
         )
     };
     let (normal_distance, normal_sent) = run(SchedulingMode::Normal);
@@ -199,11 +206,18 @@ fn deregistration_frees_capacity() {
 fn the_wire_protocol_is_actually_exercised() {
     // Corrupt-message counters stay zero in healthy runs, proving every
     // encoded frame parses back at its receiver.
-    let mut config = ClusterConfig::default();
+    let mut config = ClusterConfig {
+        registry: MetricsRegistry::new(),
+        ..ClusterConfig::default()
+    };
     config.link.loss_probability = 0.1;
     let mut cluster = RtpbClient::new(config);
     cluster.register(spec(50, 80, 300)).unwrap();
     cluster.run_for(TimeDelta::from_secs(10));
     assert_eq!(cluster.cluster().corrupt_messages(), 0);
-    assert!(cluster.metrics().updates_sent() > 50);
+    let sent = cluster
+        .registry()
+        .snapshot()
+        .counter("cluster.updates_sent");
+    assert!(sent.unwrap() > 50);
 }

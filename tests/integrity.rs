@@ -145,7 +145,7 @@ fn corrupt_frames_are_detected_dropped_and_repaired() {
     let detection = window.detection_latency().expect("window undetected");
     assert!(detection <= ms(1_000), "detection took {detection}");
     assert_eq!(window.recovered_at, Some(at_ms(3_500)), "heals with window");
-    assert!(cluster.report().retransmit_requests() > 0);
+    assert!(counter(&cluster, "cluster.retransmit_requests") > 0);
 
     // The backup went stale for roughly the window and recovered; no
     // corrupted byte ever reached its store.

@@ -2,6 +2,7 @@
 //! full feature set.
 
 use rtpb::core::harness::ClusterConfig;
+use rtpb::obs::MetricsRegistry;
 use rtpb::types::{AdmissionError, ObjectSpec, TimeDelta};
 use rtpb::RtpbClient;
 
@@ -102,6 +103,7 @@ fn deterministic_replay_across_full_feature_set() {
         let mut config = ClusterConfig {
             num_backups: 2,
             seed,
+            registry: MetricsRegistry::new(),
             ..ClusterConfig::default()
         };
         config.protocol.scheduling_mode = rtpb::core::SchedulingMode::Compressed;
@@ -129,12 +131,12 @@ fn deterministic_replay_across_full_feature_set() {
             )
             .unwrap();
         cluster.run_for(TimeDelta::from_secs(10));
-        let r = cluster.report();
+        let counts = cluster.registry().snapshot();
         (
-            r.updates_sent(),
-            r.updates_lost(),
-            r.average_max_distance(),
-            r.response_times().count(),
+            counts.counter("cluster.updates_sent"),
+            counts.counter("cluster.updates_lost"),
+            cluster.report().average_max_distance(),
+            counts.histogram("cluster.response_time").map(|h| h.count),
         )
     };
     assert_eq!(run(42), run(42));

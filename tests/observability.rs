@@ -1,7 +1,8 @@
 //! Observability-layer guarantees at the cluster level: seeded runs
 //! export byte-identical event streams, tracing never perturbs protocol
-//! outcomes, and a faulty run's trace carries the full event taxonomy
-//! with (time, seq)-monotone ordering.
+//! outcomes, a faulty run's trace carries the full event taxonomy with
+//! (time, seq)-monotone ordering, and the registry's counts agree with
+//! the events and the ledger.
 
 use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
 use rtpb::obs::{validate_line, EventBus, EventKind, MetricsRegistry};
@@ -58,7 +59,9 @@ fn stormy_plan() -> FaultPlan {
         .at(Time::from_millis(8_000), FaultEvent::CrashPrimary)
 }
 
-fn stormy_run(seed: u64, traced: bool) -> RtpbClient {
+/// A cluster on the stormy plan with two objects registered, not yet
+/// run.
+fn stormy_cluster(seed: u64, traced: bool) -> RtpbClient {
     let config = ClusterConfig {
         seed,
         fault_plan: stormy_plan(),
@@ -77,6 +80,12 @@ fn stormy_run(seed: u64, traced: bool) -> RtpbClient {
     let mut cluster = RtpbClient::new(config);
     cluster.register(spec("a", 50)).unwrap();
     cluster.register(spec("b", 100)).unwrap();
+    cluster
+}
+
+/// The stormy cluster after its 10 s run.
+fn stormy_run(seed: u64, traced: bool) -> RtpbClient {
+    let mut cluster = stormy_cluster(seed, traced);
     cluster.run_for(TimeDelta::from_secs(10));
     cluster
 }
@@ -109,17 +118,34 @@ fn seeded_runs_export_byte_identical_event_streams() {
 }
 
 /// Tracing is observation only: a traced run and an untraced run with
-/// the same seed reach identical protocol outcomes.
+/// the same seed reach identical protocol outcomes. The untraced run
+/// keeps its registry off, so the runs compare the retransmission
+/// requests each live backup has sent, sampled every virtual second.
 #[test]
 fn tracing_on_and_off_reach_identical_outcomes() {
-    let traced = stormy_run(37, true);
-    let bare = stormy_run(37, false);
+    let run = |traced| {
+        let mut cluster = stormy_cluster(37, traced);
+        let mut requests = Vec::new();
+        for _ in 0..10 {
+            cluster.run_for(TimeDelta::from_secs(1));
+            let backups = cluster.backups();
+            let sent = backups.iter().map(|b| b.retransmit_requests_sent());
+            requests.push(sent.collect::<Vec<_>>());
+        }
+        (cluster, requests)
+    };
+    let (traced, traced_requests) = run(true);
+    let (bare, bare_requests) = run(false);
 
     assert!(bare.bus().collect().is_empty(), "disabled bus stays empty");
     assert_eq!(traced.fault_report(), bare.fault_report());
     assert_eq!(traced.has_failed_over(), bare.has_failed_over());
+    assert_eq!(traced_requests, bare_requests);
+    assert!(
+        traced_requests.iter().flatten().any(|&n| n > 0),
+        "the loss burst must provoke retransmission requests"
+    );
     let (rt, rb) = (traced.report(), bare.report());
-    assert_eq!(rt.retransmit_requests(), rb.retransmit_requests());
     for cluster in [&traced, &bare] {
         assert!(cluster.has_failed_over(), "the primary crash must promote");
     }
@@ -165,4 +191,48 @@ fn stormy_trace_covers_taxonomy_with_monotone_timestamps() {
         assert!((t_ns, seq) >= last, "stream must be (time, seq)-ordered");
         last = (t_ns, seq);
     }
+}
+
+/// Update, loss and retransmission counts live only in the `cluster.*`
+/// registry, and the ledger keeps a response-time total: on a lossy run
+/// each count equals the events that report it, and the ledger's mean
+/// response time equals the registry histogram's.
+#[test]
+fn registry_counts_match_the_events_and_the_ledger_mean() {
+    let mut config = ClusterConfig {
+        seed: 13,
+        bus: EventBus::with_capacity(1 << 17),
+        registry: MetricsRegistry::new(),
+        ..ClusterConfig::default()
+    };
+    config.link.loss_probability = 0.2;
+    let mut cluster = RtpbClient::new(config);
+    cluster.register(spec("a", 50)).unwrap();
+    cluster.register(spec("b", 100)).unwrap();
+    cluster.run_for(TimeDelta::from_secs(5));
+
+    let events = cluster.bus().collect();
+    assert_eq!(cluster.bus().dropped(), 0, "ring must not overflow here");
+    let (mut sent, mut lost, mut requested) = (0, 0, 0);
+    for event in &events {
+        match event.kind {
+            EventKind::UpdateSent { lost: dropped, .. } => {
+                sent += 1;
+                lost += u64::from(dropped);
+            }
+            EventKind::RetransmitRequested { .. } => requested += 1,
+            _ => {}
+        }
+    }
+    assert!(sent > 0 && lost > 0 && requested > 0);
+    let snapshot = cluster.registry().snapshot();
+    assert_eq!(snapshot.counter("cluster.updates_sent"), Some(sent));
+    assert_eq!(snapshot.counter("cluster.updates_lost"), Some(lost));
+    assert_eq!(
+        snapshot.counter("cluster.retransmit_requests"),
+        Some(requested)
+    );
+    let response = snapshot.histogram("cluster.response_time").unwrap();
+    assert!(response.count > 0);
+    assert_eq!(cluster.metrics().mean_response_time(), response.mean);
 }

@@ -4,7 +4,7 @@
 //! same qualitative behaviour.
 
 use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
-use rtpb::obs::{EventBus, EventKind, ObsEvent, Role};
+use rtpb::obs::{EventBus, EventKind, MetricsRegistry, ObsEvent, Role};
 use rtpb::rt::{RtCluster, RtConfig, RtReport};
 use rtpb::types::{ObjectId, ObjectSpec, Time, TimeDelta};
 use rtpb::RtpbClient;
@@ -81,7 +81,10 @@ fn both_drivers_fail_over_on_primary_death() {
 
 #[test]
 fn both_drivers_survive_update_loss_via_retransmission() {
-    let mut config = ClusterConfig::default();
+    let mut config = ClusterConfig {
+        registry: MetricsRegistry::new(),
+        ..ClusterConfig::default()
+    };
     config.link.loss_probability = 0.5;
 
     let cluster = simulate(&config, 50, 5);
@@ -90,7 +93,8 @@ fn both_drivers_survive_update_loss_via_retransmission() {
         .object_report(cluster_id(&cluster))
         .unwrap();
     assert!(sim_report.applies > 0);
-    assert!(cluster.metrics().retransmit_requests() > 0);
+    let requests = cluster.registry().snapshot();
+    assert!(requests.counter("cluster.retransmit_requests").unwrap() > 0);
 
     let rt_report = run_threads(&config, 50, 2);
     assert!(rt_report.updates_applied > 0);
