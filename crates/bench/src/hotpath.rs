@@ -3,16 +3,10 @@
 //! that every experiment runs through, and of the metrics ledger every
 //! write, apply and checked read updates.
 //!
-//! The codec scenarios are paired so every zero-copy path is measured
-//! against a reference implementation of the pre-change algorithm on
-//! identical inputs (asserted byte-identical before timing):
-//!
 //! | scenario                | measures                                    |
 //! |-------------------------|---------------------------------------------|
 //! | `encode_update_pooled`  | `encode_into` a [`BufPool`] lease           |
-//! | `encode_update_legacy`  | fresh-`Vec` encode per frame (old `encode`) |
 //! | `encode_batch_pooled`   | batch sub-frames appended in place          |
-//! | `encode_batch_legacy`   | old encode-then-copy batch assembly         |
 //! | `decode_view`           | borrowing [`WireFrame`] parse               |
 //! | `decode_owned`          | owned [`WireMessage::decode`]               |
 //! | `primary_apply`         | `Primary::apply_client_write`               |
@@ -27,11 +21,12 @@
 //!
 //! Every encode scenario seals the frame with its CRC32C trailer and
 //! every decode scenario verifies it (the codec has no unchecksummed
-//! mode), so the paired pooled/legacy numbers price the checksum cost
-//! honestly. `checksum_batch` and `decode_view_corrupt` isolate that
-//! cost: the raw CRC pass over a batch image, and the price of
-//! *detecting* a corrupted frame (full checksum pass, then the typed
-//! error — never a panic).
+//! mode), so every codec row includes the checksum cost. `decode_view`
+//! and `decode_owned` parse the same frame, borrowed and owned.
+//! `checksum_batch` and `decode_view_corrupt` isolate the checksum cost:
+//! the raw CRC pass over a batch image, and the price of *detecting* a
+//! corrupted frame (full checksum pass, then the typed error — never a
+//! panic).
 //!
 //! `send_deliver_frame` takes one batch of `batch_size` fresh updates,
 //! one per object, along the path a simulated frame takes: encode with
@@ -115,11 +110,9 @@ use std::time::Instant;
 pub type AllocCounter = fn() -> u64;
 
 /// Every scenario the suite runs, in report order.
-pub const SCENARIOS: [&str; 15] = [
+pub const SCENARIOS: [&str; 13] = [
     "encode_update_pooled",
-    "encode_update_legacy",
     "encode_batch_pooled",
-    "encode_batch_legacy",
     "decode_view",
     "decode_owned",
     "primary_apply",
@@ -255,62 +248,6 @@ fn sample_batch(config: &HotpathConfig) -> WireMessage {
             .map(|i| sample_update(config, i + 1, i + 1))
             .collect(),
     }
-}
-
-/// One sub-frame's body bytes via the old encode-to-temporary path.
-/// Sub-frames carry no trailer on the wire (the enclosing batch's
-/// trailer covers them), so the temporary's own trailer is stripped —
-/// the reference keeps the old allocation profile while producing the
-/// checksummed format's exact bytes.
-fn legacy_body(m: &WireMessage) -> Vec<u8> {
-    let mut inner = Vec::new();
-    m.encode_into(&mut inner);
-    inner.truncate(inner.len() - CRC_LEN);
-    inner
-}
-
-/// Reference implementation of the pre-change encoder: a fresh unsized
-/// `Vec` per frame, and batches assembled encode-then-copy (each
-/// sub-message encoded into its own temporary, then copied behind a
-/// length prefix, with the CRC32C trailer sealed over the assembled
-/// whole). Byte-identical to [`WireMessage::encode`] — the suite
-/// asserts this before timing — but with the old allocation profile.
-fn legacy_encode(msg: &WireMessage) -> Vec<u8> {
-    let mut buf = Vec::new();
-    if let WireMessage::Batch { messages, .. } = msg {
-        // Batch header: tag + epoch + count (the first 13 bytes).
-        let mut header = Vec::new();
-        msg.encode_into(&mut header);
-        buf.extend_from_slice(&header[..13]);
-        for m in messages {
-            let inner = legacy_body(m);
-            buf.extend_from_slice(&(inner.len() as u32).to_be_bytes());
-            buf.extend_from_slice(&inner);
-        }
-        let crc = crc32c(&buf);
-        buf.extend_from_slice(&crc.to_be_bytes());
-    } else {
-        msg.encode_into(&mut buf);
-    }
-    buf
-}
-
-/// The legacy batch reference above re-encodes the header through the
-/// new encoder, which would hide the old header cost; the timed closure
-/// uses this precomputed-header variant instead, replicating exactly the
-/// old per-iteration allocations: one growing outer vector plus one
-/// temporary per sub-message.
-fn legacy_encode_batch_with(header: &[u8], messages: &[WireMessage]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(header);
-    for m in messages {
-        let inner = legacy_body(m);
-        buf.extend_from_slice(&(inner.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&inner);
-    }
-    let crc = crc32c(&buf);
-    buf.extend_from_slice(&crc.to_be_bytes());
-    buf
 }
 
 /// The `send_deliver_frame` state: the primary's frame pool, one lossless
@@ -684,27 +621,7 @@ impl FlushState {
 pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> HotpathReport {
     let update = sample_update(config, 1, 1);
     let batch = sample_batch(config);
-    let update_bytes = update.encode();
     let batch_bytes = batch.encode();
-    assert_eq!(
-        legacy_encode(&update),
-        update_bytes,
-        "legacy reference encoder must stay bit-compatible"
-    );
-    assert_eq!(
-        legacy_encode(&batch),
-        batch_bytes,
-        "legacy reference encoder must stay bit-compatible"
-    );
-    let batch_header = batch_bytes[..13].to_vec();
-    let WireMessage::Batch { messages, .. } = batch.clone() else {
-        unreachable!("sample_batch builds a batch");
-    };
-    assert_eq!(
-        legacy_encode_batch_with(&batch_header, &messages),
-        batch_bytes,
-        "legacy batch assembly must stay bit-compatible"
-    );
 
     let mut scenarios = Vec::new();
     scenarios.push(bench(
@@ -719,17 +636,6 @@ pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> Hotpa
         },
     ));
     scenarios.push(bench(
-        "encode_update_legacy",
-        config,
-        counter,
-        || update.clone(),
-        |msg| {
-            let mut buf = Vec::new();
-            msg.encode_into(&mut buf);
-            black_box(buf.len());
-        },
-    ));
-    scenarios.push(bench(
         "encode_batch_pooled",
         config,
         counter,
@@ -738,16 +644,6 @@ pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> Hotpa
             let mut buf = pool.lease();
             msg.encode_into(&mut buf);
             black_box(buf.as_slice().len());
-        },
-    ));
-    scenarios.push(bench(
-        "encode_batch_legacy",
-        config,
-        counter,
-        || (batch_header.clone(), messages.clone()),
-        |(header, messages)| {
-            let buf = legacy_encode_batch_with(header, messages);
-            black_box(buf.len());
         },
     ));
     scenarios.push(bench(
@@ -1032,11 +928,8 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
 /// it exceeds the baseline by more than `threshold_pct` percent AND by
 /// an absolute floor (0.5 ns or 0.5 allocs), so near-zero baselines
 /// don't flag on measurement noise. Scenarios present in only one of
-/// the two documents are ignored — adding a scenario must not fail the
-/// gate retroactively — and so are the `*_legacy` reference scenarios:
-/// they model the *pre-change* codec for comparison, so their cost is
-/// not a floor the product has to defend (and, being malloc-bound,
-/// they are the noisiest numbers in the report).
+/// the two documents are ignored: adding a scenario must not fail the
+/// gate retroactively.
 ///
 /// Returns the list of regressions, one description per failing metric
 /// (empty means the gate passes).
@@ -1054,9 +947,6 @@ pub fn compare_reports(
     let factor = 1.0 + threshold_pct / 100.0;
     let mut regressions = Vec::new();
     for (name, base_ns, base_allocs) in &baseline {
-        if name.ends_with("_legacy") {
-            continue;
-        }
         let Some((_, new_ns, new_allocs)) = fresh.iter().find(|(n, _, _)| n == name) else {
             continue;
         };
@@ -1174,18 +1064,6 @@ mod tests {
         let regressions = compare_reports(&leak, &base, 25.0).unwrap();
         assert_eq!(regressions.len(), 1, "{regressions:?}");
         assert!(regressions[0].starts_with("encode_batch_pooled: allocs_per_op"));
-        // Legacy reference scenarios are comparison baselines, not
-        // product paths — a blowup there never fails the gate.
-        let legacy_blowup = synthetic(|s| {
-            if s.name.ends_with("_legacy") {
-                s.ns_per_op *= 10.0;
-                s.allocs_per_op += 100.0;
-            }
-        });
-        assert_eq!(
-            compare_reports(&legacy_blowup, &base, 25.0).unwrap(),
-            Vec::<String>::new()
-        );
     }
 
     #[test]
@@ -1235,14 +1113,5 @@ mod tests {
             // Every earlier write to the object has been applied.
             assert_eq!(report.applies + 1, report.writes);
         }
-    }
-
-    #[test]
-    fn legacy_encoders_stay_bit_compatible() {
-        let config = tiny();
-        let batch = sample_batch(&config);
-        assert_eq!(legacy_encode(&batch), batch.encode());
-        let update = sample_update(&config, 7, 7);
-        assert_eq!(legacy_encode(&update), update.encode());
     }
 }
