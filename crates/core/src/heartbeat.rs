@@ -1,13 +1,33 @@
 //! Heartbeat-based failure detection (paper §4.4).
 //!
 //! Both the primary and the backup run a "ping thread": send a probe every
-//! period, expect an acknowledgement within a timeout, re-probe on timeout,
-//! and declare the peer dead after a configured number of consecutive
-//! misses. The detector is a pure state machine: the driver feeds it timer
-//! ticks and received acks, and it answers with probes to send and a
-//! verdict.
+//! 50 ms, expect an acknowledgement within 100 ms, re-probe on timeout,
+//! and declare the peer dead after three consecutive misses. The detector
+//! is a pure state machine: the driver feeds it timer ticks and received
+//! acks, and it answers with probes to send and a verdict.
 
 use rtpb_types::{NodeId, Time, TimeDelta};
+
+/// Heartbeat probe period (§4.4).
+pub(crate) const HEARTBEAT_PERIOD: TimeDelta = TimeDelta::from_millis(50);
+
+/// How long a probe waits for its ack before it counts as a miss.
+const HEARTBEAT_TIMEOUT: TimeDelta = TimeDelta::from_millis(100);
+
+/// Consecutive misses after which the peer is declared dead.
+const HEARTBEAT_MISS_THRESHOLD: u32 = 3;
+
+/// The failure-detection declaration bound: the minimum elapsed time
+/// between a backup's last contact with the primary and the instant it
+/// may declare the primary dead (three misses of a 100 ms probe timeout
+/// each). The lease sizing rule
+/// ([`ProtocolConfig::check`](crate::config::ProtocolConfig::check))
+/// compares against it.
+pub const DECLARATION_BOUND: TimeDelta =
+    TimeDelta::from_nanos(HEARTBEAT_TIMEOUT.as_nanos() * HEARTBEAT_MISS_THRESHOLD as u64);
+
+const _: () = assert!(HEARTBEAT_TIMEOUT.as_nanos() >= HEARTBEAT_PERIOD.as_nanos());
+const _: () = assert!(HEARTBEAT_MISS_THRESHOLD >= 1);
 
 /// What the detector wants done after a tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,14 +46,9 @@ pub enum DetectorAction {
 ///
 /// ```
 /// use rtpb_core::heartbeat::{DetectorAction, FailureDetector};
-/// use rtpb_types::{NodeId, Time, TimeDelta};
+/// use rtpb_types::{NodeId, Time};
 ///
-/// let mut fd = FailureDetector::new(
-///     NodeId::new(0),
-///     TimeDelta::from_millis(50),  // ping period
-///     TimeDelta::from_millis(100), // ack timeout
-///     3,                           // misses before declaring death
-/// );
+/// let mut fd = FailureDetector::new(NodeId::new(0));
 /// // First tick sends a probe.
 /// assert_eq!(fd.tick(Time::ZERO), DetectorAction::SendPing(0));
 /// // The ack arrives in time: peer considered alive.
@@ -43,9 +58,6 @@ pub enum DetectorAction {
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
     me: NodeId,
-    period: TimeDelta,
-    timeout: TimeDelta,
-    miss_threshold: u32,
     next_seq: u64,
     /// The in-flight probe as `(seq, sent_at)`. The send timestamp — not
     /// the timeout deadline — is stored so that a matching ack can report
@@ -60,19 +72,10 @@ pub struct FailureDetector {
 
 impl FailureDetector {
     /// Creates a detector for the node `me` probing its peer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timeout < period` or `miss_threshold` is zero.
     #[must_use]
-    pub fn new(me: NodeId, period: TimeDelta, timeout: TimeDelta, miss_threshold: u32) -> Self {
-        assert!(timeout >= period, "timeout must be at least the period");
-        assert!(miss_threshold >= 1, "miss threshold must be positive");
+    pub fn new(me: NodeId) -> Self {
         FailureDetector {
             me,
-            period,
-            timeout,
-            miss_threshold,
             next_seq: 0,
             outstanding: None,
             consecutive_misses: 0,
@@ -86,13 +89,6 @@ impl FailureDetector {
     #[must_use]
     pub fn me(&self) -> NodeId {
         self.me
-    }
-
-    /// The probe period — drivers should call [`FailureDetector::tick`]
-    /// at least this often.
-    #[must_use]
-    pub fn period(&self) -> TimeDelta {
-        self.period
     }
 
     /// Whether the peer is currently considered alive.
@@ -109,18 +105,18 @@ impl FailureDetector {
 
     /// Advances the detector to `now`.
     ///
-    /// Call at least once per period (the driver typically schedules a
-    /// periodic timer). Returns at most one action per call.
+    /// Call at least once per probe period (the driver typically schedules
+    /// a periodic timer). Returns at most one action per call.
     pub fn tick(&mut self, now: Time) -> DetectorAction {
         if self.declared {
             return DetectorAction::Idle;
         }
         // An outstanding probe that timed out counts as a miss.
         if let Some((_, sent_at)) = self.outstanding {
-            if now >= sent_at + self.timeout {
+            if now >= sent_at + HEARTBEAT_TIMEOUT {
                 self.outstanding = None;
                 self.consecutive_misses += 1;
-                if self.consecutive_misses >= self.miss_threshold {
+                if self.consecutive_misses >= HEARTBEAT_MISS_THRESHOLD {
                     self.peer_alive = false;
                     self.declared = true;
                     return DetectorAction::DeclareDead;
@@ -141,7 +137,7 @@ impl FailureDetector {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.outstanding = Some((seq, now));
-        self.next_probe_at = now + self.period;
+        self.next_probe_at = now + HEARTBEAT_PERIOD;
         DetectorAction::SendPing(seq)
     }
 
@@ -188,7 +184,7 @@ impl FailureDetector {
         self.outstanding = None;
         self.consecutive_misses = 0;
         self.peer_alive = true;
-        self.next_probe_at = now + self.period;
+        self.next_probe_at = now + HEARTBEAT_PERIOD;
     }
 
     /// Resets the detector for a new peer (after recruiting a new backup).
@@ -207,7 +203,7 @@ impl FailureDetector {
     #[must_use]
     pub fn next_deadline(&self) -> Time {
         match self.outstanding {
-            Some((_, sent_at)) => sent_at + self.timeout,
+            Some((_, sent_at)) => sent_at + HEARTBEAT_TIMEOUT,
             None => self.next_probe_at,
         }
     }
@@ -218,12 +214,7 @@ mod tests {
     use super::*;
 
     fn fd() -> FailureDetector {
-        FailureDetector::new(
-            NodeId::new(0),
-            TimeDelta::from_millis(50),
-            TimeDelta::from_millis(100),
-            3,
-        )
+        FailureDetector::new(NodeId::new(0))
     }
 
     fn t(ms: u64) -> Time {
@@ -403,16 +394,5 @@ mod tests {
         let _ = d.tick(t(100));
         assert_eq!(d.consecutive_misses(), 0);
         assert!(d.is_peer_alive());
-    }
-
-    #[test]
-    #[should_panic(expected = "timeout")]
-    fn invalid_timing_rejected() {
-        let _ = FailureDetector::new(
-            NodeId::new(0),
-            TimeDelta::from_millis(100),
-            TimeDelta::from_millis(50),
-            3,
-        );
     }
 }

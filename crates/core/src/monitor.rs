@@ -37,6 +37,28 @@ use rtpb_types::{NodeId, Time, TimeDelta};
 
 use crate::config::ProtocolConfig;
 
+/// How long the envelope must hold after the last violation before a
+/// degraded node re-enables certificate minting, admissions, and lease
+/// renewal.
+const MONITOR_QUIET_PERIOD: TimeDelta = TimeDelta::from_millis(500);
+
+/// Slack added to the probe round-trip bound on top of `2 ×
+/// link_delay_bound`, absorbing benign jitter (reordering hold-back in
+/// the sim, scheduling noise under a real clock) so only genuine envelope
+/// violations trip the monitor.
+const MONITOR_RTT_SLACK: TimeDelta = TimeDelta::from_millis(10);
+
+/// Consecutive inbound frames handled without the local clock advancing
+/// before the monitor declares the clock stalled. Event cascades
+/// legitimately deliver several frames at one instant; a frozen clock
+/// pins *every* subsequent frame to one reading, so a generous threshold
+/// separates the two.
+const MONITOR_STALL_THRESHOLD: u32 = 32;
+
+// A zero quiet period would let a degraded node recover at once, so the
+// degradation would protect nothing.
+const _: () = assert!(!MONITOR_QUIET_PERIOD.is_zero());
+
 /// A detected contradiction between observed timing evidence and the
 /// configured temporal envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +71,8 @@ pub enum TimingViolation {
         peer: NodeId,
         /// The observed round-trip time.
         observed: TimeDelta,
-        /// The bound it was checked against (`2 × link_delay_bound +
-        /// monitor_rtt_slack`).
+        /// The bound it was checked against (`2 × link_delay_bound` plus
+        /// a 10 ms slack).
         bound: TimeDelta,
     },
     /// A message carried a timestamp more than `clock_skew` ahead of the
@@ -146,8 +168,6 @@ pub struct TemporalMonitor {
     enabled: bool,
     rtt_bound: TimeDelta,
     skew_bound: TimeDelta,
-    quiet_period: TimeDelta,
-    stall_threshold: u32,
     degraded: bool,
     last_violation_at: Option<Time>,
     high_water: Time,
@@ -162,10 +182,8 @@ impl TemporalMonitor {
     pub fn new(config: &ProtocolConfig) -> Self {
         TemporalMonitor {
             enabled: config.monitor_enabled,
-            rtt_bound: config.link_delay_bound + config.link_delay_bound + config.monitor_rtt_slack,
+            rtt_bound: config.link_delay_bound + config.link_delay_bound + MONITOR_RTT_SLACK,
             skew_bound: config.clock_skew,
-            quiet_period: config.monitor_quiet_period,
-            stall_threshold: config.monitor_stall_threshold,
             degraded: false,
             last_violation_at: None,
             high_water: Time::ZERO,
@@ -192,7 +210,7 @@ impl TemporalMonitor {
 
     /// Feeds a local clock reading: detects regression (an earlier
     /// reading than the running high-water mark) and stalls (the clock
-    /// pinned across `monitor_stall_threshold` consecutive readings).
+    /// pinned across 32 consecutive readings).
     pub fn observe_now(&mut self, now: Time) {
         if !self.enabled {
             return;
@@ -206,7 +224,7 @@ impl TemporalMonitor {
             self.raise(now, TimingViolation::LocalClockRegression { regressed });
         } else if now == self.high_water {
             self.stalled_frames += 1;
-            if self.stalled_frames >= self.stall_threshold {
+            if self.stalled_frames >= MONITOR_STALL_THRESHOLD {
                 let frames = self.stalled_frames;
                 self.stalled_frames = 0;
                 self.raise(now, TimingViolation::ClockStalled { frames });
@@ -278,7 +296,7 @@ impl TemporalMonitor {
         let Some(last) = self.last_violation_at else {
             return;
         };
-        if now.saturating_since(last) >= self.quiet_period {
+        if now.saturating_since(last) >= MONITOR_QUIET_PERIOD {
             self.degraded = false;
             self.events.push(MonitorEvent::Recovered);
         }
@@ -392,9 +410,8 @@ mod tests {
     #[test]
     fn stalled_clock_fires_after_threshold_frames() {
         let mut m = monitor();
-        let threshold = ProtocolConfig::default().monitor_stall_threshold;
         m.observe_now(t(100));
-        for _ in 0..threshold - 1 {
+        for _ in 0..MONITOR_STALL_THRESHOLD - 1 {
             m.observe_now(t(100));
         }
         assert!(!m.is_degraded());
@@ -412,10 +429,9 @@ mod tests {
         m.observe_remote_timestamp(peer(), t(200), t(100));
         assert!(m.is_degraded());
         m.drain_events();
-        let quiet = ProtocolConfig::default().monitor_quiet_period;
-        m.maybe_recover(t(100) + quiet - TimeDelta::from_millis(1));
+        m.maybe_recover(t(100) + MONITOR_QUIET_PERIOD - TimeDelta::from_millis(1));
         assert!(m.is_degraded());
-        m.maybe_recover(t(100) + quiet);
+        m.maybe_recover(t(100) + MONITOR_QUIET_PERIOD);
         assert!(!m.is_degraded());
         assert_eq!(m.drain_events(), vec![MonitorEvent::Recovered]);
     }
@@ -425,10 +441,9 @@ mod tests {
         let mut m = monitor();
         m.observe_remote_timestamp(peer(), t(200), t(100));
         m.observe_remote_timestamp(peer(), t(500), t(400));
-        let quiet = ProtocolConfig::default().monitor_quiet_period;
-        m.maybe_recover(t(100) + quiet);
+        m.maybe_recover(t(100) + MONITOR_QUIET_PERIOD);
         assert!(m.is_degraded(), "second violation restarted the clock");
-        m.maybe_recover(t(400) + quiet);
+        m.maybe_recover(t(400) + MONITOR_QUIET_PERIOD);
         assert!(!m.is_degraded());
     }
 
@@ -439,10 +454,9 @@ mod tests {
         // A violation raised at an earlier local instant (clock stepped
         // back) must not shorten the wait measured from t=400.
         m.observe_now(t(300));
-        let quiet = ProtocolConfig::default().monitor_quiet_period;
-        m.maybe_recover(t(300) + quiet);
+        m.maybe_recover(t(300) + MONITOR_QUIET_PERIOD);
         assert!(m.is_degraded());
-        m.maybe_recover(t(400) + quiet);
+        m.maybe_recover(t(400) + MONITOR_QUIET_PERIOD);
         assert!(!m.is_degraded());
     }
 

@@ -17,7 +17,7 @@
 
 use crate::admission;
 use crate::backup::Backup;
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, LEASE_DURATION};
 use crate::heartbeat::{DetectorAction, FailureDetector};
 use crate::integrity::{IntegrityEvent, IntegritySource};
 use crate::log::{CatchUpPath, UpdateLog};
@@ -203,7 +203,7 @@ impl Primary {
     #[must_use]
     pub fn new(node: NodeId, config: ProtocolConfig) -> Self {
         config.validate();
-        let lease = Lease::new(config.lease_duration);
+        let lease = Lease::new(LEASE_DURATION);
         let log = UpdateLog::new(Epoch::INITIAL, &config);
         let monitor = TemporalMonitor::new(&config);
         Primary {
@@ -239,12 +239,7 @@ impl Primary {
     /// and clock skew — a receive-time grant here still lapses before any
     /// backup's declaration bound can elapse.
     pub fn add_backup(&mut self, backup: NodeId, now: Time) {
-        let mut detector = FailureDetector::new(
-            self.node,
-            self.config.heartbeat_period,
-            self.config.heartbeat_timeout,
-            self.config.heartbeat_miss_threshold,
-        );
+        let mut detector = FailureDetector::new(self.node);
         detector.reset(now);
         self.peers.insert(backup, detector);
         self.ever_had_backup = true;
@@ -279,7 +274,7 @@ impl Primary {
         epoch: Epoch,
         now: Time,
     ) -> Self {
-        let mut lease = Lease::new(config.lease_duration);
+        let mut lease = Lease::new(LEASE_DURATION);
         lease.renew(now);
         // Adopt the inherited image as this regime's opening state: every
         // value is re-tagged with the freshly minted epoch, so updates and

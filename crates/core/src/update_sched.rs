@@ -7,9 +7,9 @@
 //! `r_i = (δ_i - ℓ)/2`.
 //!
 //! Under *compressed scheduling* (Mehra et al. \[22\]), all periods are then
-//! uniformly shrunk until the update-task set consumes the configured CPU
-//! target: "the primary schedules as many updates to backup as the
-//! resources allow".
+//! uniformly shrunk until the update-task set consumes
+//! [`COMPRESSED_TARGET_UTILIZATION`] of the CPU: "the primary schedules as
+//! many updates to backup as the resources allow".
 //!
 //! [`UpdateSchedule`] is the admitted task set, kept one admission at a
 //! time. Per object it holds the effective window, the send cost and the
@@ -40,6 +40,12 @@ use std::collections::BTreeMap;
 /// No period is shorter than this (pathological windows under disabled
 /// admission).
 const PERIOD_FLOOR: TimeDelta = TimeDelta::from_millis(1);
+
+/// The CPU utilization compressed scheduling raises the update-task set
+/// to.
+pub const COMPRESSED_TARGET_UTILIZATION: f64 = 0.9;
+
+const _: () = assert!(COMPRESSED_TARGET_UTILIZATION > 0.0 && COMPRESSED_TARGET_UTILIZATION <= 1.0);
 
 /// One scheduled object's update task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,16 +226,15 @@ impl UpdateSchedule {
         self.tasks.insert(id, task);
         self.utilization = change.utilization;
         self.product = change.product;
-        let target = config.compressed_target_utilization;
         // Shrinking every period by utilization/target raises total
         // utilization to exactly the target; periods never lengthen.
         self.compression = (config.scheduling_mode == SchedulingMode::Compressed
             && self.utilization > 0.0
-            && self.utilization < target)
+            && self.utilization < COMPRESSED_TARGET_UTILIZATION)
             .then(|| {
                 let num = (self.utilization * 1_000_000.0) as u64;
-                let den = (target * 1_000_000.0) as u64;
-                (num, den.max(1))
+                let den = (COMPRESSED_TARGET_UTILIZATION * 1_000_000.0) as u64;
+                (num, den)
             });
     }
 
@@ -436,7 +441,6 @@ mod tests {
     fn compression_raises_frequency_to_target() {
         let config = ProtocolConfig {
             scheduling_mode: SchedulingMode::Compressed,
-            compressed_target_utilization: 0.9,
             ..ProtocolConfig::default()
         };
         // Costs large enough that the compressed periods stay above the
@@ -464,13 +468,13 @@ mod tests {
         // Already above target: periods unchanged.
         let config = ProtocolConfig {
             scheduling_mode: SchedulingMode::Compressed,
-            compressed_target_utilization: 0.5,
             ..ProtocolConfig::default()
         };
-        // Two objects with 12 ms windows → 1 ms normal periods and high cost.
+        // Two objects with 12 ms windows → 1 ms normal periods and high
+        // cost: utilization 1.0, above the 0.9 target.
         let objects = vec![
-            (ObjectId::new(0), ms(12), TimeDelta::from_micros(400)),
-            (ObjectId::new(1), ms(12), TimeDelta::from_micros(400)),
+            (ObjectId::new(0), ms(12), TimeDelta::from_micros(500)),
+            (ObjectId::new(1), ms(12), TimeDelta::from_micros(500)),
         ];
         let normal = build(&objects, &cfg());
         let compressed = build(&objects, &config);

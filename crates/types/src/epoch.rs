@@ -11,8 +11,8 @@
 //!   It is renewed from the *send* timestamp of an acknowledged outbound
 //!   probe (guard-start-before-send: the backup's declaration timer had not
 //!   started before the probe left, so a renewal anchored there cannot
-//!   outlive the declaration bound) and sized so that `lease_duration +
-//!   clock_skew + link_delay_bound` is strictly less than the backup's
+//!   outlive the declaration bound) and sized so that its duration plus
+//!   `clock_skew + link_delay_bound` is strictly less than the backup's
 //!   declaration bound: by the time a backup may promote, the old primary's
 //!   lease has provably lapsed even under worst-case clock skew and message
 //!   delay.

@@ -6,9 +6,9 @@
 //!
 //! 1. **Time-bounded lease.** The primary may only emit updates while
 //!    its lease — renewed by backup acknowledgements — is valid. The
-//!    lease is sized so that `lease_duration + clock_skew <
-//!    declaration_bound`: the cut-off primary falls silent *before* any
-//!    backup can have declared it dead.
+//!    lease is sized so that `LEASE_DURATION + clock_skew +
+//!    link_delay_bound < DECLARATION_BOUND`: the cut-off primary falls
+//!    silent *before* any backup can have declared it dead.
 //! 2. **Fencing epochs.** The promotion mints a strictly higher epoch;
 //!    every wire frame carries the sender's epoch and every receiver
 //!    rejects stale-epoch frames. When the partition heals, the deposed
@@ -70,9 +70,9 @@ fn main() {
     let protocol = rtpb::core::config::ProtocolConfig::default();
     println!(
         "lease sizing: lease {} + skew {} < declaration bound {}\n",
-        protocol.lease_duration,
+        rtpb::core::config::LEASE_DURATION,
         protocol.clock_skew,
-        protocol.declaration_bound(),
+        rtpb::core::heartbeat::DECLARATION_BOUND,
     );
 
     let client = run(42);

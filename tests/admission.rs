@@ -8,6 +8,7 @@
 
 use rtpb::core::config::{ProtocolConfig, SchedulabilityTest, SchedulingMode};
 use rtpb::core::primary::Primary;
+use rtpb::core::update_sched::COMPRESSED_TARGET_UTILIZATION;
 use rtpb::sched::analysis::response_time::rta_schedulable;
 use rtpb::sched::analysis::utilization::{
     edf_schedulable, hyperbolic_schedulable, liu_layland_bound, rm_schedulable,
@@ -207,7 +208,7 @@ impl Oracle {
             }
         }
 
-        let target = config.compressed_target_utilization;
+        let target = COMPRESSED_TARGET_UTILIZATION;
         let ratio = (config.scheduling_mode == SchedulingMode::Compressed
             && utilization > 0.0
             && utilization < target)
