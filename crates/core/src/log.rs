@@ -408,29 +408,31 @@ impl UpdateLog {
         }
         Ok(tags)
     }
-
-    /// Fault-injection hook: flips `mask` into one byte of the retained
-    /// record at `seq` (into its stored checksum when the payload is
-    /// empty), *without* refreshing the checksum — modelling silent
-    /// in-memory corruption of "durable" log state. Returns `false` when
-    /// the ring no longer retains `seq`.
-    pub fn corrupt_record(&mut self, seq: u64, byte: usize, mask: u8) -> bool {
-        let Some(record) = self.records.iter_mut().find(|r| r.seq == seq) else {
-            return false;
-        };
-        if record.payload.is_empty() {
-            record.crc ^= u32::from(mask.max(1));
-        } else {
-            let at = byte % record.payload.len();
-            record.payload[at] ^= mask.max(1);
-        }
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UpdateLog {
+        /// Flips `mask` into one byte of the retained record at `seq`
+        /// (into its stored checksum when the payload is empty),
+        /// *without* refreshing the checksum — silent in-memory
+        /// corruption of "durable" log state. Returns `false` when the
+        /// ring no longer retains `seq`.
+        fn corrupt_record(&mut self, seq: u64, byte: usize, mask: u8) -> bool {
+            let Some(record) = self.records.iter_mut().find(|r| r.seq == seq) else {
+                return false;
+            };
+            if record.payload.is_empty() {
+                record.crc ^= u32::from(mask.max(1));
+            } else {
+                let at = byte % record.payload.len();
+                record.payload[at] ^= mask.max(1);
+            }
+            true
+        }
+    }
 
     fn cfg(retention: usize, interval: u64, retained: usize) -> ProtocolConfig {
         ProtocolConfig {

@@ -17,7 +17,8 @@ pub enum JsonValue {
     /// A non-negative integer value (every numeric field in the trace is
     /// a count, an id, or a nanosecond timestamp).
     UInt(u64),
-    /// A signed integer value (gauges).
+    /// A negative integer value. The program writes none, but the parser
+    /// also reads JSON written elsewhere.
     Int(i64),
     /// A floating-point value.
     Float(f64),
@@ -95,13 +96,6 @@ impl JsonObject {
 
     /// Appends an unsigned integer field.
     pub fn uint_field(&mut self, key: &str, value: u64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
-    /// Appends a signed integer field.
-    pub fn int_field(&mut self, key: &str, value: i64) -> &mut Self {
         self.key(key);
         let _ = write!(self.buf, "{value}");
         self
@@ -365,16 +359,23 @@ mod tests {
         let mut o = JsonObject::new();
         o.str_field("kind", "update \"sent\"\n")
             .uint_field("seq", 42)
-            .int_field("delta", -3)
             .float_field("rate", 0.5)
             .bool_field("lost", true);
         let line = o.finish();
         let map = parse_flat(&line).unwrap();
         assert_eq!(map["kind"], JsonValue::Str("update \"sent\"\n".into()));
         assert_eq!(map["seq"].as_u64(), Some(42));
-        assert_eq!(map["delta"], JsonValue::Int(-3));
         assert_eq!(map["rate"], JsonValue::Float(0.5));
         assert_eq!(map["lost"].as_bool(), Some(true));
+    }
+
+    #[test]
+    fn parses_signed_integers_from_outside_json() {
+        let map = parse_flat(r#"{"delta":-3,"big":-9223372036854775808}"#).unwrap();
+        assert_eq!(map["delta"], JsonValue::Int(-3));
+        assert_eq!(map["delta"].as_u64(), None);
+        assert_eq!(map["big"], JsonValue::Int(i64::MIN));
+        assert!(parse_flat(r#"{"a":-99999999999999999999}"#).is_err());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   lock-light (one uncontended mutex per writer), with per-thread
 //!   writers for the thread runtime and a single writer for the
 //!   single-threaded simulator. Disabled buses cost one branch per emit.
-//! - **Metrics registry** ([`MetricsRegistry`]): monotonic [`Counter`]s,
-//!   [`Gauge`]s, and fixed-bucket latency [`Histogram`]s over virtual or
-//!   real nanoseconds, snapshot-table and JSONL exportable.
+//! - **Metrics registry** ([`MetricsRegistry`]): monotonic [`Counter`]s
+//!   and fixed-bucket latency [`Histogram`]s over virtual or real
+//!   nanoseconds, snapshot-table and JSONL exportable. There are no
+//!   gauges: every registry figure is a count or a latency.
 //! - **JSONL export** ([`EventBus::export_jsonl`], [`validate_line`]):
 //!   dependency-free flat-JSON lines with a schema validator, consumed by
 //!   the bench harness and the CI observability smoke job.
@@ -61,4 +62,4 @@ mod registry;
 
 pub use bus::{EventBus, EventWriter};
 pub use event::{validate_line, ClockDomain, EventKind, ObsEvent, Role, SchemaError};
-pub use registry::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
+pub use registry::{Counter, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};

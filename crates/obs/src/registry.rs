@@ -1,5 +1,5 @@
-//! The metrics registry: monotonic counters, gauges, and fixed-bucket
-//! latency histograms.
+//! The metrics registry: monotonic counters and fixed-bucket latency
+//! histograms.
 //!
 //! Instruments are `Arc`-backed atomics, so handles are cheap to clone
 //! and safe to update from any thread without locking; the registry's
@@ -15,7 +15,7 @@
 use crate::json::JsonObject;
 use rtpb_types::TimeDelta;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing counter.
@@ -40,34 +40,6 @@ impl Counter {
     /// The current value (zero for a disabled instrument).
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// A gauge: a signed value that can move both ways.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    cell: Option<Arc<AtomicI64>>,
-}
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        if let Some(cell) = &self.cell {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// The current value (zero for a disabled instrument).
-    #[must_use]
-    pub fn get(&self) -> i64 {
         self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
@@ -180,7 +152,6 @@ impl Histogram {
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
@@ -244,23 +215,6 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Gets or creates the named gauge.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let Some(inner) = &self.inner else {
-            return Gauge::default();
-        };
-        inner
-            .gauges
-            .lock()
-            .expect("registry poisoned")
-            .entry(name.to_string())
-            .or_insert_with(|| Gauge {
-                cell: Some(Arc::new(AtomicI64::new(0))),
-            })
-            .clone()
-    }
-
     /// Gets or creates the named histogram with the default bounds.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
@@ -316,13 +270,6 @@ impl MetricsRegistry {
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let gauges = inner
-            .gauges
-            .lock()
-            .expect("registry poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
         let histograms = inner
             .histograms
             .lock()
@@ -342,7 +289,6 @@ impl MetricsRegistry {
             .collect();
         MetricsSnapshot {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -366,8 +312,6 @@ pub struct HistogramSummary {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
@@ -377,12 +321,6 @@ impl MetricsSnapshot {
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
-    }
-
-    /// A gauge's value, if registered.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
     }
 
     /// A histogram's summary, if registered.
@@ -401,14 +339,6 @@ impl MetricsSnapshot {
             o.str_field("metric", "counter")
                 .str_field("name", name)
                 .uint_field("value", *value);
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-        for (name, value) in &self.gauges {
-            let mut o = JsonObject::new();
-            o.str_field("metric", "gauge")
-                .str_field("name", name)
-                .int_field("value", *value);
             out.push_str(&o.finish());
             out.push('\n');
         }
@@ -437,9 +367,6 @@ mod tests {
         let c = r.counter("x");
         c.inc();
         assert_eq!(c.get(), 0);
-        let g = r.gauge("y");
-        g.set(5);
-        assert_eq!(g.get(), 0);
         let h = r.histogram("z");
         h.record(TimeDelta::from_millis(1));
         assert_eq!(h.count(), 0);
@@ -448,14 +375,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_are_shared_by_name() {
+    fn counters_are_shared_by_name() {
         let r = MetricsRegistry::new();
         r.counter("hits").add(3);
         r.counter("hits").inc();
         assert_eq!(r.counter("hits").get(), 4);
-        r.gauge("backlog").set(7);
-        r.gauge("backlog").add(-2);
-        assert_eq!(r.gauge("backlog").get(), 5);
     }
 
     #[test]
@@ -492,16 +416,14 @@ mod tests {
         let r = MetricsRegistry::new();
         r.counter("b").inc();
         r.counter("a").add(2);
-        r.gauge("g").set(-1);
         r.histogram("h").record(TimeDelta::from_micros(3));
         let snap = r.snapshot();
         assert_eq!(snap.counter("a"), Some(2));
-        assert_eq!(snap.gauge("g"), Some(-1));
         assert_eq!(snap.histogram("h").unwrap().count, 1);
         let jsonl = snap.to_jsonl();
         // Counters sort by name; every line parses as flat JSON.
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"a\""));
         for line in lines {
             crate::json::parse_flat(line).expect("valid json");
