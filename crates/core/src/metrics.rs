@@ -447,8 +447,9 @@ pub struct ClusterMetrics {
     journal: WriteJournal,
     responses: u64,
     response_nanos: u128,
-    failover_at: Option<Time>,
-    failover_complete_at: Option<Time>,
+    first_declared_at: Option<Time>,
+    declared_at: Option<Time>,
+    failover_duration: Option<TimeDelta>,
 }
 
 impl ClusterMetrics {
@@ -565,14 +566,19 @@ impl ClusterMetrics {
         self.response_nanos += u128::from(response.as_nanos());
     }
 
-    /// Records the instant the primary was declared dead by the backup.
+    /// Records the instant a backup declared the primary dead.
     pub fn record_failover_started(&mut self, now: Time) {
-        self.failover_at.get_or_insert(now);
+        self.first_declared_at.get_or_insert(now);
+        self.declared_at = Some(now);
     }
 
-    /// Records the instant the new primary began serving.
-    pub fn record_failover_complete(&mut self, now: Time) {
-        self.failover_complete_at.get_or_insert(now);
+    /// Records the instant a new primary began serving and returns this
+    /// failover's duration, timed from the latest declaration before it:
+    /// an earlier false alarm healed by re-join does not count.
+    pub fn record_failover_complete(&mut self, now: Time) -> Option<TimeDelta> {
+        let duration = self.declared_at.map(|at| now.saturating_since(at));
+        self.failover_duration = self.failover_duration.or(duration);
+        duration
     }
 
     /// Accounts open divergence intervals and refresh gaps up to the end
@@ -690,17 +696,14 @@ impl ClusterMetrics {
     /// ever fired (even a false alarm later healed by re-join).
     #[must_use]
     pub fn failover_started_at(&self) -> Option<Time> {
-        self.failover_at
+        self.first_declared_at
     }
 
-    /// Time from primary-death declaration to the new primary serving,
-    /// if a failover happened.
+    /// Time from the primary-death declaration to the new primary
+    /// serving, for the run's first failover, if one happened.
     #[must_use]
     pub fn failover_duration(&self) -> Option<TimeDelta> {
-        Some(
-            self.failover_complete_at?
-                .saturating_since(self.failover_at?),
-        )
+        self.failover_duration
     }
 }
 
@@ -852,11 +855,16 @@ mod tests {
     #[test]
     fn failover_timing() {
         let mut m = ClusterMetrics::new();
+        // A false alarm at 10 ms heals by re-join; the real declaration
+        // at 100 ms times the promotion at 140 ms.
+        m.record_failover_started(t(10));
         m.record_failover_started(t(100));
-        m.record_failover_complete(t(140));
-        // Later repeats do not overwrite.
+        assert_eq!(m.record_failover_complete(t(140)), Some(ms(40)));
+        // A second failover is timed on its own; the first one stays.
         m.record_failover_started(t(999));
+        assert_eq!(m.record_failover_complete(t(1_004)), Some(ms(5)));
         assert_eq!(m.failover_duration(), Some(ms(40)));
+        assert_eq!(m.failover_started_at(), Some(t(10)));
     }
 
     #[test]

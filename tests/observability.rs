@@ -108,7 +108,7 @@ fn seeded_runs_export_byte_identical_event_streams() {
     assert_eq!(digest(&jsonl_a), (70_278, 0x907f_a719), "pinned trace");
     assert_eq!(
         digest(&a.registry().snapshot().to_jsonl()),
-        (1_538, 0x24da_8ef5),
+        (1_514, 0x932a_27fd),
         "pinned registry snapshot"
     );
 
