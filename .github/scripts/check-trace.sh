@@ -2,26 +2,28 @@
 # Checks an example's RTPB_TRACE_OUT trace against the byte length and
 # SHA-256 committed for it in CONTRACT.json at the repository root.
 # Seeded examples write byte-identical traces, so any difference means
-# the simulator's behaviour changed.
+# the simulator's behaviour changed. An optional third argument names
+# the CONTRACT.json section to check against (default: example_traces).
 #
-#   .github/scripts/check-trace.sh <example> <trace-file>
+#   .github/scripts/check-trace.sh <example> <trace-file> [section]
 set -euo pipefail
 example=$1
-trace=$2
+file=$2
+section=${3:-example_traces}
 contract="$(dirname "$0")/../../CONTRACT.json"
 
-want=$(jq -c --arg ex "$example" '.example_traces[$ex] // empty' "$contract")
-got=$(jq -cn --argjson bytes "$(wc -c < "$trace")" \
-  --arg sha256 "$(sha256sum "$trace" | cut -d' ' -f1)" \
+want=$(jq -c --arg sec "$section" --arg ex "$example" '.[$sec][$ex] // empty' "$contract")
+got=$(jq -cn --argjson bytes "$(wc -c < "$file")" \
+  --arg sha256 "$(sha256sum "$file" | cut -d' ' -f1)" \
   '{bytes: $bytes, sha256: $sha256}')
 if [ -z "$want" ]; then
-  echo "::error::CONTRACT.json has no entry for $example; its trace is $got"
+  echo "::error::CONTRACT.json has no $section entry for $example; its file is $got"
   exit 1
 fi
 if [ "$(jq -c . <<< "$want")" != "$got" ]; then
-  echo "::error::$example trace differs from CONTRACT.json"
+  echo "::error::$example differs from CONTRACT.json $section"
   echo "expected $want"
   echo "actual   $got"
   exit 1
 fi
-echo "$example trace matches CONTRACT.json: $got"
+echo "$example matches CONTRACT.json $section: $got"
