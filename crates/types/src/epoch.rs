@@ -52,7 +52,7 @@ use crate::time::{Time, TimeDelta};
 /// assert!(after_failover > genesis);
 /// assert_eq!(after_failover.value(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Epoch(u64);
 
 impl Epoch {

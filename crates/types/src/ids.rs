@@ -33,7 +33,7 @@ pub struct ObjectId(u32);
 ///
 /// assert_ne!(NodeId::new(0), NodeId::new(1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u16);
 
 /// Identifier of a periodic task inside a scheduler instance.

@@ -78,7 +78,7 @@ fn check_every_diff(p: &mut Primary, marks: &BTreeMap<u64, Tags>, now: &mut Time
             .snapshot_at_or_before(seq)
             .expect("a diff has a base");
         let at_mark = &marks[&base.seq()];
-        let Some(WireMessage::StateTransfer { entries, .. }) = out.replies.first() else {
+        let Some((_, WireMessage::StateTransfer { entries, .. })) = out.sends.first() else {
             panic!("a snapshot diff ships as a state transfer");
         };
         assert_eq!(
@@ -141,9 +141,9 @@ fn snapshot_diffs_match_the_full_tag_oracle() {
             }
             // Heartbeat ticks run the scrubber, which quarantines (and
             // resets the tag of) every entry whose checksum fails.
-            p.tick_heartbeat(now);
             quarantines += p
-                .drain_integrity_events()
+                .tick_heartbeat(now)
+                .integrity
                 .iter()
                 .filter(|e| {
                     matches!(
