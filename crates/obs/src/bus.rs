@@ -4,7 +4,8 @@
 //!
 //! 1. **Zero cost when disabled.** A disabled bus hands out disabled
 //!    writers whose [`EventWriter::emit`] is a branch and a return — no
-//!    allocation, no lock, no clock read. Instrumented and
+//!    allocation, no lock, no clock read — unless the writer also counts
+//!    ([`EventWriter::counting`]). Instrumented and
 //!    uninstrumented simulator runs therefore execute the same protocol
 //!    decisions (the determinism test in `tests/observability.rs` proves
 //!    it).
@@ -23,6 +24,8 @@
 //! trace exports byte-identical across runs.
 
 use crate::event::{ClockDomain, EventKind, ObsEvent};
+use crate::fold::Fold;
+use crate::registry::MetricsRegistry;
 use rtpb_types::Time;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,22 +101,20 @@ impl EventBus {
     /// Registers a new writer (one per producing thread).
     #[must_use]
     pub fn writer(&self) -> EventWriter {
-        match &self.inner {
-            None => EventWriter { shared: None },
-            Some(inner) => {
-                let ring = Arc::new(Mutex::new(Ring::default()));
-                inner
-                    .rings
-                    .lock()
-                    .expect("bus poisoned")
-                    .push(Arc::clone(&ring));
-                EventWriter {
-                    shared: Some(WriterShared {
-                        inner: Arc::clone(inner),
-                        ring,
-                    }),
-                }
-            }
+        let Some(inner) = &self.inner else {
+            return EventWriter::disabled();
+        };
+        let ring = Arc::new(Mutex::new(Ring::default()));
+        inner
+            .rings
+            .lock()
+            .expect("bus poisoned")
+            .push(Arc::clone(&ring));
+        EventWriter {
+            inner: Some(Arc::new(WriterInner {
+                ring: Some((Arc::clone(inner), ring)),
+                fold: None,
+            })),
         }
     }
 
@@ -168,10 +169,12 @@ impl EventBus {
     }
 }
 
-#[derive(Debug, Clone)]
-struct WriterShared {
-    inner: Arc<BusInner>,
-    ring: Arc<Mutex<Ring>>,
+#[derive(Debug)]
+struct WriterInner {
+    /// The bus and this writer's ring, when the bus records.
+    ring: Option<(Arc<BusInner>, Arc<Mutex<Ring>>)>,
+    /// The instruments events are folded into, when a registry counts.
+    fold: Option<Fold>,
 }
 
 /// A per-thread event producer. Cheap to create; `emit` locks only this
@@ -179,28 +182,58 @@ struct WriterShared {
 /// thread — across threads, take a fresh writer from [`EventBus::writer`].
 #[derive(Debug, Clone, Default)]
 pub struct EventWriter {
-    shared: Option<WriterShared>,
+    /// `None` when the writer neither records nor counts, so that `emit`
+    /// is one branch.
+    inner: Option<Arc<WriterInner>>,
 }
 
 impl EventWriter {
     /// A writer that discards everything (for paths where no bus exists).
     #[must_use]
     pub fn disabled() -> Self {
-        EventWriter { shared: None }
+        EventWriter { inner: None }
     }
 
-    /// Whether emits are retained.
+    /// This writer, also folding every event it emits into the
+    /// `cluster.*` instrument of `registry` that mirrors its kind, whether
+    /// or not its bus records: `update_sent` into `updates_sent` (and
+    /// `updates_lost`), `catch_up_plan` into `catchup_bytes` by its
+    /// bytes, a backup's promotion into `failovers`, and so on (DESIGN.md
+    /// §8). The instruments are registered now. A disabled registry
+    /// leaves the writer as it is.
+    #[must_use]
+    pub fn counting(self, registry: &MetricsRegistry) -> Self {
+        if !registry.is_enabled() {
+            return self;
+        }
+        let ring = self.inner.and_then(|inner| inner.ring.clone());
+        EventWriter {
+            inner: Some(Arc::new(WriterInner {
+                ring,
+                fold: Some(Fold::new(registry)),
+            })),
+        }
+    }
+
+    /// Whether emits are retained or counted.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
+        self.inner.is_some()
     }
 
-    /// Stamps and appends one event; a no-op on a disabled writer.
+    /// Folds one event into the counting registry, then stamps and
+    /// appends it to the ring; a no-op on a disabled writer.
     pub fn emit(&self, clock: ClockDomain, at: Time, kind: EventKind) {
-        let Some(shared) = &self.shared else { return };
-        let seq = shared.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let mut ring = shared.ring.lock().expect("ring poisoned");
-        if ring.events.len() == shared.inner.capacity {
+        let Some(inner) = &self.inner else { return };
+        if let Some(fold) = &inner.fold {
+            fold.count(&kind);
+        }
+        let Some((bus, ring)) = &inner.ring else {
+            return;
+        };
+        let seq = bus.seq.fetch_add(1, Ordering::Relaxed);
+        let mut ring = ring.lock().expect("ring poisoned");
+        if ring.events.len() == bus.capacity {
             ring.events.pop_front();
             ring.dropped += 1;
         }

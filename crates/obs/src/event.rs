@@ -813,7 +813,7 @@ pub fn validate_line(line: &str) -> Result<(u64, u64, String), SchemaError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn ev(kind: EventKind) -> ObsEvent {
@@ -825,9 +825,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_kind_serializes_schema_valid() {
-        let kinds = vec![
+    /// One event of every kind.
+    pub(crate) fn every_kind() -> Vec<EventKind> {
+        vec![
             EventKind::UpdateSent {
                 object: ObjectId::new(1),
                 version: Version::new(3),
@@ -963,8 +963,12 @@ mod tests {
                 range: 3,
                 ranges: 8,
             },
-        ];
-        for kind in kinds {
+        ]
+    }
+
+    #[test]
+    fn every_kind_serializes_schema_valid() {
+        for kind in every_kind() {
             let name = kind.name();
             let line = ev(kind).to_jsonl();
             let (seq, t_ns, parsed) =

@@ -16,7 +16,10 @@
 //! - **Metrics registry** ([`MetricsRegistry`]): monotonic [`Counter`]s
 //!   and fixed-bucket latency [`Histogram`]s over virtual or real
 //!   nanoseconds, snapshot-table and JSONL exportable. There are no
-//!   gauges: every registry figure is a count or a latency.
+//!   gauges: every registry figure is a count or a latency. A counting
+//!   writer ([`EventWriter::counting`]) folds each event into the
+//!   `cluster.*` instrument that mirrors its kind, so those counts agree
+//!   with the trace by construction.
 //! - **JSONL export** ([`EventBus::export_jsonl`], [`validate_line`]):
 //!   dependency-free flat-JSON lines with a schema validator, consumed by
 //!   the bench harness and the CI observability smoke job.
@@ -57,6 +60,7 @@
 
 mod bus;
 mod event;
+mod fold;
 pub mod json;
 mod registry;
 
