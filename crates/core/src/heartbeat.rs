@@ -6,7 +6,7 @@
 //! is a pure state machine: the driver feeds it timer ticks and received
 //! acks, and it answers with probes to send and a verdict.
 
-use rtpb_types::{NodeId, Time, TimeDelta};
+use rtpb_types::{Time, TimeDelta};
 
 /// Heartbeat probe period (§4.4).
 pub(crate) const HEARTBEAT_PERIOD: TimeDelta = TimeDelta::from_millis(50);
@@ -46,9 +46,9 @@ pub enum DetectorAction {
 ///
 /// ```
 /// use rtpb_core::heartbeat::{DetectorAction, FailureDetector};
-/// use rtpb_types::{NodeId, Time};
+/// use rtpb_types::Time;
 ///
-/// let mut fd = FailureDetector::new(NodeId::new(0));
+/// let mut fd = FailureDetector::default();
 /// // First tick sends a probe.
 /// assert_eq!(fd.tick(Time::ZERO), DetectorAction::SendPing(0));
 /// // The ack arrives in time: peer considered alive.
@@ -57,7 +57,6 @@ pub enum DetectorAction {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
-    me: NodeId,
     next_seq: u64,
     /// The in-flight probe as `(seq, sent_at)`. The send timestamp — not
     /// the timeout deadline — is stored so that a matching ack can report
@@ -70,12 +69,10 @@ pub struct FailureDetector {
     declared: bool,
 }
 
-impl FailureDetector {
-    /// Creates a detector for the node `me` probing its peer.
-    #[must_use]
-    pub fn new(me: NodeId) -> Self {
+impl Default for FailureDetector {
+    /// A detector whose peer is alive and whose first tick probes it.
+    fn default() -> Self {
         FailureDetector {
-            me,
             next_seq: 0,
             outstanding: None,
             consecutive_misses: 0,
@@ -84,13 +81,9 @@ impl FailureDetector {
             declared: false,
         }
     }
+}
 
-    /// The owning node.
-    #[must_use]
-    pub fn me(&self) -> NodeId {
-        self.me
-    }
-
+impl FailureDetector {
     /// Whether the peer is currently considered alive.
     #[must_use]
     pub fn is_peer_alive(&self) -> bool {
@@ -214,7 +207,7 @@ mod tests {
     use super::*;
 
     fn fd() -> FailureDetector {
-        FailureDetector::new(NodeId::new(0))
+        FailureDetector::default()
     }
 
     fn t(ms: u64) -> Time {

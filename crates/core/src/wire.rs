@@ -706,26 +706,6 @@ impl WireMessage {
         }
     }
 
-    /// A short human-readable kind name, for traces.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            WireMessage::Update { .. } => "update",
-            WireMessage::Ping { .. } => "ping",
-            WireMessage::PingAck { .. } => "ping-ack",
-            WireMessage::RetransmitRequest { .. } => "retransmit-request",
-            WireMessage::JoinRequest { .. } => "join-request",
-            WireMessage::StateTransfer { .. } => "state-transfer",
-            WireMessage::UpdateAck { .. } => "update-ack",
-            WireMessage::Batch { .. } => "batch",
-            WireMessage::ResyncRequest { .. } => "resync-request",
-            WireMessage::ResyncDiff { .. } => "resync-diff",
-            WireMessage::LogSuffix { .. } => "log-suffix",
-            WireMessage::ReadRequest { .. } => "read-request",
-            WireMessage::ReadReply { .. } => "read-reply",
-        }
-    }
-
     /// Number of object updates this frame carries (counting into
     /// batches), for frames-vs-messages accounting.
     #[must_use]
@@ -1558,27 +1538,6 @@ impl<'a> WireFrame<'a> {
         }
     }
 
-    /// A short human-readable kind name, matching
-    /// [`WireMessage::kind`].
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            WireFrame::Update { .. } => "update",
-            WireFrame::Ping { .. } => "ping",
-            WireFrame::PingAck { .. } => "ping-ack",
-            WireFrame::RetransmitRequest { .. } => "retransmit-request",
-            WireFrame::JoinRequest { .. } => "join-request",
-            WireFrame::StateTransfer { .. } => "state-transfer",
-            WireFrame::UpdateAck { .. } => "update-ack",
-            WireFrame::Batch { .. } => "batch",
-            WireFrame::ResyncRequest { .. } => "resync-request",
-            WireFrame::ResyncDiff { .. } => "resync-diff",
-            WireFrame::LogSuffix { .. } => "log-suffix",
-            WireFrame::ReadRequest { .. } => "read-request",
-            WireFrame::ReadReply { .. } => "read-reply",
-        }
-    }
-
     /// Number of object updates this frame carries (counting into
     /// batches), matching [`WireMessage::update_count`].
     #[must_use]
@@ -1962,7 +1921,7 @@ mod tests {
         for msg in samples() {
             let bytes = msg.encode();
             let decoded = WireMessage::decode(&bytes)
-                .unwrap_or_else(|e| panic!("decode of {} failed: {e}", msg.kind()));
+                .unwrap_or_else(|e| panic!("decode of {msg:?} failed: {e}"));
             assert_eq!(decoded, msg);
         }
     }
@@ -1973,7 +1932,7 @@ mod tests {
             let bytes = msg.encode();
             for cut in 0..bytes.len() {
                 let r = WireMessage::decode(&bytes[..cut]);
-                assert!(r.is_err(), "{} truncated at {cut} decoded", msg.kind());
+                assert!(r.is_err(), "{msg:?} truncated at {cut} decoded");
             }
         }
     }
@@ -1982,12 +1941,7 @@ mod tests {
     fn every_frame_reports_its_epoch() {
         for msg in samples() {
             let decoded = WireMessage::decode(&msg.encode()).unwrap();
-            assert_eq!(
-                decoded.epoch(),
-                msg.epoch(),
-                "epoch lost for {}",
-                msg.kind()
-            );
+            assert_eq!(decoded.epoch(), msg.epoch(), "epoch lost for {msg:?}");
         }
     }
 
@@ -2081,19 +2035,6 @@ mod tests {
         put_u32(&mut bytes, u32::MAX); // version-vector count
         let err = WireMessage::decode(&seal(bytes)).unwrap_err();
         assert!(matches!(err, CodecError::BadLength { len, .. } if len == u32::MAX as usize));
-    }
-
-    #[test]
-    fn kind_names_are_stable() {
-        let kinds: Vec<&str> = samples().iter().map(WireMessage::kind).collect();
-        assert!(kinds.contains(&"update"));
-        assert!(kinds.contains(&"state-transfer"));
-        assert!(kinds.contains(&"batch"));
-        assert!(kinds.contains(&"resync-request"));
-        assert!(kinds.contains(&"resync-diff"));
-        assert!(kinds.contains(&"log-suffix"));
-        assert!(kinds.contains(&"read-request"));
-        assert!(kinds.contains(&"read-reply"));
     }
 
     #[test]
@@ -2239,15 +2180,15 @@ mod tests {
     fn encode_into_matches_encode_and_reserves_exactly() {
         for msg in samples() {
             let fresh = msg.encode();
-            assert_eq!(fresh.len(), msg.encoded_len(), "{}", msg.kind());
+            assert_eq!(fresh.len(), msg.encoded_len(), "{msg:?}");
             let mut reused = Vec::new();
             msg.encode_into(&mut reused);
-            assert_eq!(reused, fresh, "{}", msg.kind());
+            assert_eq!(reused, fresh, "{msg:?}");
             // A dirty, reused buffer appends — framing is positional,
             // not absolute.
             let mut appended = vec![0xFF, 0xFE];
             msg.encode_into(&mut appended);
-            assert_eq!(&appended[2..], fresh.as_slice(), "{}", msg.kind());
+            assert_eq!(&appended[2..], fresh.as_slice(), "{msg:?}");
         }
     }
 
@@ -2255,12 +2196,11 @@ mod tests {
     fn frame_parse_round_trips_every_variant() {
         for msg in samples() {
             let bytes = msg.encode();
-            let frame = WireFrame::parse(&bytes)
-                .unwrap_or_else(|e| panic!("parse of {} failed: {e}", msg.kind()));
+            let frame =
+                WireFrame::parse(&bytes).unwrap_or_else(|e| panic!("parse of {msg:?} failed: {e}"));
             assert_eq!(frame.epoch(), msg.epoch());
-            assert_eq!(frame.kind(), msg.kind());
             assert_eq!(frame.update_count(), msg.update_count());
-            assert_eq!(frame.to_owned(), msg, "{}", msg.kind());
+            assert_eq!(frame.to_owned(), msg, "{msg:?}");
         }
     }
 
@@ -2291,8 +2231,7 @@ mod tests {
             for cut in 0..bytes.len() {
                 assert!(
                     WireFrame::parse(&bytes[..cut]).is_err(),
-                    "{} truncated at {cut} parsed",
-                    msg.kind()
+                    "{msg:?} truncated at {cut} parsed"
                 );
             }
         }
@@ -2417,7 +2356,7 @@ mod tests {
             let frame = WireFrame::parse(&bytes).unwrap();
             let mut seen = 0usize;
             frame.for_each_update(|_, _| seen += 1);
-            assert_eq!(seen, msg.update_count(), "{}", msg.kind());
+            assert_eq!(seen, msg.update_count(), "{msg:?}");
         }
     }
 
@@ -2493,13 +2432,11 @@ mod tests {
                     flipped[byte] ^= 1 << bit;
                     assert!(
                         WireFrame::parse(&flipped).is_err(),
-                        "{}: flip at {byte}:{bit} accepted",
-                        msg.kind()
+                        "{msg:?}: flip at {byte}:{bit} accepted"
                     );
                     assert!(
                         WireMessage::decode(&flipped).is_err(),
-                        "{}: flip at {byte}:{bit} decoded",
-                        msg.kind()
+                        "{msg:?}: flip at {byte}:{bit} decoded"
                     );
                 }
             }

@@ -6,11 +6,10 @@
 //! carry their own CRC32C trailer, and the simulator hands those encoded
 //! bytes straight to the link. This crate holds:
 //!
-//! - [`LossyLink`]: the network model — Bernoulli or Gilbert–Elliott
-//!   loss, uniformly distributed delay bounded by `ℓ` (the
-//!   communication-delay bound all of the paper's backup-consistency
-//!   results assume), duplication, reordering, corruption, and
-//!   time-windowed faults.
+//! - [`LossyLink`]: the network model — Bernoulli loss, uniformly
+//!   distributed delay bounded by `ℓ` (the communication-delay bound all
+//!   of the paper's backup-consistency results assume), duplication,
+//!   reordering, corruption, and time-windowed faults.
 //! - [`Message`], [`Protocol`], [`ProtocolGraph`] and [`UdpLike`]: the
 //!   x-kernel-style header stack with a UDP-like datagram layer. No
 //!   simulated frame passes through it; it is kept only because the
@@ -44,7 +43,7 @@ mod protocol;
 mod udp;
 
 pub use bytes::Bytes;
-pub use link::{FaultKind, FaultWindow, GilbertElliott, LinkConfig, LinkOutcome, LossyLink};
+pub use link::{FaultKind, FaultWindow, LinkConfig, LinkOutcome, LossyLink};
 pub use message::Message;
 pub use protocol::{Protocol, ProtocolError, ProtocolGraph, ProtocolGraphBuilder};
 pub use udp::UdpLike;

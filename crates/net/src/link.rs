@@ -11,14 +11,13 @@
 //! Beyond the paper's nominal assumptions, the link carries a *fault
 //! model* for robustness experiments:
 //!
-//! - [`GilbertElliott`]: a two-state Markov chain (Good/Bad) producing
-//!   *correlated* loss bursts instead of independent Bernoulli drops.
 //! - [`LinkConfig::duplicate_probability`]: datagram duplication — the
 //!   message arrives twice, at independent delays.
 //! - [`LinkConfig::reorder_probability`]: reordering — the message is
 //!   held back by an extra delay so later messages can overtake it.
 //! - [`FaultWindow`]: time-windowed faults pushed onto a live link —
-//!   total outage (partition), an elevated loss rate, or a delay spike.
+//!   total outage (partition), an elevated loss rate (a correlated loss
+//!   burst), or a delay spike.
 //!
 //! Everything stays a deterministic function of the seed, so fault-plan
 //! runs replay exactly.
@@ -27,64 +26,6 @@ use core::fmt;
 use rtpb_obs::{ClockDomain, EventKind, EventWriter};
 use rtpb_sim::SimRng;
 use rtpb_types::{Time, TimeDelta};
-
-/// A two-state Markov (Gilbert–Elliott) loss process.
-///
-/// The chain advances one step per transmission: in the Good state
-/// messages drop with probability `loss_good`, in the Bad state with
-/// `loss_bad`. Transitions happen after the drop decision, so mean burst
-/// length is `1 / p_bad_to_good` transmissions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GilbertElliott {
-    /// Probability of moving Good → Bad at each transmission.
-    pub p_good_to_bad: f64,
-    /// Probability of moving Bad → Good at each transmission.
-    pub p_bad_to_good: f64,
-    /// Loss probability while in the Good state.
-    pub loss_good: f64,
-    /// Loss probability while in the Bad state.
-    pub loss_bad: f64,
-}
-
-impl GilbertElliott {
-    /// A typical bursty profile: rare 2% entry into a bad period that
-    /// lasts ~10 messages and drops half of them.
-    #[must_use]
-    pub fn bursty() -> Self {
-        GilbertElliott {
-            p_good_to_bad: 0.02,
-            p_bad_to_good: 0.1,
-            loss_good: 0.0,
-            loss_bad: 0.5,
-        }
-    }
-
-    fn validate(&self) {
-        for (name, p) in [
-            ("p_good_to_bad", self.p_good_to_bad),
-            ("p_bad_to_good", self.p_bad_to_good),
-            ("loss_good", self.loss_good),
-            ("loss_bad", self.loss_bad),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "Gilbert-Elliott {name} must be within [0, 1]"
-            );
-        }
-    }
-
-    /// Stationary loss rate of the chain (useful for calibrating sweeps
-    /// against an equivalent Bernoulli link).
-    #[must_use]
-    pub fn stationary_loss_rate(&self) -> f64 {
-        let denom = self.p_good_to_bad + self.p_bad_to_good;
-        if denom == 0.0 {
-            return self.loss_good;
-        }
-        let pi_bad = self.p_good_to_bad / denom;
-        (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
-    }
-}
 
 /// The kind of fault a [`FaultWindow`] imposes while active.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,8 +67,7 @@ impl FaultWindow {
 /// Configuration of one direction of a link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
-    /// Probability that a message is silently lost (0.0–1.0). Ignored
-    /// when `burst` is set (the Gilbert–Elliott chain decides instead).
+    /// Probability that a message is silently lost (0.0–1.0).
     pub loss_probability: f64,
     /// Minimum propagation delay.
     pub delay_min: TimeDelta,
@@ -144,9 +84,6 @@ pub struct LinkConfig {
     /// (0.0–1.0). Reordered messages may arrive after the nominal bound
     /// `ℓ` — that is the fault being modeled.
     pub reorder_probability: f64,
-    /// Correlated-loss model; when set, per-message loss follows the
-    /// Gilbert–Elliott chain instead of `loss_probability`.
-    pub burst: Option<GilbertElliott>,
     /// Probability that a delivered message has one bit flipped in
     /// transit (0.0–1.0) — a faulty NIC, cable, or switch buffer. The
     /// link stays oblivious to payload semantics: it reports *which* bit
@@ -159,7 +96,7 @@ pub struct LinkConfig {
 
 impl Default for LinkConfig {
     /// A quiet LAN: no loss, 1–10 ms delay, infinite bandwidth, no
-    /// duplication, reordering, or burst process.
+    /// duplication or reordering.
     fn default() -> Self {
         LinkConfig {
             loss_probability: 0.0,
@@ -168,23 +105,14 @@ impl Default for LinkConfig {
             bytes_per_second: None,
             duplicate_probability: 0.0,
             reorder_probability: 0.0,
-            burst: None,
             corrupt_probability: 0.0,
         }
     }
 }
 
 impl LinkConfig {
-    /// The delay bound `ℓ` this link guarantees for delivered messages of
-    /// size `size_bytes` (in the absence of reordering faults and delay
-    /// spikes, which deliberately violate it).
-    #[must_use]
-    pub fn delay_bound(&self, size_bytes: usize) -> TimeDelta {
-        self.delay_max + self.serialization_delay(size_bytes)
-    }
-
     /// This link's delays and bandwidth without its faults: no loss,
-    /// duplication, reordering, burst process or corruption. Both
+    /// duplication, reordering or corruption. Both
     /// drivers carry loss-exempt control traffic on such a lane, the
     /// physically redundant path of §4.1.
     #[must_use]
@@ -193,7 +121,6 @@ impl LinkConfig {
             loss_probability: 0.0,
             duplicate_probability: 0.0,
             reorder_probability: 0.0,
-            burst: None,
             corrupt_probability: 0.0,
             ..*self
         }
@@ -229,9 +156,6 @@ impl LinkConfig {
             self.delay_min <= self.delay_max,
             "delay_min must not exceed delay_max"
         );
-        if let Some(ge) = &self.burst {
-            ge.validate();
-        }
     }
 }
 
@@ -292,9 +216,9 @@ impl LinkOutcome {
     }
 }
 
-/// One direction of a point-to-point link with Bernoulli or
-/// Gilbert–Elliott loss, bounded uniform delay, and optional duplication,
-/// reordering, and time-windowed faults.
+/// One direction of a point-to-point link with Bernoulli loss, bounded
+/// uniform delay, and optional duplication, reordering, corruption and
+/// time-windowed faults.
 ///
 /// Deterministic: the fate of the `k`-th transmission is a function of the
 /// seed, so simulation runs replay exactly.
@@ -315,15 +239,9 @@ impl LinkOutcome {
 pub struct LossyLink {
     config: LinkConfig,
     rng: SimRng,
-    burst_bad: bool,
     windows: Vec<FaultWindow>,
     observer: EventWriter,
     label: String,
-    sent: u64,
-    lost: u64,
-    duplicated: u64,
-    reordered: u64,
-    corrupted: u64,
 }
 
 impl LossyLink {
@@ -339,15 +257,9 @@ impl LossyLink {
         LossyLink {
             config,
             rng: SimRng::seed_from(seed),
-            burst_bad: false,
             windows: Vec::new(),
             observer: EventWriter::disabled(),
             label: String::new(),
-            sent: 0,
-            lost: 0,
-            duplicated: 0,
-            reordered: 0,
-            corrupted: 0,
         }
     }
 
@@ -363,7 +275,6 @@ impl LossyLink {
 
     /// Decides the fate of a message of `size_bytes` sent at `now`.
     pub fn transmit(&mut self, now: Time, size_bytes: usize) -> LinkOutcome {
-        self.sent += 1;
         // Windowed faults active at the send instant.
         let mut extra_delay = TimeDelta::ZERO;
         let mut window_loss: f64 = 0.0;
@@ -380,41 +291,12 @@ impl LossyLink {
                 FaultKind::Corrupt(p) => window_corrupt = window_corrupt.max(p),
             }
         }
-        // Loss decision: the Gilbert–Elliott chain (when configured)
-        // advances on *every* transmission so burst phase is independent
-        // of windowed faults.
-        let base_loss = match self.config.burst {
-            Some(ge) => {
-                let p = if self.burst_bad {
-                    ge.loss_bad
-                } else {
-                    ge.loss_good
-                };
-                let flip = if self.burst_bad {
-                    ge.p_bad_to_good
-                } else {
-                    ge.p_good_to_bad
-                };
-                let dropped = self.rng.chance(p);
-                if self.rng.chance(flip) {
-                    self.burst_bad = !self.burst_bad;
-                }
-                if dropped {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            None => self.config.loss_probability,
-        };
         if outage {
-            self.lost += 1;
             self.emit_drop(now, size_bytes);
             return LinkOutcome::Lost;
         }
-        let effective = base_loss.max(window_loss);
+        let effective = self.config.loss_probability.max(window_loss);
         if self.rng.chance(effective) {
-            self.lost += 1;
             self.emit_drop(now, size_bytes);
             return LinkOutcome::Lost;
         }
@@ -426,7 +308,6 @@ impl LossyLink {
         // before the feature existed.
         let corrupt = window_corrupt.max(self.config.corrupt_probability);
         if self.rng.chance(corrupt) {
-            self.corrupted += 1;
             self.emit_perturbed(now, "corrupt");
             let bit = self.rng.index(size_bytes.max(1) * 8) as u64;
             let at = now + self.sample_delay(size_bytes) + extra_delay;
@@ -434,7 +315,6 @@ impl LossyLink {
         }
         if self.rng.chance(self.config.reorder_probability) {
             // Hold the message back so later traffic can overtake it.
-            self.reordered += 1;
             self.emit_perturbed(now, "reorder");
             extra_delay += self
                 .rng
@@ -442,7 +322,6 @@ impl LossyLink {
         }
         let first = now + self.sample_delay(size_bytes) + extra_delay;
         if self.rng.chance(self.config.duplicate_probability) {
-            self.duplicated += 1;
             self.emit_perturbed(now, "duplicate");
             let second = now + self.sample_delay(size_bytes) + extra_delay;
             return LinkOutcome::Duplicated(first, second);
@@ -507,12 +386,6 @@ impl LossyLink {
         self.windows.retain(|w| w.until > now);
     }
 
-    /// Whether any windowed fault is active at `now`.
-    #[must_use]
-    pub fn fault_active(&self, now: Time) -> bool {
-        self.windows.iter().any(|w| w.covers(now))
-    }
-
     /// The link configuration.
     #[must_use]
     pub fn config(&self) -> &LinkConfig {
@@ -530,46 +403,6 @@ impl LossyLink {
             "loss probability must be within [0, 1]"
         );
         self.config.loss_probability = p;
-    }
-
-    /// Messages offered to the link so far.
-    #[must_use]
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Messages lost so far.
-    #[must_use]
-    pub fn lost(&self) -> u64 {
-        self.lost
-    }
-
-    /// Messages duplicated in flight so far.
-    #[must_use]
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated
-    }
-
-    /// Messages held back for reordering so far.
-    #[must_use]
-    pub fn reordered(&self) -> u64 {
-        self.reordered
-    }
-
-    /// Messages corrupted in transit so far.
-    #[must_use]
-    pub fn corrupted(&self) -> u64 {
-        self.corrupted
-    }
-
-    /// Observed loss rate so far (0 if nothing sent).
-    #[must_use]
-    pub fn observed_loss_rate(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.lost as f64 / self.sent as f64
-        }
     }
 }
 
@@ -605,10 +438,8 @@ mod tests {
             let arrival = outcome.arrival().expect("no loss configured");
             let delay = arrival - now;
             assert!(delay >= TimeDelta::from_millis(1));
-            assert!(delay <= link.config().delay_bound(64));
+            assert!(delay <= link.config().delay_max);
         }
-        assert_eq!(link.lost(), 0);
-        assert_eq!(link.sent(), 1000);
     }
 
     #[test]
@@ -617,16 +448,15 @@ mod tests {
         for _ in 0..100 {
             assert!(link.transmit(Time::ZERO, 1).is_lost());
         }
-        assert!((link.observed_loss_rate() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
     fn loss_rate_approximates_configuration() {
         let mut link = LossyLink::new(cfg(0.1), 7);
-        for _ in 0..10_000 {
-            let _ = link.transmit(Time::ZERO, 1);
-        }
-        let rate = link.observed_loss_rate();
+        let lost = (0..10_000)
+            .filter(|_| link.transmit(Time::ZERO, 1).is_lost())
+            .count();
+        let rate = lost as f64 / 10_000.0;
         assert!((0.08..=0.12).contains(&rate), "observed {rate}");
     }
 
@@ -654,7 +484,6 @@ mod tests {
         let a = link.transmit(Time::ZERO, 1000).arrival().unwrap();
         // 1 ms propagation + 1 ms serialization.
         assert_eq!(a, Time::from_millis(2));
-        assert_eq!(config.delay_bound(1000), TimeDelta::from_millis(2));
     }
 
     #[test]
@@ -666,7 +495,6 @@ mod tests {
             bytes_per_second: Some(1_000_000),
             duplicate_probability: 0.2,
             reorder_probability: 0.1,
-            burst: Some(GilbertElliott::bursty()),
             corrupt_probability: 0.05,
         };
         assert_eq!(
@@ -726,7 +554,7 @@ mod tests {
     }
 
     #[test]
-    fn duplication_produces_two_arrivals_and_is_counted() {
+    fn duplication_produces_two_arrivals() {
         let config = LinkConfig {
             duplicate_probability: 1.0,
             ..LinkConfig::default()
@@ -739,7 +567,6 @@ mod tests {
             assert!(at >= Time::from_millis(51));
             assert!(at <= Time::from_millis(60));
         }
-        assert_eq!(link.duplicated(), 1);
     }
 
     #[test]
@@ -748,7 +575,9 @@ mod tests {
             reorder_probability: 1.0,
             ..LinkConfig::default()
         };
+        let bus = rtpb_obs::EventBus::with_capacity(256);
         let mut link = LossyLink::new(config, 13);
+        link.attach_observer(bus.writer(), "p->b1");
         let mut beyond = 0;
         for _ in 0..100 {
             let at = link.transmit(Time::ZERO, 8).arrival().unwrap();
@@ -757,60 +586,17 @@ mod tests {
                 beyond = 1;
             }
         }
-        assert_eq!(link.reordered(), 100);
+        let held = bus.collect().into_iter().filter(|e| {
+            matches!(
+                e.kind,
+                rtpb_obs::EventKind::LinkPerturbed {
+                    effect: "reorder",
+                    ..
+                }
+            )
+        });
+        assert_eq!(held.count(), 100);
         assert_eq!(beyond, 1, "some message should exceed the nominal bound");
-    }
-
-    #[test]
-    fn gilbert_elliott_losses_are_bursty() {
-        let config = LinkConfig {
-            burst: Some(GilbertElliott {
-                p_good_to_bad: 0.02,
-                p_bad_to_good: 0.2,
-                loss_good: 0.0,
-                loss_bad: 1.0,
-            }),
-            ..LinkConfig::default()
-        };
-        let mut link = LossyLink::new(config, 17);
-        let fates: Vec<bool> = (0..5000)
-            .map(|_| link.transmit(Time::ZERO, 8).is_lost())
-            .collect();
-        let losses = fates.iter().filter(|&&l| l).count();
-        assert!(losses > 0, "the chain should enter the bad state");
-        // Correlation: a loss is followed by another loss far more often
-        // than the marginal rate (burstiness), here P(bad stays) = 0.8.
-        let pairs = fates.windows(2).filter(|w| w[0]).count();
-        let repeats = fates.windows(2).filter(|w| w[0] && w[1]).count();
-        assert!(
-            repeats as f64 / pairs as f64 > 2.0 * losses as f64 / fates.len() as f64,
-            "losses should cluster: {repeats}/{pairs} vs {losses}/{}",
-            fates.len()
-        );
-    }
-
-    #[test]
-    fn stationary_loss_rate_matches_observation() {
-        let ge = GilbertElliott {
-            p_good_to_bad: 0.05,
-            p_bad_to_good: 0.15,
-            loss_good: 0.0,
-            loss_bad: 0.8,
-        };
-        let config = LinkConfig {
-            burst: Some(ge),
-            ..LinkConfig::default()
-        };
-        let mut link = LossyLink::new(config, 23);
-        for _ in 0..20_000 {
-            let _ = link.transmit(Time::ZERO, 8);
-        }
-        let expected = ge.stationary_loss_rate();
-        let observed = link.observed_loss_rate();
-        assert!(
-            (observed - expected).abs() < 0.03,
-            "observed {observed}, stationary {expected}"
-        );
     }
 
     #[test]
@@ -825,8 +611,6 @@ mod tests {
         assert!(link.transmit(Time::from_millis(100), 8).is_lost());
         assert!(link.transmit(Time::from_millis(199), 8).is_lost());
         assert!(!link.transmit(Time::from_millis(200), 8).is_lost());
-        assert!(link.fault_active(Time::from_millis(150)));
-        assert!(!link.fault_active(Time::from_millis(250)));
     }
 
     #[test]
@@ -910,7 +694,6 @@ mod tests {
             assert!(outcome.arrival().is_some(), "corrupted frames still land");
             assert!(!outcome.is_lost());
         }
-        assert_eq!(link.corrupted(), 100);
     }
 
     #[test]
