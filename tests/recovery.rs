@@ -220,11 +220,11 @@ fn short_outage_ships_a_sliver_of_the_store() {
 /// Regression pin for the catch-up read gate: a restarted backup's
 /// store holds its pre-crash image until the re-integration frame
 /// lands, and a read served from that window would hand the client a
-/// value the primary overwrote many periods ago. The gate
-/// (`read_eligible` in the harness, `join_in_progress` in
-/// `Backup::serve_read`) must route every read in the window to the
-/// primary instead; once the resync lands, replica reads resume and
-/// only post-resync versions are ever served.
+/// value the primary overwrote many periods ago. The gate lives in the
+/// backup alone (`Backup::catching_up`, which both `Backup::serve_read`
+/// and the harness's routing consult) and must route every read in the
+/// window to the primary instead; once the resync lands, replica reads
+/// resume and only post-resync versions are ever served.
 #[test]
 fn reads_during_catch_up_never_serve_pre_resync_values() {
     let config = ClusterConfig {
