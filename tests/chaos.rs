@@ -959,6 +959,56 @@ fn lossy_heartbeats_still_fail_over_within_detection_bound() {
     assert_eq!(cluster.name_service().resolve(), NodeId::new(1));
 }
 
+/// Runs `cluster` for `span` with eight objects of `spec` and checks
+/// that each backup applies an object's versions in strictly increasing
+/// order and ignored some arrivals. Returns the objects and how many
+/// frames the links duplicated and reordered.
+fn applies_in_order(
+    seed: u64,
+    mut cluster: RtpbClient,
+    spec: &ObjectSpec,
+    span: TimeDelta,
+) -> (RtpbClient, Vec<ObjectId>, u64, u64) {
+    let ids: Vec<ObjectId> = (0..8)
+        .map(|_| cluster.register(spec.clone()).unwrap())
+        .collect();
+    cluster.run_for(span);
+    assert_eq!(cluster.bus().dropped(), 0, "seed {seed}: trace truncated");
+    let mut last = std::collections::BTreeMap::new();
+    let (mut applied, mut duplicated, mut reordered) = (0, 0, 0);
+    for event in &cluster.bus().collect() {
+        match &event.kind {
+            EventKind::UpdateApplied {
+                object,
+                version,
+                node,
+            } => {
+                applied += 1;
+                if let Some(prev) = last.insert((*node, *object), *version) {
+                    assert!(
+                        *version > prev,
+                        "seed {seed}: {node} applied {object} {version} after {prev}"
+                    );
+                }
+            }
+            EventKind::LinkPerturbed { effect, .. } => match *effect {
+                "duplicate" => duplicated += 1,
+                "reorder" => reordered += 1,
+                other => panic!("unknown link effect {other}"),
+            },
+            _ => {}
+        }
+    }
+    assert!(applied > 0, "seed {seed}: nothing applied");
+    let ignored: u64 = cluster
+        .backups()
+        .iter()
+        .map(|b| b.duplicates_ignored())
+        .sum();
+    assert!(ignored > 0, "seed {seed}: the backups ignored no arrival");
+    (cluster, ids, duplicated, reordered)
+}
+
 /// Duplicated and reordered frames on the data path, with 5% loss, at
 /// cluster level: two backups, eight objects written every 50 ms with
 /// δ^P = 100 ms and δ^B = 500 ms. Each backup applies an object's
@@ -977,54 +1027,20 @@ fn duplicated_and_reordered_frames_apply_in_order() {
         config.link.duplicate_probability = 0.3;
         config.link.reorder_probability = 0.3;
         config.link.loss_probability = 0.05;
-        let mut cluster = RtpbClient::new(config);
         let spec = ObjectSpec::builder("perturbed")
             .update_period(ms(50))
             .primary_bound(ms(100))
             .backup_bound(ms(500))
             .build()
             .unwrap();
-        let ids: Vec<ObjectId> = (0..8)
-            .map(|_| cluster.register(spec.clone()).unwrap())
-            .collect();
-        cluster.run_for(TimeDelta::from_secs(10));
-
-        assert_eq!(cluster.bus().dropped(), 0, "seed {seed}: trace truncated");
-        let events = cluster.bus().collect();
-        let mut last = std::collections::BTreeMap::new();
-        let (mut applied, mut duplicated, mut reordered) = (0, 0, 0);
-        for event in &events {
-            match &event.kind {
-                EventKind::UpdateApplied {
-                    object,
-                    version,
-                    node,
-                } => {
-                    applied += 1;
-                    if let Some(prev) = last.insert((*node, *object), *version) {
-                        assert!(
-                            *version > prev,
-                            "seed {seed}: {node} applied {object} {version} after {prev}"
-                        );
-                    }
-                }
-                EventKind::LinkPerturbed { effect, .. } => match *effect {
-                    "duplicate" => duplicated += 1,
-                    "reorder" => reordered += 1,
-                    other => panic!("unknown link effect {other}"),
-                },
-                _ => {}
-            }
-        }
-        assert!(applied > 0, "seed {seed}: nothing applied");
+        let (cluster, ids, duplicated, reordered) = applies_in_order(
+            seed,
+            RtpbClient::new(config),
+            &spec,
+            TimeDelta::from_secs(10),
+        );
         assert!(duplicated > 0, "seed {seed}: no frame was duplicated");
         assert!(reordered > 0, "seed {seed}: no frame was reordered");
-        let ignored: u64 = cluster
-            .backups()
-            .iter()
-            .map(|b| b.duplicates_ignored())
-            .sum();
-        assert!(ignored > 0, "seed {seed}: no duplicate reached a backup");
         for id in ids {
             let report = cluster.metrics().object_report(id).unwrap();
             assert_eq!(
@@ -1036,5 +1052,43 @@ fn duplicated_and_reordered_frames_apply_in_order() {
                 "seed {seed}: {id} violated δ^B"
             );
         }
+    }
+}
+
+/// Reordering whose hold-back outlasts the send period, so an object's
+/// older version can land after a newer one: ℓ = 39 ms, the largest
+/// delay bound the lease rule admits at ε = 10 ms (250 + 10 + 39 < 300),
+/// and eight objects written every 20 ms with δ^P = 40 ms and δ^B =
+/// 140 ms, sent every (100 − 39) / 2 = 30.5 ms. Only the store's
+/// `(epoch, version)` ordering keeps a late older copy out, so each
+/// backup still applies an object's versions in strictly increasing
+/// order and ignores the late copies. No window is asserted: a hold-back
+/// past ℓ is the fault being modelled.
+#[test]
+fn reordering_past_the_send_period_never_applies_an_older_version() {
+    for seed in 1..=3 {
+        let mut config = ClusterConfig {
+            seed,
+            num_backups: 2,
+            bus: EventBus::with_capacity(1 << 17),
+            ..ClusterConfig::default()
+        };
+        config.protocol.link_delay_bound = ms(39);
+        config.link.delay_max = ms(39);
+        config.link.reorder_probability = 0.3;
+        let spec = ObjectSpec::builder("held back")
+            .update_period(ms(20))
+            .primary_bound(ms(40))
+            .backup_bound(ms(140))
+            .build()
+            .unwrap();
+        let (_, _, duplicated, reordered) = applies_in_order(
+            seed,
+            RtpbClient::new(config),
+            &spec,
+            TimeDelta::from_secs(10),
+        );
+        assert_eq!(duplicated, 0, "seed {seed}: no duplication configured");
+        assert!(reordered > 0, "seed {seed}: no frame was reordered");
     }
 }
