@@ -10,7 +10,7 @@
 //! | `decode_view`           | borrowing [`WireFrame`] parse               |
 //! | `decode_owned`          | owned [`WireMessage::decode`]               |
 //! | `primary_apply`         | `Primary::apply_client_write`               |
-//! | `backup_apply`          | parse + `Backup::handle_frame`              |
+//! | `backup_apply`          | parse + `Backup::handle_frame` + `recycle`  |
 //! | `checksum_batch`        | raw CRC32C over one batch frame image       |
 //! | `decode_view_corrupt`   | borrowing parse *rejecting* a flipped bit   |
 //! | `send_deliver_frame`    | one batch from encode to backup apply       |
@@ -27,6 +27,11 @@
 //! the raw CRC pass over a batch image, and the price of *detecting* a
 //! corrupted frame (full checksum pass, then the typed error — never a
 //! panic).
+//!
+//! `backup_apply` hands each output back ([`Backup::recycle`]), as every
+//! driver does. Its frames carry write timestamps up to `iters`
+//! milliseconds ahead of the backup's clock, so each apply also raises a
+//! `timestamp_from_future` violation, whose event rides the output.
 //!
 //! `send_deliver_frame` takes one batch of `batch_size` fresh updates,
 //! one per object, along the path a simulated frame takes: encode with
@@ -711,6 +716,7 @@ pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> Hotpa
                 let frame = WireFrame::parse(&frames[*next]).expect("valid frame");
                 let out = backup.handle_frame(&frame, Time::from_millis(1));
                 black_box(out.applied.len());
+                backup.recycle(out);
                 *next += 1;
             },
         )

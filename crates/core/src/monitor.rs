@@ -144,8 +144,9 @@ impl TimingViolation {
 
 /// A state transition the monitor wants surfaced to observability.
 ///
-/// Drivers drain these with [`TemporalMonitor::drain_events`] after each
-/// batch of observations and translate them into trace events / metrics.
+/// Each core call that returns a [`steps::Output`](crate::steps::Output)
+/// moves them into it ([`TemporalMonitor::drain_into`]); the step
+/// surfaces them as trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MonitorEvent {
     /// A timing violation was detected.
@@ -315,15 +316,23 @@ impl TemporalMonitor {
         self.violations
     }
 
-    /// Drains pending state-transition events for the driver to surface.
-    pub fn drain_events(&mut self) -> Vec<MonitorEvent> {
-        core::mem::take(&mut self.events)
+    /// Moves the pending state-transition events to the end of `out`. The
+    /// monitor keeps its buffer, so raising more events later does not
+    /// allocate again.
+    pub fn drain_into(&mut self, out: &mut Vec<MonitorEvent>) {
+        out.append(&mut self.events);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn drained(m: &mut TemporalMonitor) -> Vec<MonitorEvent> {
+        let mut events = Vec::new();
+        m.drain_into(&mut events);
+        events
+    }
 
     fn monitor() -> TemporalMonitor {
         TemporalMonitor::new(&ProtocolConfig::default())
@@ -348,7 +357,7 @@ mod tests {
         assert!(m.note_renewal(t(35), t(40)));
         assert!(!m.is_degraded());
         assert_eq!(m.violations(), 0);
-        assert!(m.drain_events().is_empty());
+        assert!(drained(&mut m).is_empty());
     }
 
     #[test]
@@ -357,14 +366,14 @@ mod tests {
         m.observe_round_trip(peer(), t(10), t(41));
         assert!(m.is_degraded());
         assert_eq!(m.violations(), 1);
-        let events = m.drain_events();
+        let events = drained(&mut m);
         assert_eq!(events.len(), 2);
         assert!(matches!(
             events[0],
             MonitorEvent::Violation(TimingViolation::RoundTripExceeded { .. })
         ));
         assert_eq!(events[1], MonitorEvent::Degraded);
-        assert!(m.drain_events().is_empty());
+        assert!(drained(&mut m).is_empty());
     }
 
     #[test]
@@ -375,7 +384,7 @@ mod tests {
         assert!(!m.is_degraded());
         m.observe_remote_timestamp(peer(), t(111), t(100));
         assert!(m.is_degraded());
-        let events = m.drain_events();
+        let events = drained(&mut m);
         match events[0] {
             MonitorEvent::Violation(TimingViolation::TimestampFromFuture {
                 ahead, bound, ..
@@ -418,7 +427,7 @@ mod tests {
         m.observe_now(t(100));
         assert!(m.is_degraded());
         assert!(matches!(
-            m.drain_events()[0],
+            drained(&mut m)[0],
             MonitorEvent::Violation(TimingViolation::ClockStalled { .. })
         ));
     }
@@ -428,12 +437,12 @@ mod tests {
         let mut m = monitor();
         m.observe_remote_timestamp(peer(), t(200), t(100));
         assert!(m.is_degraded());
-        m.drain_events();
+        drained(&mut m);
         m.maybe_recover(t(100) + MONITOR_QUIET_PERIOD - TimeDelta::from_millis(1));
         assert!(m.is_degraded());
         m.maybe_recover(t(100) + MONITOR_QUIET_PERIOD);
         assert!(!m.is_degraded());
-        assert_eq!(m.drain_events(), vec![MonitorEvent::Recovered]);
+        assert_eq!(drained(&mut m), vec![MonitorEvent::Recovered]);
     }
 
     #[test]
@@ -474,7 +483,7 @@ mod tests {
         assert!(m.note_renewal(t(700), t(100)));
         assert!(!m.is_degraded());
         assert_eq!(m.violations(), 0);
-        assert!(m.drain_events().is_empty());
+        assert!(drained(&mut m).is_empty());
     }
 
     #[test]
