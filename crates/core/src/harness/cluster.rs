@@ -17,7 +17,7 @@
 use crate::backup::{Backup, BackupRead};
 use crate::config::{ConfigError, ProtocolConfig};
 use crate::harness::cpu::{CpuQueue, Work};
-use crate::harness::faults::{FaultEvent, FaultLedger, FaultPlan, Pending, Watch};
+use crate::harness::faults::{FaultEvent, FaultLedger, FaultPlan, Pending, Stamp, Watch};
 use crate::metrics::{ClusterMetrics, FaultRecord, InjectedFault};
 use crate::name_service::NameService;
 use crate::primary::{CatchUpDecision, Primary};
@@ -26,7 +26,7 @@ use crate::table::IdTable;
 use crate::telemetry::Instruments;
 use crate::wire::WireMessage;
 use rtpb_net::{FaultKind, FaultWindow, LinkConfig, LossyLink};
-use rtpb_obs::{EventBus, EventKind, MetricsRegistry, Role};
+use rtpb_obs::{ClockDomain, EventBus, EventKind, MetricsRegistry, Role};
 use rtpb_sim::{ClockModel, Context, Simulation, World};
 use rtpb_types::{
     AdmissionError, Epoch, Frame, FramePool, LogPosition, NodeId, ObjectId, ObjectSpec,
@@ -694,9 +694,6 @@ impl ClusterWorld {
         self.cpu.clear();
         self.epoch += 1; // invalidate the dead primary's timers
 
-        // Failover completion ends the primary-crash fault: the service
-        // is serving again.
-        self.faults.recover_pending(ctx, Pending::PrimaryCrash);
         // Surviving backups track the new primary and re-join (the
         // multi-backup extension).
         for i in 0..self.hosts.len() {
@@ -762,7 +759,7 @@ impl ClusterWorld {
         let mut host = BackupHost::new(node, index, &self.config);
         host.backup = Some(backup);
         self.hosts.push(host);
-        self.faults.watch(Pending::Resync(index), dep.record);
+        self.faults.watch(Pending::Resync(node), dep.record);
         self.send(ctx, Peer::Backup(index), Peer::Primary, &resync);
     }
 
@@ -810,20 +807,13 @@ impl ClusterWorld {
     }
 
     /// A catch-up frame (full transfer, anti-entropy diff, or log suffix)
-    /// landed at backup host `host`: a recovering replica is consistent
-    /// again, so its re-integration records close.
+    /// landed at backup host `host` (whose restart record the step has
+    /// closed): a resync or a store-rot repair completes.
     fn catch_up_landed(&mut self, ctx: &mut Context<'_, Event>, host: usize) {
         let node = self.hosts[host].node;
-        if let Some(record) = self.faults.take(Pending::Recovery(host)) {
-            let injected = self.faults.records()[record].injected_at;
-            self.instruments
-                .recovery_time
-                .record(ctx.now().saturating_since(injected));
-            self.faults.recover(ctx, record);
-        }
-        if let Some(record) = self.faults.take(Pending::Resync(host)) {
+        if let Some(record) = self.faults.take(Pending::Resync(node)) {
             ctx.emit(EventKind::ResyncCompleted { node });
-            self.faults.recover(ctx, record);
+            self.faults.recover(stamp(ctx), record);
         }
         if self.scrub_repair.remove(&host) {
             // The diff landed: the scrub-triggered anti-entropy repair is
@@ -832,15 +822,15 @@ impl ClusterWorld {
         }
         // The catch-up frame re-shipped the quarantined objects: the store
         // rot is repaired.
-        self.faults.recover_pending(ctx, Pending::Rot(host));
+        self.faults.recover_pending(stamp(ctx), Pending::Rot(node));
     }
 
-    /// Backup host `host`'s detector declared the primary dead.
+    /// Backup host `host`'s detector declared the primary dead (the step
+    /// has detected its crash or the pair's partition); a cut isolating
+    /// the primary is detected too.
     fn primary_declared_dead(&mut self, ctx: &mut Context<'_, Event>, host: usize) {
-        self.faults.detect_pending(ctx, Pending::PrimaryCrash);
-        self.faults.detect_pending(ctx, Pending::Partition(host));
         if let Some((record, _)) = self.primary_partition {
-            self.faults.detect(ctx, record);
+            self.faults.detect(stamp(ctx), record);
         }
         if self.config.auto_failover && self.primary.is_none() {
             // First detector to fire takes over.
@@ -859,12 +849,9 @@ impl ClusterWorld {
         }
     }
 
-    /// The primary's detector declared backup `node` dead.
-    fn backup_declared_dead(&mut self, ctx: &mut Context<'_, Event>, node: NodeId) {
-        if let Some(i) = self.hosts.iter().position(|h| h.node == node) {
-            self.faults.detect_pending(ctx, Pending::BackupCrash(i));
-            self.faults.detect_pending(ctx, Pending::Partition(i));
-        }
+    /// The primary's detector declared a backup dead: with none left,
+    /// recruitment is scheduled.
+    fn backup_declared_dead(&mut self, ctx: &mut Context<'_, Event>) {
         if self.primary.as_ref().is_some_and(|p| !p.is_backup_alive()) {
             if let Some(delay) = self.config.recruit_backup_after {
                 ctx.schedule_in(delay, Event::RecruitBackup);
@@ -875,10 +862,6 @@ impl ClusterWorld {
     /// The serving primary admitted backup host `host` back.
     fn backup_joined(&mut self, ctx: &mut Context<'_, Event>, host: usize) {
         let now = ctx.now();
-        // The recovery itself completes when the catch-up frame lands.
-        self.faults.detect_pending(ctx, Pending::Recovery(host));
-        self.faults.recover_pending(ctx, Pending::Partition(host));
-        self.faults.recover_pending(ctx, Pending::BackupCrash(host));
         // Re-sync registrations the joining host missed while it was
         // crashed or partitioned away (object *state* arrives via the
         // catch-up reply already in flight).
@@ -893,19 +876,10 @@ impl ClusterWorld {
     /// Kills the primary host (crash fault). The backups' failure
     /// detectors notice via missed heartbeats (§4.4).
     fn inject_primary_crash(&mut self, ctx: &mut Context<'_, Event>) {
-        let Some(node) = self.primary.as_ref().map(Primary::node) else {
+        if self.primary.is_none() {
             return;
-        };
-        self.faults.inject(
-            ctx,
-            InjectedFault::PrimaryCrash,
-            Watch::Step(Pending::PrimaryCrash),
-        );
-        ctx.emit(EventKind::RoleTransition {
-            node,
-            from: Role::Primary,
-            to: Role::Down,
-        });
+        }
+        steps::crash(&mut self.at(ctx, Peer::Primary));
         self.primary = None;
         self.cpu.clear();
     }
@@ -913,27 +887,15 @@ impl ClusterWorld {
     /// Kills one backup host (crash fault). The primary's failure
     /// detector notices via missed ping acks.
     fn inject_backup_crash(&mut self, ctx: &mut Context<'_, Event>, host: usize) {
-        let Some(h) = self.hosts.get_mut(host) else {
-            return;
-        };
-        if h.backup.is_none() {
+        if self.live_node(Peer::Backup(host)).is_none() {
             return;
         }
-        let node = h.node;
+        steps::crash(&mut self.at(ctx, Peer::Backup(host)));
         // Park the state machine: if the host later restarts (rather than
         // recovering cold) its durable store survives the crash and the
         // rejoin can catch up from its log position.
+        let h = &mut self.hosts[host];
         h.parked = h.backup.take();
-        self.faults.inject(
-            ctx,
-            InjectedFault::BackupCrash,
-            Watch::Step(Pending::BackupCrash(host)),
-        );
-        ctx.emit(EventKind::RoleTransition {
-            node,
-            from: Role::Backup,
-            to: Role::Down,
-        });
     }
 
     /// Restarts a crashed backup host. The replica comes back empty and
@@ -1010,19 +972,13 @@ impl ClusterWorld {
 
     /// A restarted backup host is about to announce its rejoin: the
     /// restart audit's catch of `rot` (a record) is detected now, and the
-    /// restart opens a fault record that the host's catch-up frame closes.
+    /// catch-up frame that re-ships the quarantined objects closes it.
     fn rejoining(&mut self, ctx: &mut Context<'_, Event>, host: usize, rot: Option<usize>) {
         if let Some(record) = rot {
-            // Recovery is the catch-up frame that re-ships the
-            // quarantined objects.
-            self.faults.detect(ctx, record);
-            self.faults.watch(Pending::Rot(host), record);
+            self.faults.detect(stamp(ctx), record);
+            self.faults
+                .watch(Pending::Rot(self.hosts[host].node), record);
         }
-        self.faults.inject(
-            ctx,
-            InjectedFault::BackupRecovery,
-            Watch::Step(Pending::Recovery(host)),
-        );
     }
 
     /// Opens a time-windowed fault of `kind` on the primary→backup data
@@ -1039,9 +995,15 @@ impl ClusterWorld {
     ) {
         let from = ctx.now();
         let until = from + duration;
-        let record = self
-            .faults
-            .inject(ctx, fault, Watch::Window { host, until });
+        // A window on a host that does not exist affects no backup.
+        let watch = match host.map(|i| self.hosts.get(i)) {
+            Some(None) => Watch::Caller,
+            on => Watch::Window {
+                host: on.flatten().map(|h| h.node),
+                until,
+            },
+        };
+        let record = self.faults.inject(stamp(ctx), fault, watch);
         let window = FaultWindow { from, until, kind };
         for (i, h) in self.hosts.iter_mut().enumerate() {
             if host.is_none_or(|only| only == i) {
@@ -1065,7 +1027,7 @@ impl ClusterWorld {
     ) {
         let slot = host.map_or(0, |h| 1 + h);
         perturb(self.clock_mut(slot));
-        let record = self.faults.inject(ctx, fault, Watch::Clock);
+        let record = self.faults.inject(stamp(ctx), fault, Watch::Clock);
         ctx.schedule_at(
             ctx.now() + duration,
             Event::ClockFaultHealed { record, slot },
@@ -1094,11 +1056,10 @@ impl ClusterWorld {
                 h.ctrl_link.push_window(window);
                 h.rev_data_link.push_window(window);
                 h.rev_ctrl_link.push_window(window);
-                let record = self.faults.inject(
-                    ctx,
-                    InjectedFault::Partition,
-                    Watch::Step(Pending::Partition(host)),
-                );
+                let watch = Watch::Step(Pending::Partition(h.node));
+                let record = self
+                    .faults
+                    .inject(stamp(ctx), InjectedFault::Partition, watch);
                 ctx.schedule_at(
                     until,
                     Event::FaultHealed {
@@ -1114,7 +1075,7 @@ impl ClusterWorld {
                 let until = now + duration;
                 let record =
                     self.faults
-                        .inject(ctx, InjectedFault::PrimaryPartition, Watch::Caller);
+                        .inject(stamp(ctx), InjectedFault::PrimaryPartition, Watch::Caller);
                 self.primary_partition = Some((record, until));
                 ctx.schedule_at(until, Event::FaultHealed { record, host: None });
             }
@@ -1198,9 +1159,9 @@ impl ClusterWorld {
                 // observable happens until the host restarts and reads
                 // the rotted images back (see `restart_backup`, where
                 // detection is attributed to the recovery audit).
-                let record = self
-                    .faults
-                    .inject(ctx, InjectedFault::CorruptState, Watch::Caller);
+                let record =
+                    self.faults
+                        .inject(stamp(ctx), InjectedFault::CorruptState, Watch::Caller);
                 let entry = self.pending_state_rot.entry(host).or_insert((0, record));
                 entry.0 += flips;
             }
@@ -1379,7 +1340,7 @@ impl World for ClusterWorld {
                     // auto-failover is off): the primary never lost its
                     // role, so restored connectivity is recovery.
                     self.primary_partition = None;
-                    self.faults.recover(ctx, record);
+                    self.faults.recover(stamp(ctx), record);
                     return;
                 }
                 if self.deposed.as_ref().is_some_and(|d| d.record == record) {
@@ -1388,7 +1349,7 @@ impl World for ClusterWorld {
                     // the successor's cluster.
                     return;
                 }
-                self.faults.window_closed(ctx, record);
+                self.faults.window_closed(stamp(ctx), record);
             }
             Event::ClockFaultHealed { record, slot } => {
                 // Clock discipline snaps the slot's local reading back
@@ -1397,7 +1358,7 @@ impl World for ClusterWorld {
                 // envelope holds for the full quiet period.
                 let now = ctx.now();
                 self.clock_mut(slot).heal(now);
-                self.faults.clock_healed(ctx, record);
+                self.faults.clock_healed(stamp(ctx), record);
             }
             Event::RecruitBackup => {
                 if self.primary.is_none() || self.live_backup_count() > 0 {
@@ -1427,6 +1388,16 @@ impl World for ClusterWorld {
                 }
             }
         }
+    }
+}
+
+/// The fault ledger's stamp at the event being handled: its virtual
+/// instant and the simulation's counting writer.
+fn stamp<'a>(ctx: &'a Context<'_, Event>) -> Stamp<'a> {
+    Stamp {
+        clock: ClockDomain::Virtual,
+        now: ctx.now(),
+        writer: ctx.observer(),
     }
 }
 
@@ -1543,7 +1514,10 @@ impl Driver for At<'_, '_> {
                     (self.host, &msg)
                 {
                     if self.sender != Peer::Deposed
-                        && world.faults.pending(Pending::Resync(host)).is_none()
+                        && world
+                            .faults
+                            .pending(Pending::Resync(world.hosts[host].node))
+                            .is_none()
                         && world.scrub_repair.insert(host)
                     {
                         self.ctx.emit(EventKind::ResyncStarted {
@@ -1576,23 +1550,20 @@ impl Driver for At<'_, '_> {
         self.ctx.schedule_in(after, Event::FlushBatch);
     }
 
+    fn faults<R>(&mut self, books: impl FnOnce(&mut FaultLedger, Stamp<'_>) -> R) -> R {
+        books(&mut self.world.faults, stamp(self.ctx))
+    }
+
     fn react(&mut self, fact: Fact) {
         let (world, ctx) = (&mut *self.world, &mut *self.ctx);
         match (fact, self.host, self.sender) {
-            (Fact::TimingViolation, ..) => world.faults.timing_violation(ctx),
-            (Fact::RetransmitRequested, _, Peer::Backup(host)) => {
-                world.faults.retransmit_requested(ctx, host);
-            }
             (Fact::CatchUpPlanned(plan), ..) => world.catch_up_plans.push(plan),
-            (Fact::CatchUpLanded { .. }, Peer::Backup(host), _) => {
-                world.catch_up_landed(ctx, host);
-            }
-            (Fact::PeerDead { peer }, Peer::Primary, _) => world.backup_declared_dead(ctx, peer),
+            (Fact::CatchUpLanded, Peer::Backup(host), _) => world.catch_up_landed(ctx, host),
+            (Fact::PeerDead { .. }, Peer::Primary, _) => world.backup_declared_dead(ctx),
             (Fact::PeerDead { .. }, Peer::Backup(host), _) => {
                 world.primary_declared_dead(ctx, host);
             }
             (Fact::BackupJoined { .. }, _, Peer::Backup(host)) => world.backup_joined(ctx, host),
-            (Fact::JoinRetried, Peer::Backup(host), _) => world.faults.join_retried(host),
             (Fact::Rejoining, Peer::Backup(host), _) => world.rejoining(ctx, host, self.rot),
             _ => {}
         }

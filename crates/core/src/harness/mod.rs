@@ -13,4 +13,5 @@ mod faults;
 pub use crate::steps::MAX_DATAGRAM_BYTES;
 pub use cluster::{ClusterConfig, SimCluster};
 pub use cpu::{CpuQueue, Work};
-pub use faults::{FaultEvent, FaultPlan};
+pub use faults::{FaultEvent, FaultLedger, FaultPlan, Stamp};
+pub(crate) use faults::{Pending, Watch};

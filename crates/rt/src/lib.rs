@@ -34,6 +34,15 @@
 //!   corrupted arrival carries its flipped bit to the receiver's CRC
 //!   check.
 //!
+//! - **Books.** The steps keep the same books in both drivers: every
+//!   node's writer folds its events into
+//!   [`ClusterConfig::registry`](rtpb_core::ClusterConfig::registry), the
+//!   steps feed one per-object ledger, and they record each crash and
+//!   restart in one [`FaultLedger`](rtpb_core::harness::FaultLedger),
+//!   from injection through detection to recovery. [`RtReport`] holds
+//!   what no registry does: the finalized ledger, the fault records and
+//!   whether a backup took over.
+//!
 //! [`RtConfig`] is a simulator [`ClusterConfig`](rtpb_core::ClusterConfig)
 //! plus the objects to register and the reader's cadence. The fault plan
 //! runs at wall-clock offsets. [`RtCluster::run`] refuses, with a typed
@@ -48,13 +57,19 @@
 //! # Examples
 //!
 //! ```no_run
+//! use rtpb_core::harness::{FaultEvent, FaultPlan};
+//! use rtpb_core::metrics::InjectedFault;
+//! use rtpb_obs::MetricsRegistry;
 //! use rtpb_rt::{RtCluster, RtConfig};
-//! use rtpb_types::{ObjectSpec, TimeDelta};
+//! use rtpb_types::{ObjectSpec, Time, TimeDelta};
 //! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut config = RtConfig::default();
 //! config.cluster.num_backups = 2;
+//! config.cluster.registry = MetricsRegistry::new();
+//! config.cluster.fault_plan = FaultPlan::new().at(Time::from_millis(500), FaultEvent::CrashPrimary);
+//! let registry = config.cluster.registry.clone();
 //! config.objects.push(
 //!     ObjectSpec::builder("altitude")
 //!         .update_period(TimeDelta::from_millis(50))
@@ -62,9 +77,13 @@
 //!         .backup_bound(TimeDelta::from_millis(400))
 //!         .build()?,
 //! );
-//! let report = RtCluster::run(config, Duration::from_secs(1))?;
-//! assert!(report.writes > 0);
-//! assert!(report.updates_applied > 0);
+//! let report = RtCluster::run(config, Duration::from_secs(2))?;
+//! assert!(report.failed_over);
+//! assert!(registry.counter("cluster.updates_sent").get() > 0);
+//! // One crash record: a backup detected it, the promotion recovered it.
+//! let crash = &report.faults[0];
+//! assert_eq!(crash.kind, InjectedFault::PrimaryCrash);
+//! assert!(crash.detected_at.is_some() && crash.recovered_at.is_some());
 //! # Ok(())
 //! # }
 //! ```

@@ -4,6 +4,7 @@
 //! same qualitative behaviour.
 
 use rtpb::core::harness::{ClusterConfig, FaultEvent, FaultPlan};
+use rtpb::core::metrics::{FaultRecord, InjectedFault, ObjectReport};
 use rtpb::obs::{EventBus, EventKind, MetricsRegistry, ObsEvent, Role};
 use rtpb::rt::{RtCluster, RtConfig, RtReport};
 use rtpb::types::{ObjectId, ObjectSpec, Time, TimeDelta};
@@ -43,6 +44,17 @@ fn cluster_id(cluster: &RtpbClient) -> ObjectId {
     cluster.metrics().object_ids().next().expect("one object")
 }
 
+/// The runtime's report on the one object it ran.
+fn rt_object(report: &RtReport) -> ObjectReport {
+    let id = report.metrics.object_ids().next().expect("one object");
+    report.metrics.object_report(id).expect("tracked")
+}
+
+/// The kinds of a fault report's records, in injection order.
+fn kinds(records: &[FaultRecord]) -> Vec<InjectedFault> {
+    records.iter().map(|r| r.kind).collect()
+}
+
 #[test]
 fn both_drivers_replicate_and_stay_consistent() {
     let config = ClusterConfig::default();
@@ -51,7 +63,7 @@ fn both_drivers_replicate_and_stay_consistent() {
         .metrics()
         .object_report(cluster_id(&cluster))
         .unwrap();
-    let rt_report = run_threads(&config, 50, 2);
+    let rt_report = rt_object(&run_threads(&config, 50, 2));
 
     // Both served roughly period-count writes.
     let expected = 2_000 / 50;
@@ -63,7 +75,7 @@ fn both_drivers_replicate_and_stay_consistent() {
     );
     // Both replicated to the backup.
     assert!(sim_report.applies > 0);
-    assert!(rt_report.updates_applied > 0);
+    assert!(rt_report.applies > 0);
     // Neither violated the window.
     assert_eq!(sim_report.inconsistency_episodes, 0);
     assert_eq!(rt_report.inconsistency_episodes, 0);
@@ -75,8 +87,38 @@ fn both_drivers_fail_over_on_primary_death() {
         fault_plan: FaultPlan::new().at(Time::from_millis(400), FaultEvent::CrashPrimary),
         ..ClusterConfig::default()
     };
-    assert!(simulate(&config, 50, 2).has_failed_over());
-    assert!(run_threads(&config, 50, 2).failed_over);
+    let sim = simulate(&config, 50, 2);
+    assert!(sim.has_failed_over());
+    let rt = run_threads(&config, 50, 2);
+    assert!(rt.failed_over);
+    assert_eq!(kinds(sim.fault_report()), [InjectedFault::PrimaryCrash]);
+    assert_eq!(kinds(&rt.faults), kinds(sim.fault_report()));
+}
+
+#[test]
+fn both_drivers_record_a_durable_restart_alike() {
+    let config = ClusterConfig {
+        fault_plan: FaultPlan::new()
+            .at(Time::from_millis(300), FaultEvent::CrashBackup { host: 0 })
+            .at(
+                Time::from_millis(700),
+                FaultEvent::RestartBackup { host: 0 },
+            ),
+        ..ClusterConfig::default()
+    };
+    let sim = simulate(&config, 50, 2);
+    let rt = run_threads(&config, 50, 2);
+    assert_eq!(
+        kinds(sim.fault_report()),
+        [InjectedFault::BackupCrash, InjectedFault::BackupRecovery]
+    );
+    assert_eq!(kinds(&rt.faults), kinds(sim.fault_report()));
+    for records in [sim.fault_report(), &rt.faults] {
+        assert!(
+            records.iter().all(|r| r.recovered_at.is_some()),
+            "both drivers see the backup rejoin and catch up: {records:?}"
+        );
+    }
 }
 
 #[test]
@@ -96,9 +138,11 @@ fn both_drivers_survive_update_loss_via_retransmission() {
     let requests = cluster.registry().snapshot();
     assert!(requests.counter("cluster.retransmit_requests").unwrap() > 0);
 
+    config.registry = MetricsRegistry::new();
     let rt_report = run_threads(&config, 50, 2);
-    assert!(rt_report.updates_applied > 0);
-    assert!(rt_report.retransmit_requests > 0);
+    assert!(rt_object(&rt_report).applies > 0);
+    let requests = config.registry.snapshot();
+    assert!(requests.counter("cluster.retransmit_requests").unwrap() > 0);
     assert!(
         !rt_report.failed_over,
         "update loss must not kill the service"
