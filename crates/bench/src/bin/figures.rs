@@ -1,5 +1,6 @@
 //! Regenerates every figure of the paper's evaluation (§5) as a text
-//! table, plus the theory-validation table for Theorems 2–3.
+//! table, plus the design-choice ablations and the theory-validation
+//! table for Theorems 2–3.
 //!
 //! ```text
 //! cargo run -p rtpb-bench --release --bin figures            # everything
@@ -9,8 +10,8 @@
 //! ```
 
 use rtpb_bench::experiments::{
-    distance_vs_loss, distance_vs_objects, inconsistency_vs_loss, response_time_vs_objects,
-    theory_validation, FigureDefaults,
+    ablations, distance_vs_loss, distance_vs_objects, inconsistency_vs_loss,
+    response_time_vs_objects, theory_validation, FigureDefaults,
 };
 use rtpb_bench::Table;
 use rtpb_core::config::SchedulingMode;
@@ -148,6 +149,9 @@ fn main() {
             ),
             opts.csv,
         );
+    }
+    if opts.fig.is_none() && !opts.theory_only {
+        emit(&ablations(), opts.csv);
     }
     if opts.theory_only || opts.fig.is_none() {
         emit(&theory_validation(), opts.csv);

@@ -1,14 +1,16 @@
-//! One experiment per figure of the paper's evaluation (§5).
+//! One experiment per figure of the paper's evaluation (§5), plus the
+//! design-choice ablations.
 //!
-//! Every experiment sweeps the paper's x-axis, averages a few seeded runs
-//! per point, and returns a [`Table`] whose series match the paper's
-//! curves. Absolute values differ from the 1998 testbed (this substrate is
-//! a simulator, not MK 7.2 on a 10 Mb/s LAN); the *shapes* are what
-//! `EXPERIMENTS.md` compares.
+//! Every figure experiment sweeps the paper's x-axis, averages a few
+//! seeded runs per point, and returns a [`Table`] whose series match the
+//! paper's curves. Absolute values differ from the 1998 testbed (this
+//! substrate is a simulator, not MK 7.2 on a 10 Mb/s LAN); the *shapes*
+//! are what `EXPERIMENTS.md` compares.
 
 use crate::table::Table;
 use rtpb_core::config::{ProtocolConfig, SchedulingMode};
 use rtpb_core::harness::{ClusterConfig, SimCluster};
+use rtpb_obs::MetricsRegistry;
 use rtpb_sched::analysis::dcs;
 use rtpb_sched::exec::{run_dcs, run_edf, run_rm, Horizon};
 use rtpb_sched::task::{PeriodicTask, TaskSet};
@@ -319,6 +321,78 @@ pub fn inconsistency_vs_loss(
         "{objects} objects, write period {}",
         defaults.write_period
     ));
+    table
+}
+
+/// The design-choice ablations (DESIGN.md §4): one 5 s run of 8 objects
+/// (50 ms writes, 100/500 ms bounds, default seed) per variant of the
+/// paper's design, reporting the updates sent and the mean client
+/// response time. The variants send on every write (`eager_send`, the
+/// coupling §4.3 avoids), ack every update (`ack_updates`), turn
+/// admission off, and drop the loss slack (`slack_factor` 1).
+#[must_use]
+pub fn ablations() -> Table {
+    let paper = ProtocolConfig::default();
+    let variants = [
+        ("paper design", paper.clone()),
+        (
+            "eager_send",
+            ProtocolConfig {
+                eager_send: true,
+                ..paper.clone()
+            },
+        ),
+        (
+            "ack_updates",
+            ProtocolConfig {
+                ack_updates: true,
+                ..paper.clone()
+            },
+        ),
+        (
+            "admission off",
+            ProtocolConfig {
+                admission_enabled: false,
+                ..paper.clone()
+            },
+        ),
+        (
+            "slack_factor 1",
+            ProtocolConfig {
+                slack_factor: 1,
+                ..paper
+            },
+        ),
+    ];
+    let spec = ObjectSpec::builder("ablate")
+        .update_period(TimeDelta::from_millis(50))
+        .primary_bound(TimeDelta::from_millis(100))
+        .backup_bound(TimeDelta::from_millis(500))
+        .build()
+        .expect("valid ablation spec");
+    let mut table = Table::new(
+        "Ablations: the paper's design choices",
+        "variant",
+        vec!["updates sent".into(), "mean response (ms)".into()],
+    );
+    for (name, protocol) in variants {
+        let mut cluster = SimCluster::new(ClusterConfig {
+            protocol,
+            registry: MetricsRegistry::new(),
+            ..ClusterConfig::default()
+        });
+        for _ in 0..8 {
+            let _ = cluster.register(spec.clone());
+        }
+        cluster.run_for(TimeDelta::from_secs(5));
+        let sent = cluster.registry().counter("cluster.updates_sent").get();
+        let response = cluster.metrics().mean_response_time();
+        table.push_row(
+            name.into(),
+            vec![Some(sent as f64), response.map(TimeDelta::as_millis_f64)],
+        );
+    }
+    table.note("8 objects, 50 ms writes, 100/500 ms bounds, 5 s simulated");
     table
 }
 

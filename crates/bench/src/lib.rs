@@ -1,11 +1,11 @@
 //! Evaluation harness for the RTPB reproduction.
 //!
-//! One experiment per figure of the paper's §5, plus the theory-validation
-//! table. The `figures` binary renders each experiment as the text table
-//! the paper plots, and summarises exported JSONL traces. The `hotpath`
+//! One experiment per figure of the paper's §5, plus the design-choice
+//! ablations called out in `DESIGN.md` and the theory-validation table.
+//! The `figures` binary renders each experiment as the text table the
+//! paper plots, and summarises exported JSONL traces. The `hotpath`
 //! binary times the encode / decode / apply loop and gates it against
-//! `BENCH_hotpath.json`. The benches in `benches/` cover hot paths and the
-//! design-choice ablations called out in `DESIGN.md`.
+//! `BENCH_hotpath.json`.
 //!
 //! End-to-end throughput, the read fleet and recovery are measured by
 //! the repository's benchmark, `perfbench/`, on its `stream`,
@@ -15,14 +15,13 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod harness;
 pub mod hotpath;
 pub mod table;
 pub mod trace;
 
 pub use experiments::{
-    distance_vs_loss, distance_vs_objects, inconsistency_vs_loss, response_time_vs_objects,
-    theory_validation, FigureDefaults,
+    ablations, distance_vs_loss, distance_vs_objects, inconsistency_vs_loss,
+    response_time_vs_objects, theory_validation, FigureDefaults,
 };
 pub use hotpath::{HotpathConfig, HotpathReport};
 pub use table::Table;

@@ -5,8 +5,8 @@
 use rtpb::core::SchedulingMode;
 use rtpb::types::TimeDelta;
 use rtpb_bench::experiments::{
-    distance_vs_loss, distance_vs_objects, inconsistency_vs_loss, response_time_vs_objects,
-    theory_validation, FigureDefaults,
+    ablations, distance_vs_loss, distance_vs_objects, inconsistency_vs_loss,
+    response_time_vs_objects, theory_validation, FigureDefaults,
 };
 
 fn quick() -> FigureDefaults {
@@ -146,4 +146,23 @@ fn theory_table_is_consistent() {
         }
         assert_eq!(dcs, 0.0, "{task}: Theorem 3 must give zero variance");
     }
+}
+
+#[test]
+fn ablations_price_write_through_and_the_loss_slack() {
+    let t = ablations();
+    let sent = |variant: &str| {
+        let (_, row) = t.rows().iter().find(|(x, _)| x == variant).unwrap();
+        row[0].unwrap()
+    };
+    let paper = sent("paper design");
+    // Decoupling (§4.3): one update per send period, not one per write.
+    assert!(
+        sent("eager_send") >= 4.0 * paper,
+        "write-through must multiply the updates: {} vs {paper}",
+        sent("eager_send")
+    );
+    // The loss slack halves the send period, so dropping it halves the
+    // updates.
+    assert_eq!(sent("slack_factor 1"), paper / 2.0);
 }
