@@ -8,7 +8,7 @@
 //! and the determinism test byte-exact.
 
 use crate::json::{JsonObject, JsonValue};
-use rtpb_types::{NodeId, ObjectId, TaskId, Time, TimeDelta, Version};
+use rtpb_types::{NodeId, ObjectId, Time, TimeDelta, Version};
 use std::collections::BTreeMap;
 
 /// Which clock stamped an event.
@@ -170,17 +170,6 @@ pub enum EventKind {
         consistency: &'static str,
         /// Machine-readable reason (e.g. `"behind_floor"`, `"bound_unmet"`).
         reason: &'static str,
-    },
-    /// A scheduler invocation completed (update-transmission task).
-    SchedulerInvocation {
-        /// The periodic task.
-        task: TaskId,
-        /// Zero-based invocation index.
-        index: u64,
-        /// Release-to-finish response time.
-        response: TimeDelta,
-        /// Whether it met its deadline.
-        met_deadline: bool,
     },
     /// A fault-plan fault was injected.
     FaultInjected {
@@ -359,7 +348,6 @@ impl EventKind {
             EventKind::ClientWrite { .. } => "client_write",
             EventKind::ReadServed { .. } => "read_served",
             EventKind::ReadRedirected { .. } => "read_redirected",
-            EventKind::SchedulerInvocation { .. } => "scheduler_invocation",
             EventKind::FaultInjected { .. } => "fault_injected",
             EventKind::FaultDetected { .. } => "fault_detected",
             EventKind::FaultRecovered { .. } => "fault_recovered",
@@ -491,17 +479,6 @@ impl ObsEvent {
                     .uint_field("primary", u64::from(primary.index()))
                     .str_field("consistency", consistency)
                     .str_field("reason", reason);
-            }
-            EventKind::SchedulerInvocation {
-                task,
-                index,
-                response,
-                met_deadline,
-            } => {
-                o.uint_field("task", u64::from(task.index()))
-                    .uint_field("index", *index)
-                    .uint_field("response_ns", response.as_nanos())
-                    .bool_field("met_deadline", *met_deadline);
             }
             EventKind::FaultInjected { fault, record } => {
                 o.str_field("fault", fault).uint_field("record", *record);
@@ -730,12 +707,6 @@ pub fn validate_line(line: &str) -> Result<(u64, u64, String), SchemaError> {
             require_str(&map, "consistency")?;
             require_str(&map, "reason")?;
         }
-        "scheduler_invocation" => {
-            require_u64(&map, "task")?;
-            require_u64(&map, "index")?;
-            require_u64(&map, "response_ns")?;
-            require_bool(&map, "met_deadline")?;
-        }
         "fault_injected" => {
             require_str(&map, "fault")?;
             require_u64(&map, "record")?;
@@ -883,12 +854,6 @@ pub(crate) mod tests {
                 primary: NodeId::new(0),
                 consistency: "read_your_writes",
                 reason: "behind_floor",
-            },
-            EventKind::SchedulerInvocation {
-                task: TaskId::new(0),
-                index: 9,
-                response: TimeDelta::from_millis(1),
-                met_deadline: true,
             },
             EventKind::FaultInjected {
                 fault: "loss_burst",

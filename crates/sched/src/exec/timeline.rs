@@ -2,7 +2,6 @@
 
 use crate::phase_variance::PhaseVarianceTracker;
 use crate::task::TaskSet;
-use rtpb_obs::{ClockDomain, EventKind, EventWriter};
 use rtpb_types::{TaskId, Time, TimeDelta};
 
 /// One completed invocation of a periodic task.
@@ -181,29 +180,6 @@ impl Timeline {
             .filter_map(|i| self.tasks.get(i.task).map(|t| t.exec()))
             .sum()
     }
-
-    /// Replays the recorded run onto an observability bus: one
-    /// [`EventKind::SchedulerInvocation`] per completed invocation,
-    /// stamped with the invocation's finish instant on the virtual clock.
-    /// Returns the number of events emitted (0 on a disabled writer).
-    pub fn export_events(&self, writer: &EventWriter) -> usize {
-        if !writer.is_enabled() {
-            return 0;
-        }
-        for inv in &self.invocations {
-            writer.emit(
-                ClockDomain::Virtual,
-                inv.finish,
-                EventKind::SchedulerInvocation {
-                    task: inv.task,
-                    index: inv.index,
-                    response: inv.response_time(),
-                    met_deadline: inv.met_deadline(),
-                },
-            );
-        }
-        self.invocations.len()
-    }
 }
 
 #[cfg(test)]
@@ -321,33 +297,6 @@ mod tests {
         assert_eq!(tl.mean_response(TaskId::new(0)), Some(ms(4)));
         assert_eq!(tl.max_response(TaskId::new(0)), Some(ms(6)));
         assert_eq!(tl.mean_response(TaskId::new(1)), None);
-    }
-
-    #[test]
-    fn export_events_replays_invocations_in_order() {
-        use rtpb_obs::EventBus;
-
-        let tl = timeline(vec![inv(0, 0, 0, 0, 2, 10), inv(0, 1, 10, 18, 21, 20)]);
-        let bus = EventBus::with_capacity(16);
-        assert_eq!(tl.export_events(&bus.writer()), 2);
-        assert_eq!(tl.export_events(&EventWriter::disabled()), 0);
-        let events = bus.collect();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].at, t(2));
-        match events[1].kind {
-            EventKind::SchedulerInvocation {
-                task,
-                index,
-                response,
-                met_deadline,
-            } => {
-                assert_eq!(task, TaskId::new(0));
-                assert_eq!(index, 1);
-                assert_eq!(response, ms(11));
-                assert!(!met_deadline);
-            }
-            ref other => panic!("unexpected kind {other:?}"),
-        }
     }
 
     #[test]
