@@ -29,9 +29,9 @@
 //! panic).
 //!
 //! `backup_apply` hands each output back ([`Backup::recycle`]), as every
-//! driver does. Its frames carry write timestamps up to `iters`
-//! milliseconds ahead of the backup's clock, so each apply also raises a
-//! `timestamp_from_future` violation, whose event rides the output.
+//! driver does. The backup applies each frame at the frame's own write
+//! timestamp, so its clock advances with the operations and its temporal
+//! monitor stays quiet: the row prices the clean install path.
 //!
 //! `send_deliver_frame` takes one batch of `batch_size` fresh updates,
 //! one per object, along the path a simulated frame takes: encode with
@@ -46,8 +46,11 @@
 //! send handed back ([`Coalescer::update`]), the update is re-stamped one
 //! version up so both backups install it, encoded into a pooled frame,
 //! and sent over two lossless links; each arrival is parsed and applied
-//! at its backup. A return of a per-frame copy, a per-update payload or a
-//! per-apply output list shows up here as allocations.
+//! at its backup. The primary's clock stays inside its lease; the
+//! backups' clock advances a microsecond per operation, so their
+//! monitors see neither a stalled clock nor a frame from the future. A
+//! return of a per-frame copy, a per-update payload or a per-apply output
+//! list shows up here as allocations.
 //!
 //! `event_queue` replays the `stream` workload's timer mix on
 //! [`EventQueue`] in steady state: 5,000 objects each with a client-write
@@ -341,8 +344,9 @@ struct UpdateFrameState {
     version: u64,
 }
 
-/// The instant every `update_frame` operation runs at: inside the
-/// primary's lease however many operations run.
+/// The instant the primary runs every `update_frame` operation at:
+/// inside its lease however many operations run. The backups apply
+/// operation `n` at this instant plus `n` microseconds.
 const UPDATE_FRAME_NOW: Time = Time::from_millis(2);
 
 impl UpdateFrameState {
@@ -393,16 +397,65 @@ impl UpdateFrameState {
         }
         let frame = self.pool.frame(|buf| update.encode_into(buf));
         let mut applied = 0;
+        let arrival = now + TimeDelta::from_micros(self.version);
         for (link, backup) in &mut self.backups {
             let outcome = link.transmit(now, frame.len());
             let arrived = steps::arrival_bytes(&frame, outcome);
             let parsed =
                 WireFrame::parse(&arrived).expect("a lossless link delivers intact frames");
-            let out = backup.handle_frame(&parsed, now);
+            let out = backup.handle_frame(&parsed, arrival);
             applied += out.applied.len();
             backup.recycle(out);
         }
         self.coalescer.recycle(update);
+        applied
+    }
+}
+
+/// The `backup_apply` state: a backup holding the object, and the
+/// operation's position in `frames`, each one version fresher than the
+/// one before.
+struct BackupApplyState<'f> {
+    backup: Backup,
+    frames: &'f [Vec<u8>],
+    next: usize,
+}
+
+impl<'f> BackupApplyState<'f> {
+    /// `n` update frames, version and write timestamp `i` ms for the
+    /// `i`-th from 1.
+    fn frames(config: &HotpathConfig, n: u64) -> Vec<Vec<u8>> {
+        (1..=n)
+            .map(|i| sample_update(config, i, i).encode())
+            .collect()
+    }
+
+    fn new(config: &HotpathConfig, frames: &'f [Vec<u8>]) -> Self {
+        let mut backup = Backup::new(NodeId::new(1), ProtocolConfig::default());
+        backup.sync_registration(
+            ObjectId::new(0),
+            bench_spec(config.payload_bytes),
+            TimeDelta::from_millis(50),
+            Time::ZERO,
+        );
+        BackupApplyState {
+            backup,
+            frames,
+            next: 0,
+        }
+    }
+
+    /// One operation: parse the next frame and apply it at its write
+    /// timestamp, then hand the output back. Returns how many updates
+    /// the backup installed.
+    fn step(&mut self) -> usize {
+        let frame = WireFrame::parse(&self.frames[self.next]).expect("valid frame");
+        self.next += 1;
+        let out = self
+            .backup
+            .handle_frame(&frame, Time::from_millis(self.next as u64));
+        let applied = out.applied.len();
+        self.backup.recycle(out);
         applied
     }
 }
@@ -695,29 +748,14 @@ pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> Hotpa
     scenarios.push({
         // Pre-encode one strictly-fresher update frame per operation so
         // every apply takes the install path, not the duplicate path.
-        let frames: Vec<Vec<u8>> = (0..=config.iters + 1)
-            .map(|i| sample_update(config, i + 1, i + 1).encode())
-            .collect();
+        let frames = BackupApplyState::frames(config, config.iters + 1);
         bench(
             "backup_apply",
             config,
             counter,
-            || {
-                let mut backup = Backup::new(NodeId::new(1), ProtocolConfig::default());
-                backup.sync_registration(
-                    ObjectId::new(0),
-                    bench_spec(config.payload_bytes),
-                    TimeDelta::from_millis(50),
-                    Time::ZERO,
-                );
-                (backup, 0usize)
-            },
-            |(backup, next)| {
-                let frame = WireFrame::parse(&frames[*next]).expect("valid frame");
-                let out = backup.handle_frame(&frame, Time::from_millis(1));
-                black_box(out.applied.len());
-                backup.recycle(out);
-                *next += 1;
+            || BackupApplyState::new(config, &frames),
+            |state| {
+                black_box(state.step());
             },
         )
     });
@@ -1094,6 +1132,26 @@ mod tests {
             pool.issued(),
             "one frame serves every send"
         );
+    }
+
+    #[test]
+    fn apply_scenarios_raise_no_monitor_event() {
+        let config = HotpathConfig::default();
+        let frames = BackupApplyState::frames(&config, 1_000);
+        let mut apply = BackupApplyState::new(&config, &frames);
+        for _ in 0..1_000 {
+            assert_eq!(apply.step(), 1);
+        }
+        let mut update = UpdateFrameState::new(&config);
+        for _ in 0..1_000 {
+            assert_eq!(update.step(), 2);
+        }
+        let backups = update.backups.iter().map(|(_, b)| b);
+        for backup in backups.chain([&apply.backup]) {
+            let monitor = backup.monitor();
+            assert_eq!(monitor.violations(), 0, "{monitor:?}");
+            assert!(!monitor.is_degraded());
+        }
     }
 
     #[test]
