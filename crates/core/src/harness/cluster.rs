@@ -260,6 +260,13 @@ impl BackupHost {
         }
         host
     }
+
+    /// Whether the host may answer client reads: its replica is live and
+    /// not [catching up](Backup::catching_up), so its store holds no
+    /// pre-outage image a catch-up frame is about to overwrite.
+    fn read_eligible(&self) -> bool {
+        self.backup.as_ref().is_some_and(|b| !b.catching_up())
+    }
 }
 
 /// A primary that kept running after a backup promoted itself on the
@@ -385,16 +392,6 @@ impl ClusterWorld {
 
     fn live_backup_count(&self) -> usize {
         self.hosts.iter().filter(|h| h.backup.is_some()).count()
-    }
-
-    /// Whether host `i` may answer client reads: its replica is live and
-    /// not [catching up](Backup::catching_up), so its store holds no
-    /// pre-outage image a catch-up frame is about to overwrite.
-    fn read_eligible(&self, i: usize) -> bool {
-        self.hosts[i]
-            .backup
-            .as_ref()
-            .is_some_and(|b| !b.catching_up())
     }
 
     /// Whether the serving primary is currently cut off from every
@@ -1859,21 +1856,24 @@ impl SimCluster {
             let mut saw_bound_unmet = false;
             let mut saw_unsound = false;
             if !matches!(consistency, ReadConsistency::Strong) {
-                // Least-loaded first: each pass picks the eligible host
-                // with the least key above the previous pick's. Nothing
-                // in the loop changes a key, and keys are unique (they end
-                // in the index), so this is the sorted order without
-                // collecting it. The first pick usually serves.
+                // Least-loaded first: each pass over the hosts picks the
+                // eligible one with the least key above the previous
+                // pick's. Nothing in the loop changes a key, and keys are
+                // unique (they end in the index), so this is the sorted
+                // order without collecting it. The first pick usually
+                // serves.
                 let mut last = None;
-                while let Some(key) = (0..world.hosts.len())
-                    .filter(|&i| world.read_eligible(i))
-                    .map(|i| {
-                        let h = &world.hosts[i];
-                        (h.busy_until.max(now), h.reads_served, i)
-                    })
-                    .filter(|&key| last < Some(key))
-                    .min()
-                {
+                loop {
+                    let mut pick = None;
+                    for (i, h) in world.hosts.iter().enumerate() {
+                        let key = (h.busy_until.max(now), h.reads_served, i);
+                        if h.read_eligible() && Some(key) > last && pick.is_none_or(|p| key < p) {
+                            pick = Some(key);
+                        }
+                    }
+                    let Some(key) = pick else {
+                        break;
+                    };
                     last = Some(key);
                     saw_eligible = true;
                     let i = key.2;
