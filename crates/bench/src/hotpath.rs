@@ -66,7 +66,11 @@
 //! fall between two compactions of the write journal (one per 320k
 //! writes here), so the row prices the per-write path; a return of the
 //! per-object history rings, whose query scans 1 KB per object, shows up
-//! here.
+//! here. Each apply covers the object's one pending write, read from the
+//! same journal chain. The ledger runs alone here, so its per-object
+//! table (about 1.2 MB) stays in a 2 MB L2 and the row prices its
+//! instructions; the cache misses it takes inside a whole simulation
+//! show on perfbench `stream`.
 //!
 //! `flush_batch` closes one coalescing window at `stream`'s occupancy:
 //! 467 parked objects of `payload_bytes` each go from the primary's store
